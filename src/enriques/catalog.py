@@ -69,12 +69,28 @@ def _surface_files(catalog_dir=None):
     return sorted(base.glob("*.json"))
 
 
-def catalog_names(catalog_dir=None):
-    names = []
+def _data_error(path, exc):
+    reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    return CatalogDataError(f"{path.name}: {reason}")
+
+
+def _surfaces(catalog_dir=None):
+    """(path, surface name, parsed JSON) for every surface file.
+
+    Files that cannot be read or lack a name raise CatalogDataError.
+    """
     for path in _surface_files(catalog_dir):
-        with open(path) as fh:
-            names.append(json.load(fh)["name"])
-    return sorted(names)
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+            name = data["name"]
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            raise _data_error(path, exc) from None
+        yield path, name, data
+
+
+def catalog_names(catalog_dir=None):
+    return sorted(name for _, name, _ in _surfaces(catalog_dir))
 
 
 def _fiber_divisor(config, support):
@@ -85,11 +101,13 @@ def _fiber_divisor(config, support):
 
 
 def load_surface(name, catalog_dir=None):
-    for path in _surface_files(catalog_dir):
-        with open(path) as fh:
-            data = json.load(fh)
-        if data["name"] == name:
-            return _model_from_json(data)
+    """The named surface; malformed data raises CatalogDataError."""
+    for path, surface, data in _surfaces(catalog_dir):
+        if surface == name:
+            try:
+                return _model_from_json(data)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise _data_error(path, exc) from None
     raise UnknownSurface(f"{name!r} is not in the catalog")
 
 
@@ -112,6 +130,8 @@ def _model_from_json(data):
             raise CatalogDataError(
                 f"fiber {entry['label']} is not an affine configuration: {exc}"
             )
+        except ValueError as exc:
+            raise CatalogDataError(f"fiber {entry['label']}: {exc}")
         if entry.get("kind") and entry["kind"] != kind:
             raise CatalogDataError(
                 f"fiber {entry['label']} annotated {entry['kind']} "
@@ -427,7 +447,7 @@ def _verify_triple(s, checks):
 
     if claims.get("non_extendable"):
         obstruction = extension_obstruction(tri)
-        ok = obstruction != "inconclusive"
+        ok = obstruction is not None
         _check(checks, "non-extendable", ok,
                str(obstruction) if ok else "criterion inconclusive")
 

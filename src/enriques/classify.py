@@ -6,17 +6,14 @@ The census enumerates all such gluings up to isomorphism, filters by
 rank and discriminant, and derives the surviving dual graphs.
 """
 
-import os
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, permutations
 
-import networkx as nx
-
 from .config import CurveConfig, Divisor
 from .divisors import (
     InvariantViolation,
-    Obstruction,
     build_triangle,
     extension_obstruction,
     fibration_capacity_ok,
@@ -398,87 +395,83 @@ def _make_entry(types, n, weights, coeffs):
         tuple(tri.G_types[k] for k in order), r, disc)
 
 
-def _entry_worker(args):
-    return _make_entry(*args)
+def _refine(colours, nbrs):
+    """Coarsest equitable refinement of a vertex colouring, renumbered
+    canonically: a vertex's next colour is its colour together with the
+    multiset of (neighbour colour, edge weight) pairs."""
+    while True:
+        sigs = [(c, tuple(sorted((colours[u], w) for u, w in nb)))
+                for c, nb in zip(colours, nbrs)]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        refined = [rank[s] for s in sigs]
+        if len(rank) == len(set(colours)):
+            return refined
+        colours = refined
 
 
-def _entry_nx_graph(entry, perm=(0, 1, 2)):
-    g = nx.Graph()
-    for name in entry.glued.names:
-        color = tuple(sorted(
-            (perm[k], entry.S[k].coeff(name)) for k in range(3)
-            if entry.S[k].coeff(name)
-        ))
-        g.add_node(name, color=color)
-    n = entry.glued.size()
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = entry.glued.inter[i][j]
-            if w:
-                g.add_edge(entry.glued.names[i], entry.glued.names[j], w=w)
-    return g
+def _leaves(colours, nbrs):
+    """Discrete colourings reached by individualising, in every possible
+    way, a vertex of the first non-singleton cell and refining again."""
+    cell = min((c for c, k in Counter(colours).items() if k > 1), default=None)
+    if cell is None:
+        yield colours
+        return
+    for v, c in enumerate(colours):
+        if c == cell:
+            # v alone takes the cell's place, ahead of the rest of the cell
+            split = [2 * x + (x == cell and u != v)
+                     for u, x in enumerate(colours)]
+            yield from _leaves(_refine(split, nbrs), nbrs)
 
 
-def _isomorphic_entries(a, b):
-    """Isomorphism respecting the S-partition up to role permutation."""
-    gb = _entry_nx_graph(b)
+def _canonical_key(types, n, weights, coeffs):
+    """Isomorphism invariant of a raw gluing that separates non-isomorphic
+    ones: isomorphisms may relabel vertices and permute roles of equal type.
+
+    Colour refinement plus exhaustive individualisation, after McKay and
+    Piperno, "Practical graph isomorphism II" (2014), with no automorphism
+    pruning.  Vertices are coloured by their S-coefficients in the permuted
+    role order; a leaf's certificate is the vertex labels in leaf order
+    plus the reordered weight matrix, and the key keeps the least one.
+    """
+    nbrs = [[(u, w) for u, w in enumerate(row) if w] for row in weights]
+    best = None
     for perm in permutations(range(3)):
-        permuted = tuple(a.triple[perm.index(k)] for k in range(3))
-        if permuted != b.triple:
+        if any(types[p] != t for p, t in zip(perm, types)):
             continue
-        inv = tuple(perm[k] for k in range(3))
-        ga = _entry_nx_graph(a, perm=inv)
-        if nx.is_isomorphic(
-            ga, gb,
-            node_match=lambda x, y: x["color"] == y["color"],
-            edge_match=lambda x, y: x["w"] == y["w"],
-        ):
-            return True
-    return False
+        labels = [tuple(coeffs[p][v] for p in perm) for v in range(n)]
+        for leaf in _leaves(_refine(labels, nbrs), nbrs):
+            order = sorted(range(n), key=leaf.__getitem__)
+            cert = (tuple(labels[v] for v in order),
+                    tuple(tuple(weights[a][b] for b in order)
+                          for a in order))
+            if best is None or cert < best:
+                best = cert
+    return types, best
 
 
-def _invariant_key(entry):
-    colors = sorted(
-        tuple(sorted(c for c in (entry.S[k].coeff(name) for k in range(3))
-                     if c))
-        for name in entry.glued.names
-    )
-    degrees = sorted(
-        sum(w for w in row if w > 0) for row in entry.glued.inter
-    )
-    return (entry.triple, entry.glued.size(), entry.rank, entry.disc,
-            tuple(map(tuple, colors)), tuple(degrees))
-
-
-def enumerate_triangles(max_components=11, jobs=None):
+def enumerate_triangles(max_components=11):
     """Census of triangle graphs up to isomorphism.
 
     For every triple of fibers (G_1, G_2, G_3), every ordered splitting
     of each, and every identification of the two copies of each S_k up
     to a diagram automorphism, attempt the gluing and keep the
     consistent results, deduplicated up to isomorphism respecting the
-    (S_1, S_2, S_3) partition up to permutation.
+    (S_1, S_2, S_3) partition up to permutation.  Each class is
+    represented by its first gluing in enumeration order; capacity, rank
+    and discriminant are isomorphism invariants, so the entry is built
+    for that gluing only.
     """
-    if jobs is None:
-        jobs = int(os.environ.get("ENRIQUES_JOBS", "1"))
-    raw = _raw_triangles(max_components)
-    work = [(types, n, w, c) for _, types, n, w, c in raw]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(_entry_worker, work, chunksize=16))
-    else:
-        entries = [_entry_worker(args) for args in work]
-    entries = [e for e in entries if e is not None]
-    buckets = {}
+    seen = set()
     kept = []
-    for e in entries:
-        bucket = buckets.setdefault(_invariant_key(e), [])
-        if any(_isomorphic_entries(e, other) for other in bucket):
+    for _, types, n, weights, coeffs in _raw_triangles(max_components):
+        key = _canonical_key(types, n, weights, coeffs)
+        if key in seen:
             continue
-        bucket.append(e)
-        kept.append(e)
+        seen.add(key)
+        entry = _make_entry(types, n, weights, coeffs)
+        if entry is not None:
+            kept.append(entry)
     kept.sort(key=lambda e: (
         tuple(type_sort_key(t) for t in e.triple), e.glued.size(), e.disc))
     counts = {}
@@ -526,7 +519,7 @@ def derive_survivors(filtered):
             out.append(replace(e, verdict=Excluded(f"extends: {ext[1]}")))
             continue
         obs = extension_obstruction(tri)
-        if not isinstance(obs, Obstruction):
+        if obs is None:
             out.append(replace(e, verdict=Excluded(
                 "no extender found but obstruction inconclusive")))
             continue

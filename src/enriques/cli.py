@@ -130,7 +130,9 @@ def _load_surface(args, report):
     except catalog.UnknownSurface:
         report.add("catalog lookup", "fail",
                    f"{args.surface} not in catalog")
-        return None
+    except catalog.CatalogDataError as exc:
+        report.add("catalog data", "fail", str(exc))
+    return None
 
 
 def _cmd_verify_surface(args, report):

@@ -70,10 +70,14 @@ class CurveConfig:
 
     def subconfig(self, support):
         """Induced configuration on a subset of curves, in ambient order."""
-        keep = [name for name in self.names if name in set(support)]
+        support = set(support)
+        unknown = support.difference(self.names)
+        if unknown:
+            raise ValueError(f"unknown curves: {sorted(unknown)}")
+        keep = [name for name in self.names if name in support]
         idxs = [self.index(name) for name in keep]
         m = tuple(tuple(self.inter[i][j] for j in idxs) for i in idxs)
-        tangents = frozenset(t for t in self.tangent_edges if t <= set(keep))
+        tangents = frozenset(t for t in self.tangent_edges if t <= support)
         return CurveConfig(tuple(keep), m, tangents)
 
     def is_connected(self):

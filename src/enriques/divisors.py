@@ -273,7 +273,8 @@ def extension_obstruction(t):
     carries multiplicity <= 1 in the other two witnesses; the criterion
     fires when some S_k has no simple component at all, or when every
     simple component of some S_k sits with multiplicity >= 2 inside
-    another S_l.
+    another S_l.  Returns the Obstruction that fired, or None when the
+    criterion is inconclusive.
     """
     shapes = [
         {name for name, c in s.coeffs if c == 1} for s in t.S
@@ -292,7 +293,7 @@ def extension_obstruction(t):
                 f"every simple component of S_{k+1} has multiplicity >= 2 "
                 "in another S"
             )
-    return "inconclusive"
+    return None
 
 
 def half_fiber_classes(t):

@@ -409,8 +409,21 @@ class ParseError(ValueError):
     pass
 
 
+# the octic is the highest-degree form any certificate takes as input
+MAX_PARSE_DEGREE = 8
+
+
+def _check_parse_degree(degree):
+    if degree > MAX_PARSE_DEGREE:
+        raise ParseError(f"degree {degree} exceeds {MAX_PARSE_DEGREE}")
+
+
 def parse_poly(text):
-    """Tiny expression grammar: +, -, *, ^, parentheses, ints, x0..x3."""
+    """Tiny expression grammar: +, -, *, ^, parentheses, ints, x0..x3.
+
+    No power or product whose degree would exceed MAX_PARSE_DEGREE is
+    expanded; such input raises ParseError.
+    """
     tokens = _tokenize(text)
     pos = [0]
 
@@ -446,6 +459,7 @@ def parse_poly(text):
         while peek() and peek()[0] == "^":
             eat()
             exp = eat("int")[1]
+            _check_parse_degree(max(base.degree(), 0) * exp)
             base = base ** exp
         return base
 
@@ -453,7 +467,9 @@ def parse_poly(text):
         value = power()
         while peek() and peek()[0] == "*":
             eat()
-            value = value * power()
+            rhs = power()
+            _check_parse_degree(value.degree() + rhs.degree())
+            value = value * rhs
         return value
 
     def expr():

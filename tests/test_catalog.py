@@ -172,6 +172,14 @@ def test_bad_fiber_support_is_rejected(tmp_path):
         load_surface("broken", catalog_dir=tmp_path)
 
 
+def test_unknown_curve_in_fiber_support_is_rejected(tmp_path):
+    data = json.loads((catalog._data_dir() / "E8t.json").read_text())
+    data["fibrations"][0]["support"].append("nosuchcurve")
+    (tmp_path / "E8t.json").write_text(json.dumps(data))
+    with pytest.raises(CatalogDataError, match="nosuchcurve"):
+        load_surface("E8~", catalog_dir=tmp_path)
+
+
 def test_wrong_kind_annotation_is_rejected(tmp_path):
     data = {
         "name": "mislabeled",

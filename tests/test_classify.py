@@ -1,11 +1,15 @@
 from collections import Counter
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enriques.classify import (
     FIBER_KINDS,
     Excluded,
     Survivor,
+    _canonical_key,
     decompose_fiber,
     fiber_graph,
     sort_triple,
@@ -117,6 +121,114 @@ def test_survivor_lattices(survivors):
         assert e.disc in (1, 4, 16)
         assert e.disc == 16
         assert e.glued.size() == 10
+
+
+def raw_gluing(e):
+    """A census entry as the raw (types, n, weights, coeffs) gluing."""
+    n = e.glued.size()
+    weights = tuple(
+        tuple(0 if i == j else e.glued.inter[i][j] for j in range(n))
+        for i in range(n)
+    )
+    return e.triple, n, weights, tuple(tuple(s.as_vector()) for s in e.S)
+
+
+def role_perms(types):
+    """Role permutations that fix the type triple."""
+    return [p for p in permutations(range(3))
+            if all(types[k] == types[p[k]] for k in range(3))]
+
+
+def relabel(graph, vertex_perm, role_perm):
+    types, n, weights, coeffs = graph
+    return (
+        types,
+        n,
+        tuple(tuple(weights[a][b] for b in vertex_perm) for a in vertex_perm),
+        tuple(tuple(coeffs[k][v] for v in vertex_perm) for k in role_perm),
+    )
+
+
+def isomorphic_by_brute_force(g, h):
+    if g[:2] != h[:2]:
+        return False
+    return any(relabel(g, p, r) == h
+               for p in permutations(range(g[1])) for r in role_perms(g[0]))
+
+
+def test_census_keys_are_distinct(census):
+    keys = {_canonical_key(*raw_gluing(e)) for e in census}
+    assert len(keys) == len(census) == 120
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_canonical_key_is_invariant_under_relabelling(census, data):
+    graph = raw_gluing(data.draw(st.sampled_from(census)))
+    vertex_perm = data.draw(st.permutations(range(graph[1])))
+    role_perm = data.draw(st.sampled_from(role_perms(graph[0])))
+    assert (_canonical_key(*relabel(graph, vertex_perm, role_perm))
+            == _canonical_key(*graph))
+
+
+def cycles(*lengths):
+    """Disjoint cycles with unit weights and no coefficients."""
+    n = sum(lengths)
+    weights = [[0] * n for _ in range(n)]
+    start = 0
+    for length in lengths:
+        for i in range(length):
+            a, b = start + i, start + (i + 1) % length
+            weights[a][b] = weights[b][a] = 1
+        start += length
+    return ("A", "A", "A"), n, tuple(map(tuple, weights)), ((0,) * n,) * 3
+
+
+def test_canonical_key_individualises_every_vertex_of_a_cell():
+    # refinement leaves one cell, whose vertices are not all automorphic
+    g = cycles(3, 4)
+    for shift in range(7):
+        perm = [(v + shift) % 7 for v in range(7)]
+        assert _canonical_key(*relabel(g, perm, (0, 1, 2))) == \
+            _canonical_key(*g)
+    assert _canonical_key(*g) != _canonical_key(*cycles(7))
+
+
+@st.composite
+def coloured_graphs(draw, n):
+    """Small weighted graphs with three coefficient rows; few distinct
+    types, weights and coefficients, so that symmetric graphs are common."""
+    types = tuple(sorted(draw(st.lists(st.sampled_from("AB"),
+                                       min_size=3, max_size=3))))
+    entry = st.integers(0, 2)
+    weights = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            weights[a][b] = weights[b][a] = draw(entry)
+    coeffs = tuple(tuple(draw(st.lists(entry, min_size=n, max_size=n)))
+                   for _ in range(3))
+    return types, n, tuple(map(tuple, weights)), coeffs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_canonical_key_matches_brute_force_isomorphism(data):
+    n = data.draw(st.integers(1, 6))
+    g = data.draw(coloured_graphs(n))
+    if data.draw(st.booleans()):
+        # a relabelled copy, sometimes with one entry changed
+        h = relabel(g, data.draw(st.permutations(range(n))),
+                    data.draw(st.sampled_from(role_perms(g[0]))))
+        if data.draw(st.booleans()):
+            k = data.draw(st.integers(0, 2))
+            v = data.draw(st.integers(0, n - 1))
+            row = list(h[3][k])
+            row[v] = (row[v] + 1) % 3
+            h = h[:3] + (h[3][:k] + (tuple(row),) + h[3][k + 1:],)
+    else:
+        h = data.draw(coloured_graphs(n))
+    assert (_canonical_key(*g) == _canonical_key(*h)) == \
+        isomorphic_by_brute_force(g, h)
 
 
 def classify_family(e):

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from enriques import cli
+from enriques import catalog, cli
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_main(capsys, argv):
@@ -43,6 +50,36 @@ def test_unknown_surface_fails(capsys):
     code, out, _ = run_main(capsys, ["nd", "K3"])
     assert code == 1
     assert "[fail] catalog lookup: K3 not in catalog" in out
+
+
+def _e8_data():
+    return json.loads((catalog._data_dir() / "E8t.json").read_text())
+
+
+def _without_edges():
+    data = _e8_data()
+    del data["edges"]
+    return json.dumps(data)
+
+
+def _bad_multiplicity():
+    data = _e8_data()
+    data["fibrations"][0]["multiplicity"] = "double"
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("text, reason", [
+    ('{"name": "E8~", ', "Expecting"),
+    (_without_edges(), "missing key 'edges'"),
+    (_bad_multiplicity(), "bad multiplicity 'double'"),
+], ids=("invalid-json", "missing-key", "catalog-data-error"))
+def test_malformed_catalog_data_fails_cleanly(capsys, tmp_path, text, reason):
+    (tmp_path / "bad.json").write_text(text)
+    code, out, err = run_main(
+        capsys, ["verify-surface", "E8~", "--catalog-dir", str(tmp_path)])
+    assert code == 1
+    assert err == ""
+    assert f"[fail] catalog data: bad.json: {reason}" in out
 
 
 def test_usage_error_exit_code(capsys):
@@ -112,6 +149,25 @@ def test_sextic_check_rejects_garbage(capsys):
 def test_sextic_check_rejects_wrong_degree(capsys):
     code, _, err = run_main(capsys, ["sextic-check", "--q", "x0^3"])
     assert code == 2
+
+
+def test_sextic_check_rejects_high_degree_before_expanding(capsys):
+    t0 = time.perf_counter()
+    code, _, err = run_main(
+        capsys, ["sextic-check", "--q", "(x0+x1+x2+x3)^200"])
+    assert time.perf_counter() - t0 < 5
+    assert code == 2
+    assert "cannot parse --q: degree 200 exceeds 8" in err
+
+
+def test_importing_the_package_does_not_import_networkx():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    probe = "import sys, enriques.cli; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_run_returns_report_object():

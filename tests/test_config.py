@@ -52,6 +52,11 @@ def test_subconfig_preserves_ambient_order():
     assert sub.pair("a", "c") == 1
 
 
+def test_subconfig_rejects_unknown_curves():
+    with pytest.raises(ValueError, match="unknown curves"):
+        TRIANGLE.subconfig(["a", "z"])
+
+
 def test_connectivity():
     assert TRIANGLE.is_connected()
     path = CurveConfig.from_edges(("a", "b", "c"), [("a", "b")])

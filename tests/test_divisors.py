@@ -95,7 +95,7 @@ def test_small_triangle_capacity_and_obstruction():
     t = small_triangle()
     assert fibration_capacity_ok(t)
     # every witness is its own simple component, clashing nowhere
-    assert extension_obstruction(t) == "inconclusive"
+    assert extension_obstruction(t) is None
 
 
 def test_obstruction_formatting():
