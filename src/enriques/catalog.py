@@ -258,7 +258,12 @@ def enumerate_fibration_classes(s):
 
 def half_fiber_class(s, label):
     """Half-fiber class of the fibration containing the labelled fiber."""
-    for rec in fibration_records(s):
+    return _record_class(fibration_records(s), label)
+
+
+def _record_class(records, label):
+    """half_fiber_class, looked up in already computed records."""
+    for rec in records:
         if label in rec.labels:
             if not rec.determined:
                 raise CatalogDataError(f"fiber {label} has undetermined scale")
@@ -295,11 +300,17 @@ def _clique_matrix(classes):
 
 def nd_bounds(s):
     """(min, max) length of maximal half-fiber sequences on the surface."""
+    return _nd_bounds(s, None)
+
+
+def _nd_bounds(s, records):
+    """nd_bounds, on the surface's records when they are already known."""
     if not s.complete:
         raise IncompleteCatalog(
             f"{s.name} does not list all of its fibrations"
         )
-    records = fibration_records(s)
+    if records is None:
+        records = fibration_records(s)
     undetermined = [r.ray for r in records if not r.determined]
     if undetermined:
         raise CatalogDataError(
@@ -322,8 +333,8 @@ def _check(checks, name, ok, detail):
     return ok
 
 
-def _claimed_triple(s, labels):
-    return [half_fiber_class(s, lab) for lab in labels]
+def _claimed_triple(records, labels):
+    return [_record_class(records, lab) for lab in labels]
 
 
 def verify_surface(s):
@@ -359,10 +370,10 @@ def verify_surface(s):
                f"found {got}, expected {claims['fibration_count']}")
 
     if "triple" in claims:
-        _verify_triple(s, checks)
+        _verify_triple(s, records, checks)
 
     if "four_sequence" in claims:
-        seq = _claimed_triple(s, claims["four_sequence"])
+        seq = _claimed_triple(records, claims["four_sequence"])
         _check(checks, "four-sequence", is_c_sequence(seq),
                " ".join(claims["four_sequence"]))
 
@@ -371,8 +382,8 @@ def verify_surface(s):
 
     if "minus_two" in claims:
         claim = claims["minus_two"]
-        f1, f2, f4 = _claimed_triple(s, claim["triple"])
-        f5 = half_fiber_class(s, claim["other"])
+        f1, f2, f4 = _claimed_triple(records, claim["triple"])
+        f5 = _record_class(records, claim["other"])
         val = intersect(f1, f5) + intersect(f2, f5) - intersect(f4, f5)
         _check(checks, "degenerating product", val == claim["value"],
                f"({'+'.join(claim['triple'][:2])}-{claim['triple'][2]})"
@@ -380,7 +391,7 @@ def verify_surface(s):
 
     if "nd" in claims:
         try:
-            got = list(nd_bounds(s))
+            got = list(_nd_bounds(s, records))
         except IncompleteCatalog as exc:
             checks.append(("nd bounds", "inconclusive", str(exc)))
         else:
@@ -397,9 +408,9 @@ def verify_surface(s):
     return checks
 
 
-def _verify_triple(s, checks):
+def _verify_triple(s, records, checks):
     claims = s.claims
-    F = _claimed_triple(s, claims["triple"])
+    F = _claimed_triple(records, claims["triple"])
     _check(checks, "three-sequence", is_c_sequence(F),
            " ".join(claims["triple"]))
 
@@ -465,7 +476,7 @@ def _fiber_sum(s, label):
 def _verify_unique_nonspecial(s, records, checks):
     claims = s.claims["unique_nonspecial"]
     classes = {
-        lab: half_fiber_class(s, lab)
+        lab: _record_class(records, lab)
         for rec in records for lab in rec.labels
     }
     determined = [r.cls for r in records if r.determined]

@@ -9,12 +9,13 @@ rank and discriminant, and derives the surviving dual graphs.
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 
 from .config import CurveConfig, Divisor
 from .divisors import (
     InvariantViolation,
     build_triangle,
+    connected_subsets,
     extension_obstruction,
     fibration_capacity_ok,
     internal_extender,
@@ -52,6 +53,7 @@ def sort_triple(types):
     return tuple(sorted(types, key=type_sort_key))
 
 
+@lru_cache(maxsize=None)
 def fiber_graph(kind):
     """The dual graph of a Kodaira fiber, vertices t0, t1, ..."""
     s = kind.symbol
@@ -120,8 +122,8 @@ def _diagram_orderings(config, dtype):
 @dataclass(frozen=True)
 class Part:
     dtype: DynkinType
-    coeffs: tuple  # ((vertex name, coeff), ...)
-    orders: tuple  # vertex-name tuples aligned with highest_root positions
+    coeffs: tuple  # coefficient per fiber vertex, 0 outside the support
+    orders: tuple  # vertex-index tuples aligned with highest_root positions
 
 
 @dataclass(frozen=True)
@@ -131,6 +133,19 @@ class Decomposition:
     second: Part
 
 
+def _part(cfg, sub):
+    """The Part on cfg carried by the fundamental cycle of the connected
+    subconfiguration sub, or None when sub is not a Dynkin diagram."""
+    try:
+        dtype = classify_dynkin(sub)
+    except NotDynkin:
+        return None
+    z = fundamental_cycle(sub)
+    orders = tuple(tuple(cfg.index(v) for v in order)
+                   for order in _diagram_orderings(sub, dtype))
+    return Part(dtype, tuple(z.coeff(v) for v in cfg.names), orders)
+
+
 @lru_cache(maxsize=None)
 def _decompositions(kind):
     """All ordered splittings G = first + second into fundamental cycles."""
@@ -138,37 +153,20 @@ def _decompositions(kind):
     if cfg.size() < 2:
         return ()  # irreducible fiber: nothing to split
     null = null_vector(cfg)
-    names = cfg.names
+    null = tuple(null[v] for v in cfg.names)
     out = []
-    for size in range(1, cfg.size()):
-        for subset in combinations(names, size):
-            sub = cfg.subconfig(subset)
-            if not sub.is_connected():
-                continue
-            try:
-                dtype = classify_dynkin(sub)
-            except NotDynkin:
-                continue
-            zc = dict(fundamental_cycle(sub).coeffs)
-            rest = {v: null[v] - zc.get(v, 0) for v in names}
-            if any(c < 0 for c in rest.values()):
-                continue
-            supp = tuple(v for v in names if rest[v] > 0)
-            comp = cfg.subconfig(supp)
-            if not comp.is_connected():
-                continue
-            try:
-                ctype = classify_dynkin(comp)
-            except NotDynkin:
-                continue
-            zc2 = dict(fundamental_cycle(comp).coeffs)
-            if zc2 != {v: rest[v] for v in supp}:
-                continue
-            first = Part(dtype, tuple(sorted(zc.items())),
-                         _diagram_orderings(sub, dtype))
-            second = Part(ctype, tuple(sorted(zc2.items())),
-                          _diagram_orderings(comp, ctype))
-            out.append(Decomposition(kind, first, second))
+    for subset in connected_subsets(cfg, max_size=cfg.size() - 1):
+        first = _part(cfg, cfg.subconfig(subset))
+        if first is None:
+            continue
+        rest = tuple(g - c for g, c in zip(null, first.coeffs))
+        if any(c < 0 for c in rest):
+            continue
+        second = _part(cfg, cfg.subconfig(
+            v for v, c in zip(cfg.names, rest) if c))
+        if second is None or second.coeffs != rest:
+            continue
+        out.append(Decomposition(kind, first, second))
     return tuple(out)
 
 
@@ -187,54 +185,13 @@ def decompose_fiber(kind):
     return DecompositionRow(kind, frozenset(pairs))
 
 
-# ---------------------------------------------------------------------------
-# indexed fiber data for the gluing engine
-
-
-@dataclass(frozen=True)
-class _IPart:
-    dtype: DynkinType
-    coeffs: tuple  # coeff per local vertex index, 0 outside the support
-    orders: tuple  # index tuples
-
-
-@dataclass(frozen=True)
-class _IDecomp:
-    kind: KodairaType
-    a: _IPart
-    b: _IPart
-
-
-@lru_cache(maxsize=None)
-def _fiber_matrix(kind):
-    cfg = fiber_graph(kind)
-    return cfg, tuple(tuple(row) for row in cfg.inter)
-
-
-@lru_cache(maxsize=None)
-def _indexed_decompositions(kind):
-    cfg, _ = _fiber_matrix(kind)
-    pos = {name: i for i, name in enumerate(cfg.names)}
-    out = []
-    for d in _decompositions(kind):
-        parts = []
-        for part in (d.first, d.second):
-            coeffs = [0] * cfg.size()
-            for name, c in part.coeffs:
-                coeffs[pos[name]] = c
-            orders = tuple(tuple(pos[v] for v in o) for o in part.orders)
-            parts.append(_IPart(part.dtype, tuple(coeffs), orders))
-        out.append(_IDecomp(d.kind, parts[0], parts[1]))
-    return tuple(out)
-
-
 def _glue_indexed(kinds, decomps, chosen):
     """Glue three fibers; returns (class lists, weights, coeffs) or None.
 
     kinds/decomps are indexed by fiber 1..3 (fiber i omits S_i);
     chosen[k] = ((fiber, order), (fiber, order)) for S_k's two copies.
     """
-    mats = [None] + [_fiber_matrix(k)[1] for k in kinds]
+    mats = [None] + [fiber_graph(k).inter for k in kinds]
     sizes = [0] + [len(m) for m in mats[1:]]
     offsets = [0, 0, sizes[1], sizes[1] + sizes[2]]
     total = sizes[1] + sizes[2] + sizes[3]
@@ -289,7 +246,7 @@ def _glue_indexed(kinds, decomps, chosen):
     for k in (1, 2, 3):
         fib, pi = part_sources[k]
         d = decomps[fib - 1]
-        part = d.a if pi == 0 else d.b
+        part = d.first if pi == 0 else d.second
         row = [0] * n
         off = offsets[fib]
         for v, c in enumerate(part.coeffs):
@@ -334,29 +291,30 @@ def _raw_triangles(max_components):
     by_pair = {}
     all_decomps = []
     for kind in FIBER_KINDS:
-        for d in _indexed_decompositions(kind):
+        for d in _decompositions(kind):
             all_decomps.append((kind, d))
-            by_first.setdefault(d.a.dtype, []).append((kind, d))
-            by_pair.setdefault((d.a.dtype, d.b.dtype), []).append((kind, d))
+            by_first.setdefault(d.first.dtype, []).append((kind, d))
+            by_pair.setdefault((d.first.dtype, d.second.dtype),
+                               []).append((kind, d))
     found = {}
     for k3, d3 in all_decomps:  # fiber 3 carries (S_1, S_2)
-        t1, t2 = d3.a.dtype, d3.b.dtype
+        t1, t2 = d3.first.dtype, d3.second.dtype
         if type_sort_key(t1) > type_sort_key(t2):
             continue
         for k2, d2 in by_first.get(t1, ()):  # fiber 2 carries (S_1, S_3)
-            t3 = d2.b.dtype
+            t3 = d2.second.dtype
             if type_sort_key(t2) > type_sort_key(t3):
                 continue
             for k1, d1 in by_pair.get((t2, t3), ()):  # fiber 1: (S_2, S_3)
                 kinds = (k1, k2, k3)
                 decomps = (d1, d2, d3)
-                for o1 in d2.a.orders:
-                    for o2 in d1.a.orders:
-                        for o3 in d1.b.orders:
+                for o1 in d2.first.orders:
+                    for o2 in d1.first.orders:
+                        for o3 in d1.second.orders:
                             chosen = {
-                                1: ((2, o1), (3, d3.a.orders[0])),
-                                2: ((1, o2), (3, d3.b.orders[0])),
-                                3: ((1, o3), (2, d2.b.orders[0])),
+                                1: ((2, o1), (3, d3.first.orders[0])),
+                                2: ((1, o2), (3, d3.second.orders[0])),
+                                3: ((1, o3), (2, d2.second.orders[0])),
                             }
                             glued = _glue_indexed(kinds, decomps, chosen)
                             if glued is None:
@@ -378,11 +336,7 @@ def _make_entry(types, n, weights, coeffs):
         for i in range(n)
     )
     glued = CurveConfig(names, inter)
-    divisors = tuple(
-        Divisor.from_map(
-            {names[i]: c for i, c in enumerate(row) if c}, glued)
-        for row in coeffs
-    )
+    divisors = tuple(Divisor(row, glued) for row in coeffs)
     tri = build_triangle(witnesses=divisors, ambient=glued)
     if not fibration_capacity_ok(tri):
         return None

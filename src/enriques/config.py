@@ -1,9 +1,13 @@
-"""Weighted dual graphs of (-2)-curves and divisors supported on them.
+"""The indexed core: weighted dual graphs of (-2)-curves and divisors on them.
 
 A CurveConfig is an intersection matrix over named curves: diagonal -2,
 off-diagonal >= 0, where an entry 2 may mean either a double edge (two
 transversal points) or a tangency; the two are told apart only by the
-optional tangent-edge annotation.
+optional tangent-edge annotation.  The names are labels only: every
+vertex is its position in ``names``, and the name-to-index map and the
+neighbour-index tuples (``adj``) are computed once, at construction,
+next to the validation.  A Divisor is a coefficient vector aligned with
+its ambient configuration's vertices.
 """
 
 from dataclasses import dataclass, field
@@ -19,11 +23,17 @@ class CurveConfig:
     names: tuple
     inter: tuple  # tuple of tuples, symmetric, diagonal -2
     tangent_edges: frozenset = field(default_factory=frozenset)
+    # derived in __post_init__: name -> index, and neighbour indices per vertex
+    _pos: dict = field(init=False, repr=False, compare=False)
+    adj: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.names)
-        if len(self.inter) != n:
+        if len(self.inter) != n or any(len(row) != n for row in self.inter):
             raise ValueError("matrix size does not match curve count")
+        pos = {name: k for k, name in enumerate(self.names)}
+        if len(pos) != n:
+            raise ValueError("curve names must be distinct")
         for i in range(n):
             if self.inter[i][i] != -2:
                 raise ValueError("diagonal entries must be -2")
@@ -32,6 +42,11 @@ class CurveConfig:
                     raise ValueError("intersection matrix must be symmetric")
                 if i != j and self.inter[i][j] < 0:
                     raise ValueError("off-diagonal entries must be >= 0")
+        object.__setattr__(self, "_pos", pos)
+        object.__setattr__(self, "adj", tuple(
+            tuple(j for j in range(n) if j != i and self.inter[i][j])
+            for i in range(n)
+        ))
 
     @staticmethod
     def from_edges(names, edges, tangent_edges=()):
@@ -51,19 +66,20 @@ class CurveConfig:
         return len(self.names)
 
     def index(self, name):
-        return self.names.index(name)
+        try:
+            return self._pos[name]
+        except KeyError:
+            raise ValueError(f"unknown curve {name!r}") from None
 
     def pair(self, a, b):
         return self.inter[self.index(a)][self.index(b)]
 
     def neighbors(self, name):
-        i = self.index(name)
-        return [self.names[j] for j in range(len(self.names))
-                if j != i and self.inter[i][j] != 0]
+        return [self.names[j] for j in self.adj[self.index(name)]]
 
     def degree(self, name):
         i = self.index(name)
-        return sum(self.inter[i][j] for j in range(len(self.names)) if j != i)
+        return sum(self.inter[i][j] for j in self.adj[i])
 
     def is_tangent(self, a, b):
         return frozenset((a, b)) in self.tangent_edges
@@ -71,25 +87,24 @@ class CurveConfig:
     def subconfig(self, support):
         """Induced configuration on a subset of curves, in ambient order."""
         support = set(support)
-        unknown = support.difference(self.names)
+        unknown = support.difference(self._pos)
         if unknown:
             raise ValueError(f"unknown curves: {sorted(unknown)}")
-        keep = [name for name in self.names if name in support]
-        idxs = [self.index(name) for name in keep]
+        idxs = sorted(self._pos[name] for name in support)
         m = tuple(tuple(self.inter[i][j] for j in idxs) for i in idxs)
         tangents = frozenset(t for t in self.tangent_edges if t <= support)
-        return CurveConfig(tuple(keep), m, tangents)
+        return CurveConfig(tuple(self.names[i] for i in idxs), m, tangents)
 
     def is_connected(self):
         if not self.names:
             return False
-        seen = {self.names[0]}
-        stack = [self.names[0]]
+        seen = {0}
+        stack = [0]
         while stack:
-            for other in self.neighbors(stack.pop()):
-                if other not in seen:
-                    seen.add(other)
-                    stack.append(other)
+            for j in self.adj[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
         return len(seen) == len(self.names)
 
     def to_json(self):
@@ -112,48 +127,56 @@ class CurveConfig:
 
 @dataclass(frozen=True)
 class Divisor:
-    """Finitely supported integer combination of the ambient curves."""
+    """Integer combination of the ambient curves."""
 
-    coeffs: tuple  # ((name, coeff), ...) sorted by ambient order
+    vec: tuple  # one coefficient per ambient curve, in ambient order
     ambient: CurveConfig
+
+    def __post_init__(self):
+        if len(self.vec) != self.ambient.size():
+            raise ValueError("coefficient vector does not match curve count")
 
     @staticmethod
     def from_map(mapping, ambient):
-        unknown = set(mapping) - set(ambient.names)
+        unknown = set(mapping).difference(ambient._pos)
         if unknown:
             raise ValueError(f"unknown curves: {sorted(unknown)}")
-        items = tuple(
-            (name, mapping[name]) for name in ambient.names
-            if mapping.get(name, 0) != 0
+        return Divisor(
+            tuple(mapping.get(name, 0) for name in ambient.names), ambient
         )
-        return Divisor(items, ambient)
+
+    @property
+    def coeffs(self):
+        """The nonzero (name, coeff) pairs, in ambient order."""
+        return tuple(
+            (name, c) for name, c in zip(self.ambient.names, self.vec) if c
+        )
 
     def coeff(self, name):
-        return dict(self.coeffs).get(name, 0)
+        i = self.ambient._pos.get(name)
+        return 0 if i is None else self.vec[i]
 
     def support(self):
         return frozenset(name for name, _ in self.coeffs)
 
     def as_vector(self):
-        m = dict(self.coeffs)
-        return [m.get(name, 0) for name in self.ambient.names]
+        return list(self.vec)
 
     def __add__(self, other):
         if other.ambient is not self.ambient and other.ambient != self.ambient:
             raise AmbientMismatch("divisors live on different configurations")
-        m = dict(self.coeffs)
-        for name, c in other.coeffs:
-            m[name] = m.get(name, 0) + c
-        return Divisor.from_map(m, self.ambient)
+        return Divisor(
+            tuple(a + b for a, b in zip(self.vec, other.vec)), self.ambient
+        )
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, k):
-        return Divisor.from_map({n: k * c for n, c in self.coeffs}, self.ambient)
+        return Divisor(tuple(k * c for c in self.vec), self.ambient)
 
     def is_effective(self):
-        return all(c > 0 for _, c in self.coeffs)
+        return all(c >= 0 for c in self.vec)
 
 
 @dataclass(frozen=True)
@@ -167,7 +190,7 @@ class NumClass:
 
     @staticmethod
     def from_divisor(d, scale=1):
-        vec = tuple(Fraction(c) * scale for c in d.as_vector())
+        vec = tuple(Fraction(c) * scale for c in d.vec)
         return NumClass(vec, d.ambient)
 
     def flagged(self, primitive=None, half_fiber=None):
@@ -191,15 +214,11 @@ class NumClass:
 
 
 def _as_vec(x, ambient):
-    if isinstance(x, Divisor):
-        if x.ambient != ambient:
-            raise AmbientMismatch("mixed ambients in pairing")
-        return x.as_vector()
-    if isinstance(x, NumClass):
-        if x.ambient != ambient:
-            raise AmbientMismatch("mixed ambients in pairing")
-        return list(x.vec)
-    raise TypeError(f"cannot pair object of type {type(x)!r}")
+    if not isinstance(x, (Divisor, NumClass)):
+        raise TypeError(f"cannot pair object of type {type(x)!r}")
+    if x.ambient != ambient:
+        raise AmbientMismatch("mixed ambients in pairing")
+    return x.vec
 
 
 def intersect(a, b):

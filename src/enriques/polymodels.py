@@ -411,6 +411,8 @@ class ParseError(ValueError):
 
 # the octic is the highest-degree form any certificate takes as input
 MAX_PARSE_DEGREE = 8
+# bound on the decimal digits of a literal or of a parsed coefficient
+MAX_PARSE_DIGITS = 100
 
 
 def _check_parse_degree(degree):
@@ -418,11 +420,19 @@ def _check_parse_degree(degree):
         raise ParseError(f"degree {degree} exceeds {MAX_PARSE_DEGREE}")
 
 
+def _check_parse_digits(poly):
+    if any(abs(c) >= 10 ** MAX_PARSE_DIGITS for c in poly.terms.values()):
+        raise ParseError(f"coefficient exceeds {MAX_PARSE_DIGITS} digits")
+    return poly
+
+
 def parse_poly(text):
     """Tiny expression grammar: +, -, *, ^, parentheses, ints, x0..x3.
 
     No power or product whose degree would exceed MAX_PARSE_DEGREE is
-    expanded; such input raises ParseError.
+    expanded, and no exponent may exceed it either; a literal, or a
+    coefficient of a power or product, above MAX_PARSE_DIGITS digits is
+    rejected as well.  Such input raises ParseError.
     """
     tokens = _tokenize(text)
     pos = [0]
@@ -460,7 +470,10 @@ def parse_poly(text):
             eat()
             exp = eat("int")[1]
             _check_parse_degree(max(base.degree(), 0) * exp)
-            base = base ** exp
+            if exp > MAX_PARSE_DEGREE:
+                raise ParseError(
+                    f"exponent {exp} exceeds {MAX_PARSE_DEGREE}")
+            base = _check_parse_digits(base ** exp)
         return base
 
     def product():
@@ -469,7 +482,7 @@ def parse_poly(text):
             eat()
             rhs = power()
             _check_parse_degree(value.degree() + rhs.degree())
-            value = value * rhs
+            value = _check_parse_digits(value * rhs)
         return value
 
     def expr():
@@ -504,6 +517,9 @@ def _tokenize(text):
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
+            if j - i > MAX_PARSE_DIGITS:
+                raise ParseError(
+                    f"literal exceeds {MAX_PARSE_DIGITS} digits")
             tokens.append(("int", int(text[i:j])))
             i = j
         elif ch == "x" and i + 1 < len(text) and text[i + 1] in "0123":

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .config import CurveConfig, Divisor
-from .exactmat import det_bareiss, smith_normal_form
+from .exactmat import smith_normal_form
 
 
 class NotDynkin(ValueError):
@@ -86,22 +86,8 @@ class KodairaType:
         return DynkinType("A", n - 1) if n >= 2 else None
 
     def component_count(self):
-        s = self.symbol
-        if s in ("smooth", "II"):
-            return 1
-        if s == "III":
-            return 2
-        if s == "IV":
-            return 3
-        if s == "II*":
-            return 9
-        if s == "III*":
-            return 8
-        if s == "IV*":
-            return 7
-        if s.endswith("*"):
-            return int(s[1:-1]) + 5
-        return int(s[1:])
+        rt = self.root_type()
+        return 1 if rt is None else rt.n + 1
 
 
 @dataclass(frozen=True)
@@ -293,16 +279,31 @@ def highest_root(d):
 
 
 def is_negative_definite(config):
-    n = config.size()
+    """Sylvester's criterion: the k-th leading principal minor of the
+    intersection matrix has sign (-1)^k for every k.
+
+    One fraction-free (Bareiss) elimination without pivoting leaves the
+    k-th leading minor as its k-th pivot; a zero pivot is a zero minor.
+    """
     m = [list(row) for row in config.inter]
-    for k in range(1, n + 1):
-        d = det_bareiss([row[:k] for row in m[:k]])
-        if (d > 0) != (k % 2 == 0) or d == 0:
+    n = len(m)
+    prev = 1
+    for k in range(n):
+        pivot = m[k][k]
+        if pivot == 0 or (pivot > 0) != (k % 2 == 1):
             return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+        prev = pivot
     return True
 
 
-def fundamental_cycle(config, max_steps=None):
+# safety bound on Artin steps per component (see fundamental_cycle)
+ARTIN_STEPS_PER_COMPONENT = 30
+
+
+def fundamental_cycle(config):
     """Least positive divisor Z on all of config with Z.R <= 0 for every R.
 
     Artin's iteration: start from the reduced sum of components and add
@@ -312,27 +313,17 @@ def fundamental_cycle(config, max_steps=None):
     """
     if not is_negative_definite(config):
         raise NonDefinite("fundamental cycle needs a negative definite config")
-    if max_steps is None:
-        max_steps = 30 * config.size()
-    coeffs = {name: 1 for name in config.names}
-    steps = 0
-    while True:
-        z = Divisor.from_map(coeffs, config)
-        bad = None
-        for j, name in enumerate(config.names):
-            pairing = sum(
-                coeffs.get(other, 0) * config.inter[i][j]
-                for i, other in enumerate(config.names)
-            )
-            if pairing > 0:
-                bad = name
+    inter, adj = config.inter, config.adj
+    n = config.size()
+    z = [1] * n
+    for _ in range(ARTIN_STEPS_PER_COMPONENT * n + 1):
+        for j in range(n):
+            if sum(z[i] * inter[i][j] for i in adj[j]) > 2 * z[j]:
+                z[j] += 1
                 break
-        if bad is None:
-            return z
-        coeffs[bad] += 1
-        steps += 1
-        if steps > max_steps:
-            raise NonDefinite("Artin iteration exceeded its step bound")
+        else:
+            return Divisor(tuple(z), config)
+    raise NonDefinite("Artin iteration exceeded its step bound")
 
 
 def dynkin_shape(config):

@@ -100,6 +100,19 @@ def test_determined_classes_are_isotropic_nef_and_integral(name):
         assert all(x.denominator == 1 for x in pv)
 
 
+def test_verify_surface_computes_fibration_records_once(monkeypatch):
+    s = load_surface("2D4~")
+    calls = []
+
+    def counting(surface):
+        calls.append(surface.name)
+        return fibration_records(surface)
+
+    monkeypatch.setattr(catalog, "fibration_records", counting)
+    verify_surface(s)
+    assert calls == ["2D4~"]
+
+
 def test_half_fiber_class_lookup():
     s = load_surface("2D4~")
     f0 = half_fiber_class(s, "F0")

@@ -160,6 +160,19 @@ def test_sextic_check_rejects_high_degree_before_expanding(capsys):
     assert "cannot parse --q: degree 200 exceeds 8" in err
 
 
+@pytest.mark.parametrize("q, reason", [
+    ("2^100000000", "exponent 100000000 exceeds 8"),
+    ("9" * 5000 + "*x0*x1", "literal exceeds 100 digits"),
+    ("(" + "9" * 60 + ")^2*x0*x1", "coefficient exceeds 100 digits"),
+])
+def test_sextic_check_rejects_huge_coefficients_at_once(capsys, q, reason):
+    t0 = time.perf_counter()
+    code, _, err = run_main(capsys, ["sextic-check", "--q", q])
+    assert time.perf_counter() - t0 < 5
+    assert code == 2
+    assert f"cannot parse --q: {reason}" in err
+
+
 def test_importing_the_package_does_not_import_networkx():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -36,6 +36,21 @@ def test_rejects_asymmetric_matrix():
         CurveConfig(("a", "b"), ((-2, 1), (0, -2)))
 
 
+@pytest.mark.parametrize("names, inter", [
+    (("a", "b"), ((-2, 0, 5), (0, -2, 7))),
+    (("a", "a"), ((-2, 0), (0, -2))),
+])
+def test_rejects_ragged_matrix_and_repeated_names(names, inter):
+    with pytest.raises(ValueError):
+        CurveConfig(names, inter)
+
+
+def test_index_is_positional_and_rejects_unknown_curves():
+    assert [TRIANGLE.index(name) for name in "abc"] == [0, 1, 2]
+    with pytest.raises(ValueError, match="unknown curve"):
+        TRIANGLE.index("z")
+
+
 def test_rejects_wrong_diagonal():
     with pytest.raises(ValueError):
         CurveConfig(("a",), ((0,),))

@@ -126,6 +126,8 @@ def test_kodaira_root_types_and_component_counts():
         "I8": ("A7", 8),
         "III": ("A1", 2),
         "IV": ("A2", 3),
+        "II": (None, 1),
+        "I2": ("A1", 2),
         "I1": (None, 1),
         "smooth": (None, 1),
     }
