@@ -13,6 +13,7 @@ from itertools import permutations
 
 from .config import CurveConfig, Divisor
 from .divisors import (
+    MAX_COMPONENTS,
     InvariantViolation,
     build_triangle,
     connected_subsets,
@@ -25,8 +26,9 @@ from .rootfibers import (
     DynkinType,
     KodairaType,
     NotDynkin,
-    canonical_vertex_order,
+    _diagram_orderings,
     classify_dynkin,
+    fiber_graph,
     fundamental_cycle,
     null_vector,
 )
@@ -51,72 +53,6 @@ def type_sort_key(t):
 
 def sort_triple(types):
     return tuple(sorted(types, key=type_sort_key))
-
-
-@lru_cache(maxsize=None)
-def fiber_graph(kind):
-    """The dual graph of a Kodaira fiber, vertices t0, t1, ..."""
-    s = kind.symbol
-    if s in ("III", "I2"):
-        return CurveConfig.from_edges(
-            ("t0", "t1"), [("t0", "t1", 2)],
-            tangent_edges=[("t0", "t1")] if s == "III" else (),
-        )
-    if s in ("IV", "I3") or (s.startswith("I") and not s.endswith("*")):
-        n = 3 if s == "IV" else int(s[1:])
-        if n == 1:
-            return CurveConfig.from_edges(("t0",), [])
-        names = tuple(f"t{i}" for i in range(n))
-        edges = [(names[i], names[(i + 1) % n]) for i in range(n)]
-        tangents = [(names[0], names[1])] if s == "IV" else ()
-        return CurveConfig.from_edges(names, edges, tangent_edges=tangents)
-    if s.endswith("*") and s[1:-1].isdigit():
-        n = int(s[1:-1])
-        if n == 0:
-            return CurveConfig.from_edges(
-                ("t0", "t1", "t2", "t3", "t4"),
-                [("t0", "t1"), ("t0", "t2"), ("t0", "t3"), ("t0", "t4")],
-            )
-        spine = [f"t{i}" for i in range(n + 1)]
-        names = tuple(spine + ["a0", "a1", "b0", "b1"])
-        edges = [(spine[i], spine[i + 1]) for i in range(n)]
-        edges += [("a0", spine[0]), ("a1", spine[0]),
-                  ("b0", spine[n]), ("b1", spine[n])]
-        return CurveConfig.from_edges(names, edges)
-    arms = {"IV*": (2, 2, 2), "III*": (3, 3, 1), "II*": (5, 2, 1)}[s]
-    names = ["c"]
-    edges = []
-    for ai, length in enumerate(arms):
-        prev = "c"
-        for j in range(length):
-            v = f"t{ai}_{j}"
-            names.append(v)
-            edges.append((prev, v))
-            prev = v
-    return CurveConfig.from_edges(tuple(names), edges)
-
-
-def _diagram_orderings(config, dtype):
-    """All vertex orderings realizing the canonical diagram layout; they
-    differ by a diagram automorphism and preserve highest-root labels."""
-    order = canonical_vertex_order(config, dtype)
-    if dtype.family == "A":
-        if dtype.n == 1:
-            return (tuple(order),)
-        return (tuple(order), tuple(reversed(order)))
-    if dtype.family == "D":
-        if dtype.n == 4:
-            l1, l2, c, l3 = order
-            return tuple(
-                (a, b, c, d) for a, b, d in permutations((l1, l2, l3))
-            )
-        swapped = [order[1], order[0]] + list(order[2:])
-        return (tuple(order), tuple(swapped))
-    if dtype.n == 6:
-        # the chain reverses onto itself, fixing the branch leaf
-        rev = list(reversed(order[:5])) + [order[5]]
-        return (tuple(order), tuple(rev))
-    return (tuple(order),)
 
 
 @dataclass(frozen=True)
@@ -404,7 +340,7 @@ def _canonical_key(types, n, weights, coeffs):
     return types, best
 
 
-def enumerate_triangles(max_components=11):
+def enumerate_triangles(max_components=MAX_COMPONENTS):
     """Census of triangle graphs up to isomorphism.
 
     For every triple of fibers (G_1, G_2, G_3), every ordered splitting

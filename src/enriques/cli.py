@@ -101,6 +101,9 @@ def _entry_row(e):
 
 
 def _cmd_classify(args, report):
+    if not 1 <= args.max_components <= classify.MAX_COMPONENTS:
+        raise UsageError(f"--max-components must lie in "
+                         f"1..{classify.MAX_COMPONENTS}")
     census = classify.enumerate_triangles(max_components=args.max_components)
     if args.filter == "census":
         report.add("census size", "pass", str(len(census)))

@@ -22,6 +22,10 @@ from .rootfibers import (
 )
 
 
+# the most components a triangle graph may have
+MAX_COMPONENTS = 11
+
+
 class InvariantViolation(ValueError):
     pass
 
@@ -241,8 +245,9 @@ def build_triangle(F=None, witnesses=None, ambient=None):
                 f"S_{j+1} + S_{k+1} does not carry fiber multiplicities"
             )
         g_types.append(shape.kind)
-    if glued.size() > 11:
-        raise InvariantViolation("triangle graph has more than 11 components")
+    if glued.size() > MAX_COMPONENTS:
+        raise InvariantViolation(
+            f"triangle graph has more than {MAX_COMPONENTS} components")
     return TriangleGraph(S, tuple(types), tuple(g_types), glued)
 
 

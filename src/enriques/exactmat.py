@@ -13,15 +13,6 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def transpose(m):
-    return [list(row) for row in zip(*m)]
-
-
-def matmul(a, b):
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
 def mat_vec(m, v):
     return [sum(x * y for x, y in zip(row, v)) for row in m]
 
@@ -55,6 +46,9 @@ def smith_normal_form(m):
     """Return (d, u, v) with u*m*v = d diagonal, u and v unimodular.
 
     The diagonal entries of d are nonnegative and each divides the next.
+    Each round pivots on a nonzero entry of least absolute value in the
+    block still to be reduced, so every remainder left in the pivot row or
+    column is smaller than the pivot and the entries stay small.
     """
     if not m:
         return [], [], []
@@ -88,49 +82,35 @@ def smith_normal_form(m):
     t = 0
     limit = min(rows, cols)
     while t < limit:
-        # find a pivot
-        pivot = None
+        best = None  # (|entry|, row, col), the first least in row order
         for i in range(t, rows):
             for j in range(t, cols):
-                if a[i][j] != 0:
-                    pivot = (i, j)
-                    break
-            if pivot:
+                x = abs(a[i][j])
+                if x and (best is None or x < best[0]):
+                    best = (x, i, j)
+            if best and best[0] == 1:
                 break
-        if pivot is None:
+        if best is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            # clear column t
-            done = True
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    add_row(i, t, -q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        done = False
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(j, t, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        done = False
-            if done:
-                break
-        # enforce divisibility a[t][t] | a[i][j]
-        redo = False
+        _, pi, pj = best
+        swap_rows(t, pi)
+        swap_cols(t, pj)
+        p = a[t][t]
         for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t] != 0:
-                    add_row(t, i, 1)
-                    redo = True
-                    break
-            if redo:
-                break
-        if redo:
+            if a[i][t]:
+                add_row(i, t, -(a[i][t] // p))
+        for j in range(t + 1, cols):
+            if a[t][j]:
+                add_col(j, t, -(a[t][j] // p))
+        if any(a[i][t] for i in range(t + 1, rows)) or any(
+                a[t][j] for j in range(t + 1, cols)):
+            continue  # a smaller remainder is the next pivot
+        # enforce divisibility a[t][t] | a[i][j]: a row holding an entry
+        # the pivot does not divide is added to row t, and reduced again
+        bad = next((i for i in range(t + 1, rows)
+                    for j in range(t + 1, cols) if a[i][j] % p), None)
+        if bad is not None:
+            add_row(t, bad, 1)
             continue
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]

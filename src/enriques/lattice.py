@@ -7,18 +7,16 @@ vertex b attached at c3 (negative definite, diagonal -2, adjacent +1).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .exactmat import (
     det_bareiss,
-    matmul,
     mat_vec,
     rank as mat_rank,
     smith_normal_form,
     solve_rational,
-    transpose,
 )
+from .rootfibers import DynkinType, diagram_gram, highest_root
 
 
 class DimensionMismatch(ValueError):
@@ -59,14 +57,6 @@ class GramForm:
         return g
 
 
-def vec_to_json(v):
-    return {"coords": [str(x) for x in v]}
-
-
-def vec_from_json(data):
-    return [int(x) for x in data["coords"]]
-
-
 def gram_product(a, b, g):
     """The bilinear pairing a.b with respect to the Gram form g."""
     if len(a) != g.dim or len(b) != g.dim:
@@ -79,26 +69,18 @@ def gram_product(a, b, g):
 def rank_and_discriminant(g):
     """Rank over Q, and |det| of the form induced on the quotient by the radical.
 
-    The integer kernel of the Gram matrix is saturated, so a basis of a
-    complement can be read off from the column transform of the Smith
-    normal form; restricting the form to that complement gives the
-    induced nondegenerate form.
+    The integer kernel of the Gram matrix is saturated, so a unimodular
+    change of basis splits the form as the induced nondegenerate form plus
+    zeros; the rank is the number of nonzero invariant factors and the
+    discriminant is their product.
     """
-    m = [list(row) for row in g.entries]
-    if not m:
-        return 0, 1
-    full = det_bareiss([list(row) for row in m])
-    if full != 0:
-        return g.dim, abs(full)
-    d, _, v = smith_normal_form(m)
-    r = sum(1 for i in range(g.dim) if d[i][i] != 0)
-    if r == 0:
-        return 0, 1
-    # columns of v beyond index r span ker(M); the first r columns span a
-    # complement since v is unimodular
-    p = [[v[row][col] for col in range(r)] for row in range(g.dim)]
-    q = matmul(matmul(transpose(p), m), p)
-    return r, abs(det_bareiss(q))
+    d, _, _ = smith_normal_form([list(row) for row in g.entries])
+    rank, disc = 0, 1
+    for i in range(g.dim):
+        if d[i][i]:
+            rank += 1
+            disc *= d[i][i]
+    return rank, disc
 
 
 def sublattice_index(sub, g):
@@ -109,19 +91,9 @@ def sublattice_index(sub, g):
 
 
 def e10_gram():
-    rows = [[0] * 10 for _ in range(10)]
-    rows[0][1] = rows[1][0] = 1
-    # E8 part in basis c1..c7, b occupying indices 2..9
-    for i in range(2, 10):
-        rows[i][i] = -2
-    for i in range(2, 8):  # chain c1-c2-...-c7
-        rows[i][i + 1] = rows[i + 1][i] = 1
-    rows[4][9] = rows[9][4] = 1  # branch b at c3
-    return GramForm.from_rows(rows)
-
-
-# highest root of E8 in the (c1..c7, b) basis above
-_E8_THETA = (2, 4, 6, 5, 4, 3, 2, 3)
+    hyperbolic = [[0, 1] + [0] * 8, [1, 0] + [0] * 8]
+    e8 = [[0, 0] + row for row in diagram_gram(DynkinType("E", 8))]
+    return GramForm.from_rows(hyperbolic + e8)
 
 
 def e10_isotropic_basis():
@@ -136,7 +108,7 @@ def e10_isotropic_basis():
     chain = [[0] * 8 for _ in range(8)]
     for i in range(7):
         chain[i][i] = 1
-    chain[7] = [-x for x in _E8_THETA]
+    chain[7] = [-x for x in highest_root(DynkinType("E", 8))]
     vectors = [
         [1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
         [0, 1, 0, 0, 0, 0, 0, 0, 0, 0],
@@ -178,33 +150,26 @@ def solve_cossec_vector(tup, i, j):
 
 
 @lru_cache(maxsize=8)
-def _span_inverse(tup):
-    """Inverse of the matrix with the tuple as rows, or None if singular."""
-    a = transpose([list(f) for f in tup])
-    n = len(tup)
-    cols = []
-    for i in range(n):
-        e = [1 if k == i else 0 for k in range(n)]
-        sol = solve_rational(a, e)
-        if sol is None:
-            return None
-        cols.append(sol)
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+def _span_snf(tup):
+    """(invariant factors, columns of V) for U*T*V = D, T the tuple as rows."""
+    d, _, v = smith_normal_form([list(f) for f in tup])
+    return tuple(d[i][i] for i in range(len(d))), tuple(zip(*v))
 
 
 def in_span(v, tup, g):
-    """Whether v lies in the Z-span of the tuple."""
+    """Whether v lies in the Z-span of the tuple.
+
+    v = x*T has an integral solution x exactly when v*V = y*D does, that
+    is, when each (v*V)_i is divisible by d_i, and is 0 where d_i = 0.
+    """
     if len(tup) != g.dim:
         raise DimensionMismatch("span test needs a square generating set")
-    inv = _span_inverse(tuple(tuple(f) for f in tup))
-    if inv is None:
-        sol = solve_rational(transpose([list(f) for f in tup]), list(v))
-        if sol is None:
-            return False
-        return all(x.denominator == 1 for x in sol)
-    n = g.dim
-    for row in inv:
-        if sum(row[k] * v[k] for k in range(n)).denominator != 1:
+    if len(v) != g.dim:
+        raise DimensionMismatch("vector length does not match form dimension")
+    diag, cols = _span_snf(tuple(tuple(f) for f in tup))
+    for d, col in zip(diag, cols):
+        x = sum(a * b for a, b in zip(v, col))
+        if (x % d if d else x) != 0:
             return False
     return True
 

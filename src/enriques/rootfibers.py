@@ -1,13 +1,16 @@
 """ADE and Kodaira (extended Dynkin) combinatorics.
 
-Recognition of curve configurations, highest-root and null-vector
-multiplicities, Artin's fundamental-cycle iteration, embeddings into the
-E8 root lattice, and the component-count bound for fibers sharing one
-fibration.
+The one table of diagram facts (root types of Kodaira fibers, star arm
+lengths, diagram layouts, highest roots, the E8 Gram matrix) and what
+reads it: recognition of curve configurations, the dual graphs of
+Kodaira fibers, highest-root and null-vector multiplicities, Artin's
+fundamental-cycle iteration, embeddings into the E8 root lattice, and the
+component-count bound for fibers sharing one fibration.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 
 from .config import CurveConfig, Divisor
 from .exactmat import smith_normal_form
@@ -47,142 +50,155 @@ class DynkinType:
         return DynkinType(s[0], int(s[1:]))
 
 
+# The Kodaira fibers with a fixed symbol, by root type: the Dynkin type
+# spanned by the fiber components minus one.  Smooth fibers and II have
+# none; the two families follow _FAMILY_SYMBOLS.
+_FIXED_ROOTS = {
+    "III": DynkinType("A", 1),
+    "IV": DynkinType("A", 2),
+    "IV*": DynkinType("E", 6),
+    "III*": DynkinType("E", 7),
+    "II*": DynkinType("E", 8),
+}
+# I_n has root type A_{n-1} and I_n* has D_{n+4}: the symbol's index is
+# the rank plus the offset
+_FAMILY_SYMBOLS = {"A": ("", 1), "D": ("*", -4)}
+# arm lengths of the star-shaped fibers in fiber_graph's layout order; the
+# Dynkin diagram E_n is the same star with its longest arm one shorter
+_STAR_ARMS = {"IV*": (2, 2, 2), "III*": (3, 3, 1), "II*": (5, 2, 1)}
+
+
+@lru_cache(maxsize=None)
+def _root_of(symbol):
+    """Root type of a Kodaira symbol, None when there is none; ValueError
+    when the string is no Kodaira symbol."""
+    if symbol in _FIXED_ROOTS:
+        return _FIXED_ROOTS[symbol]
+    if symbol in ("smooth", "II"):
+        return None
+    for family, (suffix, offset) in _FAMILY_SYMBOLS.items():
+        digits = symbol[1:len(symbol) - len(suffix)]
+        if symbol == f"I{digits}{suffix}" and digits.isdigit():
+            rank = int(digits) - offset
+            if rank == 0:
+                return None  # I1, a nodal curve
+            if rank > 0:
+                return DynkinType(family, rank)
+    raise ValueError(f"invalid Kodaira symbol {symbol!r}")
+
+
 @dataclass(frozen=True, order=True)
 class KodairaType:
     symbol: str  # e.g. "I8", "I4*", "II*", "III", "smooth"
 
     def __post_init__(self):
-        s = self.symbol
-        if s in ("smooth", "II", "III", "IV", "II*", "III*", "IV*"):
-            return
-        if s.startswith("I") and s.endswith("*") and s[1:-1].isdigit():
-            if int(s[1:-1]) >= 0:
-                return
-        if s.startswith("I") and s[1:].isdigit() and int(s[1:]) >= 1:
-            return
-        raise ValueError(f"invalid Kodaira symbol {s!r}")
+        _root_of(self.symbol)
 
     def __str__(self):
         return self.symbol
 
     def root_type(self):
         """Dynkin type spanned by the fiber components minus one."""
-        s = self.symbol
-        if s in ("smooth", "II"):
-            return None
-        if s == "III":
-            return DynkinType("A", 1)
-        if s == "IV":
-            return DynkinType("A", 2)
-        if s == "II*":
-            return DynkinType("E", 8)
-        if s == "III*":
-            return DynkinType("E", 7)
-        if s == "IV*":
-            return DynkinType("E", 6)
-        if s.endswith("*"):
-            return DynkinType("D", int(s[1:-1]) + 4)
-        n = int(s[1:])
-        return DynkinType("A", n - 1) if n >= 2 else None
+        return _root_of(self.symbol)
 
     def component_count(self):
         rt = self.root_type()
         return 1 if rt is None else rt.n + 1
 
 
+def _affine_kind(dtype, additive=False):
+    """The Kodaira type whose components minus one span dtype; additive
+    picks the tangent readings III and IV over I2 and I3."""
+    for symbol, root in _FIXED_ROOTS.items():
+        if root == dtype and (additive or dtype.family == "E"):
+            return KodairaType(symbol)
+    suffix, offset = _FAMILY_SYMBOLS[dtype.family]
+    return KodairaType(f"I{dtype.n + offset}{suffix}")
+
+
+def _dynkin_arms(arms):
+    *rest, longest = sorted(arms)
+    return tuple(sorted(rest + [longest - 1]))
+
+
+# star shapes by arm lengths sorted short-to-long, as _tree_shape reports them
+_AFFINE_STARS = {
+    tuple(sorted(arms)): KodairaType(symbol)
+    for symbol, arms in _STAR_ARMS.items()
+}
+_DYNKIN_STARS = {
+    _dynkin_arms(arms): _FIXED_ROOTS[symbol]
+    for symbol, arms in _STAR_ARMS.items()
+}
+
+
 @dataclass(frozen=True)
 class FiberShape:
     config: CurveConfig
     mult: tuple  # ((name, positive int), ...) over all vertices
-    kind: object  # DynkinType or KodairaType
+    kind: KodairaType
 
     def mult_map(self):
         return dict(self.mult)
 
-    def divisor(self):
-        return Divisor.from_map(dict(self.mult), self.config)
 
-    def to_json(self):
-        edges = []
-        n = self.config.size()
-        for i in range(n):
-            for j in range(i + 1, n):
-                w = self.config.inter[i][j]
-                if w:
-                    edges.append([i, j, w])
-        return {
-            "kind": str(self.kind),
-            "vertices": list(self.config.names),
-            "mult": {name: m for name, m in self.mult},
-            "edges": edges,
-        }
-
-
-def _arm_walk(config, branch, first):
-    """Vertices of the arm leaving branch through first, in order."""
+def _arm_walk(adj, branch, first):
+    """Vertex indices of the arm leaving branch through first, out to a
+    leaf, or None when the walk meets another branch vertex."""
     arm = [first]
     prev, cur = branch, first
-    while True:
-        nxt = [x for x in config.neighbors(cur) if x != prev]
-        if not nxt:
-            return arm
-        if len(nxt) > 1:
-            raise NotDynkin("second branch vertex inside an arm")
-        prev, cur = cur, nxt[0]
+    while len(adj[cur]) == 2:
+        x, y = adj[cur]
+        prev, cur = cur, (y if x == prev else x)
         arm.append(cur)
+    return arm if len(adj[cur]) == 1 else None
 
 
 def _tree_shape(config):
-    """(branch_vertex, arms sorted short-to-long) for a tree with one branch.
+    """(branch vertices, arms) of a simply laced tree.
 
-    For a path, branch_vertex is None and arms is the path itself.
-    Raises NotDynkin when the graph is not a simply laced tree with at
-    most one trivalent vertex.
+    The branch vertices are those of valency above 2, in config order; an
+    arm is the path from a branch vertex out to a leaf, and the arms come
+    sorted short-to-long.  A path has no branch vertex and is its own only
+    arm.  Raises NotDynkin when the graph is not a simply laced tree.
     """
-    n = config.size()
+    n, adj = config.size(), config.adj
     if not config.is_connected():
         raise NotDynkin("configuration is not connected")
-    edge_count = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = config.inter[i][j]
-            if w > 1:
-                raise NotDynkin("multiple edge")
-            edge_count += w
-    if edge_count != n - 1:
+    if max(map(max, config.inter)) > 1:
+        raise NotDynkin("multiple edge")
+    if sum(map(len, adj)) != 2 * (n - 1):
         raise NotDynkin("configuration contains a cycle")
-    branch = [name for name in config.names if len(config.neighbors(name)) > 2]
-    if len(branch) > 1:
-        raise NotDynkin("more than one branch vertex")
-    if not branch:
-        if n == 1:
-            return None, [list(config.names)]
-        ends = [name for name in config.names if len(config.neighbors(name)) == 1]
-        path = _arm_walk(config, ends[0], config.neighbors(ends[0])[0])
-        return None, [[ends[0]] + path]
-    b = branch[0]
-    if len(config.neighbors(b)) > 3:
-        raise NotDynkin("vertex of valency greater than 3")
-    arms = [_arm_walk(config, b, first) for first in config.neighbors(b)]
-    arms.sort(key=lambda arm: (len(arm), arm))
-    return b, arms
+    branches = [i for i in range(n) if len(adj[i]) > 2]
+    if branches:
+        arms = [arm for b in branches for first in adj[b]
+                if (arm := _arm_walk(adj, b, first))]
+    elif n == 1:
+        arms = [[0]]
+    else:  # a path, walked from its first end
+        end = next(i for i in range(n) if len(adj[i]) == 1)
+        arms = [[end] + _arm_walk(adj, end, adj[end][0])]
+    names = config.names
+    arms = sorted(([names[i] for i in arm] for arm in arms),
+                  key=lambda arm: (len(arm), arm))
+    return [names[b] for b in branches], arms
 
 
 def classify_dynkin(config):
     """ADE type of a connected simply laced configuration, or NotDynkin."""
-    branch, arms = _tree_shape(config)
+    branches, arms = _tree_shape(config)
     n = config.size()
-    if branch is None:
+    if not branches:
         return DynkinType("A", n)
+    if len(branches) > 1:
+        raise NotDynkin("more than one branch vertex")
     lengths = tuple(len(a) for a in arms)
-    if lengths[0] == lengths[1] == 1:
+    if len(lengths) > 3:
+        raise NotDynkin("vertex of valency greater than 3")
+    if lengths[:2] == (1, 1):
         return DynkinType("D", n)
-    if lengths == (1, 2, 2):
-        return DynkinType("E", 6)
-    if lengths == (1, 2, 3):
-        return DynkinType("E", 7)
-    if lengths == (1, 2, 4):
-        return DynkinType("E", 8)
+    if lengths in _DYNKIN_STARS:
+        return _DYNKIN_STARS[lengths]
     raise NotDynkin(f"arm lengths {lengths} match no ADE diagram")
 
 
@@ -193,55 +209,69 @@ def classify_affine(config):
     annotation on the configuration decides the additive reading.
     """
     n = config.size()
-    if not config.is_connected():
-        raise NotAffine("configuration is not connected")
     if n == 2:
         a, b = config.names
-        if config.pair(a, b) == 2:
-            if config.is_tangent(a, b):
-                return KodairaType("III")
-            return KodairaType("I2")
-        raise NotAffine("two vertices must meet with multiplicity 2")
-    weights = [
-        config.inter[i][j] for i in range(n) for j in range(i + 1, n)
-        if config.inter[i][j]
-    ]
-    if any(w > 1 for w in weights):
-        raise NotAffine("multiple edge outside the 2-vertex case")
-    degrees = [len(config.neighbors(name)) for name in config.names]
-    if all(d == 2 for d in degrees):
-        if len(weights) != n:
-            raise NotAffine("not a single cycle")
-        if n == 3 and config.tangent_edges:
-            return KodairaType("IV")
-        return KodairaType(f"I{n}")
-    if max(degrees) == 4:
-        if n == 5 and sorted(degrees) == [1, 1, 1, 1, 4]:
-            return KodairaType("I0*")
-        raise NotAffine("valency-4 vertex outside the I0* star")
-    if len(weights) != n - 1:
-        raise NotAffine("cycle together with extra edges")
-    trivalent = [name for name, d in zip(config.names, degrees) if d == 3]
-    if len(trivalent) == 2:
-        for b in trivalent:
-            leaves = [
-                x for x in config.neighbors(b) if len(config.neighbors(x)) == 1
-            ]
-            if len(leaves) != 2:
-                raise NotAffine("trivalent vertex without two leaf arms")
-        return KodairaType(f"I{n - 5}*")
-    if len(trivalent) == 1:
-        arms = [_arm_walk(config, trivalent[0], x)
-                for x in config.neighbors(trivalent[0])]
-        lengths = tuple(sorted(len(a) for a in arms))
-        if lengths == (2, 2, 2):
-            return KodairaType("IV*")
-        if lengths == (1, 3, 3):
-            return KodairaType("III*")
-        if lengths == (1, 2, 5):
-            return KodairaType("II*")
-        raise NotAffine(f"arm lengths {lengths} match no affine diagram")
-    raise NotAffine("shape matches no affine diagram")
+        if config.pair(a, b) != 2:
+            raise NotAffine("two vertices must meet with multiplicity 2")
+        return _affine_kind(DynkinType("A", 1), config.is_tangent(a, b))
+    if all(len(nb) == 2 for nb in config.adj):  # cycles, or no vertex
+        if not config.is_connected():
+            raise NotAffine("configuration is not connected")
+        if max(map(max, config.inter)) > 1:
+            raise NotAffine("multiple edge outside the 2-vertex case")
+        return _affine_kind(DynkinType("A", n - 1),
+                            n == 3 and bool(config.tangent_edges))
+    try:
+        branches, arms = _tree_shape(config)
+    except NotDynkin as exc:
+        raise NotAffine(str(exc)) from None
+    lengths = tuple(len(a) for a in arms)
+    # four leaves next to the branch vertices: one of valency 4 (I0*) or
+    # two of valency 3 at the ends of a chain
+    if lengths == (1, 1, 1, 1):
+        return _affine_kind(DynkinType("D", n - 1))
+    if len(branches) == 1 and lengths in _AFFINE_STARS:
+        return _AFFINE_STARS[lengths]
+    raise NotAffine(f"arm lengths {lengths} match no affine diagram")
+
+
+@lru_cache(maxsize=None)
+def fiber_graph(kind):
+    """The dual graph of a Kodaira fiber, vertices t0, t1, ..."""
+    rt = kind.root_type()
+    if rt is None:
+        return CurveConfig.from_edges(("t0",), [])
+    tangents = [("t0", "t1")] if kind.symbol in ("III", "IV") else ()
+    if rt.family == "A":  # a cycle, doubled edge for two components
+        n = rt.n + 1
+        names = tuple(f"t{i}" for i in range(n))
+        if n == 2:
+            return CurveConfig.from_edges(names, [("t0", "t1", 2)], tangents)
+        edges = [(names[i], names[(i + 1) % n]) for i in range(n)]
+        return CurveConfig.from_edges(names, edges, tangents)
+    if rt.family == "D":
+        n = rt.n - 4
+        if n == 0:
+            return CurveConfig.from_edges(
+                ("t0", "t1", "t2", "t3", "t4"),
+                [("t0", "t1"), ("t0", "t2"), ("t0", "t3"), ("t0", "t4")],
+            )
+        spine = [f"t{i}" for i in range(n + 1)]
+        names = tuple(spine + ["a0", "a1", "b0", "b1"])
+        edges = [(spine[i], spine[i + 1]) for i in range(n)]
+        edges += [("a0", spine[0]), ("a1", spine[0]),
+                  ("b0", spine[n]), ("b1", spine[n])]
+        return CurveConfig.from_edges(names, edges)
+    names = ["c"]
+    edges = []
+    for ai, length in enumerate(_STAR_ARMS[kind.symbol]):
+        prev = "c"
+        for j in range(length):
+            v = f"t{ai}_{j}"
+            names.append(v)
+            edges.append((prev, v))
+            prev = v
+    return CurveConfig.from_edges(tuple(names), edges)
 
 
 def canonical_vertex_order(config, dtype=None):
@@ -253,15 +283,39 @@ def canonical_vertex_order(config, dtype=None):
     """
     if dtype is None:
         dtype = classify_dynkin(config)
-    branch, arms = _tree_shape(config)
+    branches, arms = _tree_shape(config)
     if dtype.family == "A":
         return list(arms[0])
+    branch = branches[0]
     if dtype.family == "D":
         short1, short2 = arms[0], arms[1]
         return [short1[0], short2[0], branch] + list(arms[2])
     # E types: chain = reversed middle arm + branch + long arm, leaf last
     leaf, mid, long_arm = arms[0], arms[1], arms[2]
     return list(reversed(mid)) + [branch] + list(long_arm) + [leaf[0]]
+
+
+def _diagram_orderings(config, dtype):
+    """All vertex orderings realizing the canonical diagram layout; they
+    differ by a diagram automorphism and preserve highest-root labels."""
+    order = canonical_vertex_order(config, dtype)
+    if dtype.family == "A":
+        if dtype.n == 1:
+            return (tuple(order),)
+        return (tuple(order), tuple(reversed(order)))
+    if dtype.family == "D":
+        if dtype.n == 4:
+            l1, l2, c, l3 = order
+            return tuple(
+                (a, b, c, d) for a, b, d in permutations((l1, l2, l3))
+            )
+        swapped = [order[1], order[0]] + list(order[2:])
+        return (tuple(order), tuple(swapped))
+    if dtype.n == 6:
+        # the chain reverses onto itself, fixing the branch leaf
+        rev = list(reversed(order[:5])) + [order[5]]
+        return (tuple(order), tuple(rev))
+    return (tuple(order),)
 
 
 def highest_root(d):
@@ -326,21 +380,6 @@ def fundamental_cycle(config):
     raise NonDefinite("Artin iteration exceeded its step bound")
 
 
-def dynkin_shape(config):
-    """FiberShape with highest-root multiplicities for an ADE configuration."""
-    dtype = classify_dynkin(config)
-    order = canonical_vertex_order(config, dtype)
-    hr = highest_root(dtype)
-    mult = {name: c for name, c in zip(order, hr)}
-    shape = FiberShape(
-        config, tuple((name, mult[name]) for name in config.names), dtype
-    )
-    z = fundamental_cycle(config)
-    if dict(z.coeffs) != mult:
-        raise AssertionError("highest root disagrees with the fundamental cycle")
-    return shape
-
-
 def null_vector(config):
     """Primitive positive kernel vector of an affine configuration's Gram."""
     m = [list(row) for row in config.inter]
@@ -371,45 +410,6 @@ def affine_shape(config):
     )
 
 
-def simple_components(f):
-    """Vertices carrying multiplicity 1."""
-    return {name for name, m in f.mult if m == 1}
-
-
-_E8_GRAM = None
-_E8_ROOTS = None
-
-
-def _e8_data():
-    global _E8_GRAM, _E8_ROOTS
-    if _E8_ROOTS is not None:
-        return _E8_GRAM, _E8_ROOTS
-    g = [[-2 if i == j else 0 for j in range(8)] for i in range(8)]
-    for i in range(6):  # chain c1..c7
-        g[i][i + 1] = g[i + 1][i] = 1
-    g[2][7] = g[7][2] = 1  # branch at c3
-    simple = [tuple(1 if j == i else 0 for j in range(8)) for i in range(8)]
-
-    def pair(a, b):
-        return sum(a[i] * g[i][j] * b[j] for i in range(8) for j in range(8))
-
-    roots = set(simple) | {tuple(-x for x in s) for s in simple}
-    frontier = list(roots)
-    while frontier:
-        new = []
-        for beta in frontier:
-            for alpha in simple:
-                r = tuple(b + pair(beta, alpha) * a for a, b in zip(alpha, beta))
-                if r not in roots:
-                    roots.add(r)
-                    new.append(r)
-        frontier = new
-    assert len(roots) == 240
-    _E8_GRAM = g
-    _E8_ROOTS = sorted(roots)
-    return _E8_GRAM, _E8_ROOTS
-
-
 def _diagram_edges(dtype):
     """Adjacency of the abstract diagram, vertices in a search-friendly
     order where every vertex after the first touches an earlier one."""
@@ -430,16 +430,48 @@ def _diagram_edges(dtype):
     return n, edges
 
 
+def diagram_gram(dtype):
+    """Intersection matrix of the diagram's (-2)-curves, vertices in the
+    order of _diagram_edges; for E8 that is the chain c1..c7, then b."""
+    n, edges = _diagram_edges(dtype)
+    g = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for a, b in edges:
+        g[a][b] = g[b][a] = 1
+    return g
+
+
+def _pair(g, a, b):
+    n = len(g)
+    return sum(a[i] * g[i][j] * b[j] for i in range(n) for j in range(n))
+
+
+@lru_cache(maxsize=None)
+def _e8_data():
+    """The E8 Gram matrix and its 240 roots, sorted."""
+    g = diagram_gram(DynkinType("E", 8))
+    simple = [tuple(1 if j == i else 0 for j in range(8)) for i in range(8)]
+    roots = set(simple) | {tuple(-x for x in s) for s in simple}
+    frontier = list(roots)
+    while frontier:
+        new = []
+        for beta in frontier:
+            for alpha in simple:
+                r = tuple(b + _pair(g, beta, alpha) * a
+                          for a, b in zip(alpha, beta))
+                if r not in roots:
+                    roots.add(r)
+                    new.append(r)
+        frontier = new
+    assert len(roots) == 240
+    return g, sorted(roots)
+
+
 @lru_cache(maxsize=None)
 def _embeds_in_e8(key):
     total = sum(n for _, n in key)
     if total > 8:
         return False
     g, roots = _e8_data()
-
-    def pair(a, b):
-        return sum(a[i] * g[i][j] * b[j] for i in range(8) for j in range(8))
-
     slots = []  # (component index, required products against earlier slots)
     offset = 0
     for comp, (family, n) in enumerate(key):
@@ -465,7 +497,7 @@ def _embeds_in_e8(key):
         for r in candidates:
             ok = True
             for prev, want in slots[k].items():
-                if pair(chosen[prev], r) != want:
+                if _pair(g, chosen[prev], r) != want:
                     ok = False
                     break
             if ok:

@@ -11,11 +11,15 @@ from enriques.classify import (
     Survivor,
     _canonical_key,
     decompose_fiber,
-    fiber_graph,
     sort_triple,
     type_sort_key,
 )
-from enriques.rootfibers import DynkinType, KodairaType, classify_affine
+from enriques.rootfibers import (
+    DynkinType,
+    KodairaType,
+    classify_affine,
+    fiber_graph,
+)
 
 from conftest import GOLDEN, format_entry
 

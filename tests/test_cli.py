@@ -9,7 +9,13 @@ import pytest
 
 from enriques import catalog, cli
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+# CLI text recorded for the benchmark; the census argv is left to the
+# acceptance tests, which check the same rows against the goldens
+REFERENCE = [r for r in json.loads(
+    (ROOT / "perfbench" / "reference" / "cli_text.json").read_text())
+    if r["argv"][0] != "classify"]
 
 
 def run_main(capsys, argv):
@@ -80,6 +86,24 @@ def test_malformed_catalog_data_fails_cleanly(capsys, tmp_path, text, reason):
     assert code == 1
     assert err == ""
     assert f"[fail] catalog data: bad.json: {reason}" in out
+
+
+@pytest.mark.parametrize("value", ["12", "0"])
+def test_classify_rejects_out_of_range_max_components_at_once(capsys, value):
+    t0 = time.perf_counter()
+    code, out, err = run_main(capsys, ["classify", "--max-components", value])
+    assert time.perf_counter() - t0 < 5
+    assert code == 2
+    assert out == ""
+    assert "--max-components must lie in 1..11" in err
+
+
+@pytest.mark.parametrize("argv, text", [(r["argv"], r["text"])
+                                        for r in REFERENCE],
+                         ids=[" ".join(r["argv"]) for r in REFERENCE])
+def test_cli_text_matches_the_recorded_reference(argv, text):
+    report, _ = cli.run(argv)
+    assert report.to_text() == text
 
 
 def test_usage_error_exit_code(capsys):

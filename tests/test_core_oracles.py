@@ -1,17 +1,18 @@
 """Independent oracles for the indexed configuration core.
 
-Random weighted graphs (up to 8 curves, weights 0, 1, 2) are checked
-against brute-force or textbook references kept in this file.
+Random weighted graphs (up to 8 curves, weights 0, 1, 2) and random
+integer matrices are checked against brute-force or textbook references
+kept in this file.
 """
 
 from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from enriques.config import CurveConfig, Divisor
 from enriques.divisors import connected_subsets
-from enriques.exactmat import det_bareiss
+from enriques.exactmat import det_bareiss, smith_normal_form
 from enriques.rootfibers import (
     DynkinType,
     _diagram_edges,
@@ -115,3 +116,34 @@ def test_divisor_round_trips_through_from_map_and_coeffs(config, data):
         assert (d1 + d2).coeff(name) == m1.get(name, 0) + m2.get(name, 0)
         assert (d1 - d2).coeff(name) == m1.get(name, 0) - m2.get(name, 0)
         assert d1.scale(3).coeff(name) == 3 * m1.get(name, 0)
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+@st.composite
+def int_matrices(draw):
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    entry = st.integers(-40, 40)
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices())
+@example([[36, 6, 13, -25, 25, 7, -3], [6, 15, 8, -13, 3, 10, -6],
+          [13, 8, 13, -12, 4, -7, 1], [-25, -13, -12, 18, -13, 0, 1],
+          [25, 3, 4, -13, 22, 8, 0], [7, 10, -7, 0, 8, 15, -7],
+          [-3, -6, 1, 1, 0, -7, 9]])
+def test_smith_normal_form_is_a_unimodular_diagonalisation(m):
+    d, u, v = smith_normal_form(m)
+    assert _matmul(_matmul(u, m), v) == d
+    assert abs(det_bareiss(u)) == 1 and abs(det_bareiss(v)) == 1
+    diag = [d[i][i] for i in range(min(len(m), len(m[0])))]
+    assert all(d[i][j] == 0 for i in range(len(m))
+               for j in range(len(m[0])) if i != j)
+    assert all(x >= 0 for x in diag)
+    nonzero = [x for x in diag if x]
+    assert diag == nonzero + [0] * (len(diag) - len(nonzero))
+    assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))

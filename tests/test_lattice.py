@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enriques.exactmat import det_bareiss, smith_normal_form
 from enriques.lattice import (
     CossecSolveError,
     DimensionMismatch,
@@ -77,12 +78,67 @@ def test_basis_vectors_lie_in_their_own_span():
 def test_gram_product_dimension_check():
     with pytest.raises(DimensionMismatch):
         gram_product([1, 2], [3, 4], G)
+    with pytest.raises(DimensionMismatch):
+        in_span([1, 2], BASIS, G)
 
 
 def test_rank_and_discriminant_on_degenerate_form():
     # A1 + radical: rank 1, induced discriminant 2
     g = GramForm.from_rows([[-2, 0], [0, 0]])
     assert rank_and_discriminant(g) == (1, 2)
+
+
+def complement_rank_and_discriminant(g):
+    """Reference: a nonzero determinant, or else the determinant of the form
+    restricted to a complement of the kernel, read off the first columns of
+    the Smith column transform."""
+    m = [list(row) for row in g.entries]
+    if not m:
+        return 0, 1
+    full = det_bareiss(m)
+    if full != 0:
+        return g.dim, abs(full)
+    d, _, v = smith_normal_form(m)
+    r = sum(1 for i in range(g.dim) if d[i][i] != 0)
+    if r == 0:
+        return 0, 1
+    p = [[v[row][col] for col in range(r)] for row in range(g.dim)]
+    q = [[sum(p[a][i] * m[a][b] * p[b][j]
+              for a in range(g.dim) for b in range(g.dim))
+          for j in range(r)] for i in range(r)]
+    return r, abs(det_bareiss(q))
+
+
+@st.composite
+def gram_forms(draw):
+    """P^T A P for a random symmetric A (k x k) and P (k x n): degenerate
+    whenever n > k or P loses rank."""
+    k = draw(st.integers(0, 5))
+    n = draw(st.integers(0, 6))
+    small = st.integers(-3, 3)
+    a = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            a[i][j] = a[j][i] = draw(small)
+    p = [[draw(small) for _ in range(n)] for _ in range(k)]
+    return GramForm.from_rows([
+        [sum(p[x][i] * a[x][y] * p[y][j] for x in range(k) for y in range(k))
+         for j in range(n)] for i in range(n)])
+
+
+@given(gram_forms())
+@settings(max_examples=200, deadline=None)
+def test_rank_and_discriminant_match_the_complement_method(g):
+    assert rank_and_discriminant(g) == complement_rank_and_discriminant(g)
+
+
+def test_in_span_on_a_singular_tuple():
+    # e0..e8 and 2*e0 span a rank-9 sublattice that contains e1
+    units = [tuple(int(k == i) for k in range(10)) for i in range(9)]
+    tup = units + [tuple(2 * x for x in units[0])]
+    assert in_span(tup[1], tup, G)
+    assert in_span([3, 0, 0, 0, 0, 0, 0, 0, 5, 0], tup, G)
+    assert not in_span([0] * 9 + [1], tup, G)
 
 
 def test_gram_json_round_trip():

@@ -11,7 +11,6 @@ from enriques.rootfibers import (
     canonical_vertex_order,
     classify_affine,
     classify_dynkin,
-    dynkin_shape,
     embeds_in_E8,
     fiber_count_bound,
     fundamental_cycle,
@@ -48,8 +47,6 @@ def test_fundamental_cycle_equals_highest_root(dtype):
     order = canonical_vertex_order(cfg, dtype)
     hr = highest_root(dtype)
     assert dict(z.coeffs) == {name: c for name, c in zip(order, hr)}
-    # dynkin_shape re-runs the same comparison internally
-    assert dynkin_shape(cfg).mult_map() == dict(z.coeffs)
 
 
 def test_e8_highest_root_coefficients():
@@ -108,6 +105,16 @@ def test_affine_shape_of_extended_e8():
     shape = affine_shape(cfg)
     assert shape.kind == KodairaType("II*")
     assert sum(shape.mult_map().values()) == 30
+
+
+def test_tree_with_two_branch_vertices_off_the_d_shape_is_not_affine():
+    # c has valency 5 and its neighbour b valency 3
+    edges = [("c", f"l{i}") for i in range(4)]
+    edges += [("c", "b"), ("b", "x"), ("b", "y")]
+    cfg = CurveConfig.from_edges(
+        ("c", "b", "x", "y", "l0", "l1", "l2", "l3"), edges)
+    with pytest.raises(NotAffine):
+        affine_shape(cfg)
 
 
 def test_dynkin_config_is_not_affine():
