@@ -47,6 +47,7 @@ class FiberAnnotation:
     support: tuple
     multiplicity: str  # "half" or "simple"
     kind: str
+    divisor: Divisor  # fundamental (null-vector) divisor on the surface
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,7 @@ def _model_from_json(data):
                 f"bad multiplicity {entry['multiplicity']!r}"
             )
         try:
-            _, kind = _fiber_divisor(config, support)
+            divisor, kind = _fiber_divisor(config, support)
         except NotAffine as exc:
             raise CatalogDataError(
                 f"fiber {entry['label']} is not an affine configuration: {exc}"
@@ -139,7 +140,7 @@ def _model_from_json(data):
             )
         fibrations.append(
             FiberAnnotation(entry["label"], support, entry["multiplicity"],
-                            kind)
+                            kind, divisor)
         )
     return SurfaceModel(
         name=data["name"],
@@ -252,10 +253,6 @@ def _first_nonzero(vec):
     raise ValueError("zero vector")
 
 
-def enumerate_fibration_classes(s):
-    return [r.cls for r in fibration_records(s)]
-
-
 def half_fiber_class(s, label):
     """Half-fiber class of the fibration containing the labelled fiber."""
     return _record_class(fibration_records(s), label)
@@ -344,14 +341,12 @@ def verify_surface(s):
     "pass", "fail" or "inconclusive".
     """
     checks = []
-    config = s.config
     claims = s.claims
 
     for f in s.fibrations:
-        d, kind = _fiber_divisor(config, f.support)
-        pv = _pairing_ints(d)
+        kind = f.kind
         if f.multiplicity == "simple":
-            ok = all(x % 2 == 0 for x in pv)
+            ok = all(x % 2 == 0 for x in _pairing_ints(f.divisor))
             _check(checks, f"fiber {f.label} simple scale", ok,
                    f"{kind}; pairing vector halves to an integral class"
                    if ok else f"{kind}; odd pairing contradicts a simple fiber")
@@ -466,10 +461,7 @@ def _verify_triple(s, records, checks):
 def _fiber_sum(s, label):
     for f in s.fibrations:
         if f.label == label:
-            d, _ = _fiber_divisor(s.config, f.support)
-            if f.multiplicity == "half":
-                d = d.scale(2)
-            return d
+            return f.divisor.scale(2 if f.multiplicity == "half" else 1)
     raise KeyError(f"no annotated fiber labelled {label!r}")
 
 

@@ -74,13 +74,6 @@ class CurveConfig:
     def pair(self, a, b):
         return self.inter[self.index(a)][self.index(b)]
 
-    def neighbors(self, name):
-        return [self.names[j] for j in self.adj[self.index(name)]]
-
-    def degree(self, name):
-        i = self.index(name)
-        return sum(self.inter[i][j] for j in self.adj[i])
-
     def is_tangent(self, a, b):
         return frozenset((a, b)) in self.tangent_edges
 
@@ -106,23 +99,6 @@ class CurveConfig:
                     seen.add(j)
                     stack.append(j)
         return len(seen) == len(self.names)
-
-    def to_json(self):
-        return {
-            "curves": list(self.names),
-            "inter": [[int(x) for x in row] for row in self.inter],
-        }
-
-    @staticmethod
-    def from_json(data):
-        tangents = frozenset(
-            frozenset(pair) for pair in data.get("tangent_edges", [])
-        )
-        return CurveConfig(
-            tuple(data["curves"]),
-            tuple(tuple(int(x) for x in row) for row in data["inter"]),
-            tangents,
-        )
 
 
 @dataclass(frozen=True)
@@ -175,9 +151,6 @@ class Divisor:
     def scale(self, k):
         return Divisor(tuple(k * c for c in self.vec), self.ambient)
 
-    def is_effective(self):
-        return all(c >= 0 for c in self.vec)
-
 
 @dataclass(frozen=True)
 class NumClass:
@@ -208,9 +181,6 @@ class NumClass:
         return tuple(
             sum(self.vec[i] * inter[i][j] for i in range(n)) for j in range(n)
         )
-
-    def is_nef(self):
-        return all(x >= 0 for x in self.pairing_vector())
 
 
 def _as_vec(x, ambient):

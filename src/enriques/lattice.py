@@ -42,20 +42,6 @@ class GramForm:
     def from_rows(rows):
         return GramForm(tuple(tuple(r) for r in rows), len(rows))
 
-    def to_json(self):
-        return {
-            "dim": self.dim,
-            "entries": [[str(x) for x in row] for row in self.entries],
-        }
-
-    @staticmethod
-    def from_json(data):
-        rows = [[int(x) for x in row] for row in data["entries"]]
-        g = GramForm.from_rows(rows)
-        if g.dim != int(data["dim"]):
-            raise DimensionMismatch("dim field disagrees with entries")
-        return g
-
 
 def gram_product(a, b, g):
     """The bilinear pairing a.b with respect to the Gram form g."""

@@ -6,9 +6,19 @@ substitution turns the sextic into x0^3*x2^2*x3^2 times a quintic of a
 known shape, and the discriminant of the double-plane quintic factors
 as stated.  Generic coefficients are handled by enlarging the variable
 set with degree-zero symbols.
+
+A polynomial is one dict from monomials to nonzero integers.  A monomial
+is the sorted tuple of its variable names, each name repeated by its
+exponent: x0^2*q01 is ("q01", "x0", "x0") and the constant monomial is
+().  So two polynomials in different variables need no common variable
+list, a product monomial is the sorted concatenation of its factors, and
+two polynomials are equal exactly when their dicts are.
 """
 
-GEOMETRIC_VARS = ("x0", "x1", "x2", "x3")
+import sys
+from itertools import combinations_with_replacement, groupby
+
+GEOMETRIC_VARS = frozenset(("x0", "x1", "x2", "x3"))
 
 
 class NotDivisible(ArithmeticError):
@@ -23,79 +33,50 @@ def _var_key(name):
     return (name not in GEOMETRIC_VARS, name)
 
 
+def _geometric_degree(mono):
+    return sum(v in GEOMETRIC_VARS for v in mono)
+
+
 class MultiPoly:
     """Immutable polynomial with integer coefficients.
 
-    Terms map exponent tuples (aligned with self.vars) to nonzero
-    integers.  Variables outside x0..x3 count as degree 0 in the
-    geometric grading.
+    ``terms`` maps monomials (sorted tuples of variable names, repeated
+    by exponent) to nonzero integers; the constructor drops zero
+    coefficients and expects its keys in that form.  Variables outside
+    x0..x3 count as degree 0 in the geometric grading.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, vars=(), terms=None):
-        object.__setattr__(self, "vars", tuple(vars))
-        clean = {}
-        for exps, c in (terms or {}).items():
-            if any(e < 0 for e in exps):
-                raise ValueError("negative exponent")
-            if c:
-                clean[tuple(exps)] = c
-        object.__setattr__(self, "terms", clean)
+    def __init__(self, terms=None):
+        object.__setattr__(
+            self, "terms", {m: c for m, c in (terms or {}).items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
     @staticmethod
     def constant(c):
-        if c == 0:
-            return MultiPoly()
-        return MultiPoly((), {(): c})
+        return MultiPoly({(): c})
 
     @staticmethod
     def variable(name):
-        return MultiPoly((name,), {(1,): 1})
-
-    @staticmethod
-    def from_map(mapping):
-        """Build from {name: exponent} maps: {"x0": 2, "x1": 1} -> x0^2*x1."""
-        vars = tuple(sorted(mapping, key=_var_key))
-        exps = tuple(mapping[v] for v in vars)
-        return MultiPoly(vars, {exps: 1})
+        # one shared object per name keeps monomials small and fast to sort
+        return MultiPoly({(sys.intern(name),): 1})
 
     def is_zero(self):
         return not self.terms
 
-    def _aligned(self, other):
-        if self.vars == other.vars:
-            return self.vars, self.terms, other.terms
-        vars = tuple(sorted(set(self.vars) | set(other.vars), key=_var_key))
-
-        def remap(poly):
-            idx = [vars.index(v) for v in poly.vars]
-            out = {}
-            for exps, c in poly.terms.items():
-                new = [0] * len(vars)
-                for k, e in zip(idx, exps):
-                    new[k] = e
-                key = tuple(new)
-                out[key] = out.get(key, 0) + c
-            return out
-
-        return vars, remap(self), remap(other)
-
     def __add__(self, other):
-        other = _coerce(other)
-        vars, a, b = self._aligned(other)
-        out = dict(a)
-        for exps, c in b.items():
-            out[exps] = out.get(exps, 0) + c
-        return MultiPoly(vars, out)
+        out = dict(self.terms)
+        for m, c in _coerce(other).terms.items():
+            out[m] = out.get(m, 0) + c
+        return MultiPoly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -105,13 +86,12 @@ class MultiPoly:
 
     def __mul__(self, other):
         other = _coerce(other)
-        vars, a, b = self._aligned(other)
         out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return MultiPoly(vars, out)
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = tuple(sorted(m1 + m2))
+                out[m] = out.get(m, 0) + c1 * c2
+        return MultiPoly(out)
 
     __rmul__ = __mul__
 
@@ -128,157 +108,78 @@ class MultiPoly:
         return result
 
     def __eq__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = _coerce(other)
-        return (self - other).is_zero()
+        return self.terms == _coerce(other).terms
 
-    def __hash__(self):
-        vars, terms = self._pruned()
-        return hash((vars, tuple(sorted(terms.items()))))
+    def degree(self):
+        """Largest geometric term degree (only x0..x3 count); -1 for 0."""
+        return max(map(_geometric_degree, self.terms), default=-1)
 
-    def _pruned(self):
-        """Variable tuple and terms with unused variables dropped."""
-        used = [
-            i for i in range(len(self.vars))
-            if any(e[i] for e in self.terms)
-        ]
-        vars = tuple(self.vars[i] for i in used)
-        terms = {
-            tuple(e[i] for i in used): c for e, c in self.terms.items()
-        }
-        return vars, terms
-
-    def degree(self, geometric=True):
-        """Largest term degree; only x0..x3 count when geometric."""
-        if not self.terms:
-            return -1
-        degs = []
-        for exps in self.terms:
-            if geometric:
-                degs.append(sum(
-                    e for v, e in zip(self.vars, exps)
-                    if v in GEOMETRIC_VARS
-                ))
-            else:
-                degs.append(sum(exps))
-        return max(degs)
-
-    def is_homogeneous(self, degree, geometric=True):
-        for exps in self.terms:
-            if geometric:
-                d = sum(e for v, e in zip(self.vars, exps)
-                        if v in GEOMETRIC_VARS)
-            else:
-                d = sum(exps)
-            if d != degree:
-                return False
-        return True
+    def is_homogeneous(self, degree):
+        return all(_geometric_degree(m) == degree for m in self.terms)
 
     def substitute(self, mapping):
         """Replace variables by polynomials; unnamed variables persist."""
-        result = MultiPoly()
-        cache = {}
-        for exps, c in self.terms.items():
-            term = MultiPoly.constant(c)
-            for v, e in zip(self.vars, exps):
-                if e == 0:
-                    continue
-                if (v, e) not in cache:
-                    base = mapping.get(v)
-                    if base is None:
-                        base = MultiPoly.variable(v)
-                    cache[(v, e)] = base ** e
-                term = term * cache[(v, e)]
-            result = result + term
-        return result
+        out = {}
+        powers = {}
+        for mono, c in self.terms.items():
+            term = MultiPoly({tuple(v for v in mono if v not in mapping): c})
+            for v, run in groupby(mono):
+                if v in mapping:
+                    e = len(tuple(run))
+                    if (v, e) not in powers:
+                        powers[(v, e)] = mapping[v] ** e
+                    term = term * powers[(v, e)]
+            for m, c2 in term.terms.items():
+                out[m] = out.get(m, 0) + c2
+        return MultiPoly(out)
 
     def divide_by_monomial(self, mono):
         """Exact quotient by a single-term polynomial."""
         mono = _coerce(mono)
         if len(mono.terms) != 1:
             raise ValueError("divisor is not a monomial")
-        vars, a, b = self._aligned(mono)
-        (dexps, dcoef), = b.items()
+        (dmono, dcoef), = mono.terms.items()
         out = {}
-        for exps, c in a.items():
-            if any(e < d for e, d in zip(exps, dexps)):
-                raise NotDivisible("monomial does not divide a term")
+        for m, c in self.terms.items():
+            rest = list(m)
+            for v in dmono:
+                if v not in rest:
+                    raise NotDivisible("monomial does not divide a term")
+                rest.remove(v)
             q, r = divmod(c, dcoef)
             if r:
                 raise NotDivisible("coefficient not divisible")
-            out[tuple(e - d for e, d in zip(exps, dexps))] = q
-        return MultiPoly(vars, out)
-
-    def exact_divide(self, divisor):
-        """Quotient q with self == q * divisor, or NotDivisible."""
-        divisor = _coerce(divisor)
-        if divisor.is_zero():
-            raise NotDivisible("division by zero")
-        if len(divisor.terms) == 1:
-            return self.divide_by_monomial(divisor)
-        vars, a, b = self._aligned(divisor)
-        rem = MultiPoly(vars, a)
-        div = MultiPoly(vars, b)
-        lead_exps = max(div.terms, key=_grlex_key)
-        lead_coef = div.terms[lead_exps]
-        lead = MultiPoly(vars, {lead_exps: lead_coef})
-        quot = MultiPoly(vars, {})
-        while not rem.is_zero():
-            rexps = max(rem.terms, key=_grlex_key)
-            rcoef = rem.terms[rexps]
-            if any(e < d for e, d in zip(rexps, lead_exps)):
-                raise NotDivisible("leading term not divisible")
-            q, r = divmod(rcoef, lead_coef)
-            if r:
-                raise NotDivisible("coefficient not divisible")
-            step = MultiPoly(
-                vars,
-                {tuple(e - d for e, d in zip(rexps, lead_exps)): q},
-            )
-            quot = quot + step
-            rem = rem - step * div
-        if not (quot * divisor == self):
-            raise NotDivisible("residual after division")
-        return quot
-
-    def sorted_terms(self):
-        """(exponents, coefficient) pairs in graded lexicographic order."""
-        return [
-            (exps, self.terms[exps])
-            for exps in sorted(self.terms, key=_grlex_key, reverse=True)
-        ]
+            out[tuple(rest)] = q
+        return MultiPoly(out)
 
     def __str__(self):
         if not self.terms:
             return "0"
-        parts = []
-        for exps, c in self.sorted_terms():
-            factors = []
-            for v, e in zip(self.vars, exps):
-                if e == 1:
-                    factors.append(v)
-                elif e > 1:
-                    factors.append(f"{v}^{e}")
-            body = "*".join(factors)
+        # graded lex order, largest first: total degree over every name,
+        # then the dense exponents with x0..x3 leading
+        names = sorted({v for m in self.terms for v in m}, key=_var_key)
+        dense = sorted(
+            ((tuple(m.count(v) for v in names), c)
+             for m, c in self.terms.items()),
+            key=lambda t: (sum(t[0]), t[0]), reverse=True,
+        )
+        text = ""
+        for exps, c in dense:
+            body = "*".join(v if e == 1 else f"{v}^{e}"
+                            for v, e in zip(names, exps) if e)
             if not body:
                 chunk = str(abs(c))
             elif abs(c) == 1:
                 chunk = body
             else:
                 chunk = f"{abs(c)}*{body}"
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, chunk))
-        first_sign, first = parts[0]
-        text = (first if first_sign == "+" else f"-{first}")
-        for sign, chunk in parts[1:]:
-            text += f" {sign} {chunk}"
+            if not text:
+                text = chunk if c > 0 else f"-{chunk}"
+            else:
+                text += f" {'-' if c < 0 else '+'} {chunk}"
         return text
 
     __repr__ = __str__
-
-
-def _grlex_key(exps):
-    return (sum(exps), exps)
 
 
 def _coerce(x):
@@ -296,8 +197,6 @@ def x(i):
 def generic_form(degree, prefix, nvars=4):
     """Homogeneous form of given degree in x0..x{nvars-1} with symbolic
     coefficients."""
-    from itertools import combinations_with_replacement
-
     total = MultiPoly()
     for combo in combinations_with_replacement(range(nvars), degree):
         name = prefix + "".join(str(i) for i in combo)
@@ -311,7 +210,7 @@ def generic_form(degree, prefix, nvars=4):
 def enriques_sextic(Q):
     """The degree-6 form with the four double planes and a quadric term."""
     Q = _coerce(Q)
-    if not Q.is_zero() and not Q.is_homogeneous(2):
+    if not Q.is_homogeneous(2):
         raise DegreeError("Q must be a quadric")
     x0, x1, x2, x3 = (x(i) for i in range(4))
     base = (
@@ -323,18 +222,6 @@ def enriques_sextic(Q):
     return base + x0 * x1 * x2 * x3 * Q
 
 
-CREMONA = None
-
-
-def _cremona_map():
-    global CREMONA
-    if CREMONA is None:
-        x0, x1, x2, x3 = (x(i) for i in range(4))
-        CREMONA = {"x0": x2 * x3, "x1": x0 * x1, "x2": x0 * x2,
-                   "x3": x0 * x3}
-    return CREMONA
-
-
 def castelnuovo_transform(Q):
     """Quintic model of the sextic under the standard Cremona map.
 
@@ -344,18 +231,18 @@ def castelnuovo_transform(Q):
     Q' = Q(x2*x3, x0*x1, x0*x2, x0*x3).
     """
     Q = _coerce(Q)
-    if not Q.is_zero() and not Q.is_homogeneous(2):
+    if not Q.is_homogeneous(2):
         raise DegreeError("Q must be a quadric")
-    cremona = _cremona_map()
-    transformed = enriques_sextic(Q).substitute(cremona)
-    factor = MultiPoly.from_map({"x0": 3, "x2": 2, "x3": 2})
-    quintic = transformed.divide_by_monomial(factor)
     x0, x1, x2, x3 = (x(i) for i in range(4))
-    q_prime = Q.substitute(cremona)
+    cremona = {"x0": x2 * x3, "x1": x0 * x1, "x2": x0 * x2, "x3": x0 * x3}
+    transformed = enriques_sextic(Q).substitute(cremona)
+    # x0^3*x2^2*x3^2
+    factor = MultiPoly({("x0", "x0", "x0", "x2", "x2", "x3", "x3"): 1})
+    quintic = transformed.divide_by_monomial(factor)
     expected = x0 * (
         x1 ** 2 * x2 ** 2 + x1 ** 2 * x3 ** 2 + x2 ** 2 * x3 ** 2
         + x0 ** 2 * x1 ** 2
-    ) + x1 * q_prime
+    ) + x1 * Q.substitute(cremona)
     return quintic, quintic == expected
 
 
@@ -369,12 +256,9 @@ def double_plane_octic(C1, C2, Qpp):
     """
     C1, C2, Qpp = _coerce(C1), _coerce(C2), _coerce(Qpp)
     for poly, deg, label in ((C1, 3, "C1"), (C2, 3, "C2"), (Qpp, 2, "Q''")):
-        if not poly.is_zero() and not poly.is_homogeneous(deg):
+        if not poly.is_homogeneous(deg):
             raise DegreeError(f"{label} must be homogeneous of degree {deg}")
-        if any(
-            e for exps in poly.terms
-            for v, e in zip(poly.vars, exps) if v == "x3"
-        ):
+        if any("x3" in m for m in poly.terms):
             raise DegreeError(f"{label} must not involve x3")
     x0, x1, x3 = x(0), x(1), x(3)
     quintic = x3 ** 2 * C1 + x0 * x1 * x3 * Qpp + x0 * x1 * C2
@@ -386,23 +270,13 @@ def double_plane_octic(C1, C2, Qpp):
 
 def _quadratic_coefficients(poly):
     """Coefficients of x3^2, x3, 1 for a polynomial quadratic in x3."""
-    if "x3" not in poly.vars:
-        return MultiPoly(), MultiPoly(), poly
-    k = poly.vars.index("x3")
-    buckets = {0: {}, 1: {}, 2: {}}
-    for exps, c in poly.terms.items():
-        e = exps[k]
+    buckets = ({}, {}, {})
+    for m, c in poly.terms.items():
+        e = m.count("x3")
         if e > 2:
             raise DegreeError("degree in x3 exceeds 2")
-        reduced = tuple(
-            0 if i == k else v for i, v in enumerate(exps)
-        )
-        buckets[e][reduced] = buckets[e].get(reduced, 0) + c
-    return (
-        MultiPoly(poly.vars, buckets[2]),
-        MultiPoly(poly.vars, buckets[1]),
-        MultiPoly(poly.vars, buckets[0]),
-    )
+        buckets[e][tuple(v for v in m if v != "x3")] = c
+    return tuple(MultiPoly(b) for b in reversed(buckets))
 
 
 class ParseError(ValueError):
@@ -413,6 +287,8 @@ class ParseError(ValueError):
 MAX_PARSE_DEGREE = 8
 # bound on the decimal digits of a literal or of a parsed coefficient
 MAX_PARSE_DIGITS = 100
+# bound on nested parentheses, far inside the interpreter's recursion limit
+MAX_PARSE_NESTING = 50
 
 
 def _check_parse_degree(degree):
@@ -432,7 +308,8 @@ def parse_poly(text):
     No power or product whose degree would exceed MAX_PARSE_DEGREE is
     expanded, and no exponent may exceed it either; a literal, or a
     coefficient of a power or product, above MAX_PARSE_DIGITS digits is
-    rejected as well.  Such input raises ParseError.
+    rejected as well, and so are parentheses nested more than
+    MAX_PARSE_NESTING deep.  Such input raises ParseError.
     """
     tokens = _tokenize(text)
     pos = [0]
@@ -509,6 +386,7 @@ def parse_poly(text):
 def _tokenize(text):
     tokens = []
     i = 0
+    depth = 0
     while i < len(text):
         ch = text[i]
         if ch.isspace():
@@ -526,6 +404,10 @@ def _tokenize(text):
             tokens.append(("var", text[i:i + 2]))
             i += 2
         elif ch in "+-*^()":
+            depth += (ch == "(") - (ch == ")")
+            if depth > MAX_PARSE_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_PARSE_NESTING}")
             tokens.append((ch, ch))
             i += 1
         else:

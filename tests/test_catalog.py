@@ -9,7 +9,6 @@ from enriques.catalog import (
     IncompleteCatalog,
     UnknownSurface,
     catalog_names,
-    enumerate_fibration_classes,
     fibration_records,
     half_fiber_class,
     load_surface,
@@ -113,6 +112,23 @@ def test_verify_surface_computes_fibration_records_once(monkeypatch):
     assert calls == ["2D4~"]
 
 
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_annotated_fiber_divisors_are_computed_at_load_only(monkeypatch, name):
+    s = load_surface(name)
+    for f in s.fibrations:
+        assert f.divisor.support() == frozenset(f.support)
+    calls = []
+
+    def counting(config, support):
+        calls.append(support)
+        return fiber_divisor(config, support)
+
+    fiber_divisor = catalog._fiber_divisor
+    monkeypatch.setattr(catalog, "_fiber_divisor", counting)
+    verify_surface(s)
+    assert calls == []
+
+
 def test_half_fiber_class_lookup():
     s = load_surface("2D4~")
     f0 = half_fiber_class(s, "F0")
@@ -207,10 +223,3 @@ def test_wrong_kind_annotation_is_rejected(tmp_path):
     (tmp_path / "bad.json").write_text(json.dumps(data))
     with pytest.raises(CatalogDataError):
         load_surface("mislabeled", catalog_dir=tmp_path)
-
-
-def test_enumerate_fibration_classes_matches_records():
-    s = load_surface("D8~")
-    assert [c.vec for c in enumerate_fibration_classes(s)] == [
-        r.cls.vec for r in fibration_records(s)
-    ]

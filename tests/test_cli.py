@@ -197,6 +197,24 @@ def test_sextic_check_rejects_huge_coefficients_at_once(capsys, q, reason):
     assert f"cannot parse --q: {reason}" in err
 
 
+@pytest.mark.parametrize("depth", [400, 100_000])
+def test_sextic_check_rejects_deep_nesting_at_once(capsys, depth):
+    t0 = time.perf_counter()
+    code, out, err = run_main(
+        capsys, ["sextic-check", "--q", "(" * depth + "x0*x1" + ")" * depth])
+    assert time.perf_counter() - t0 < 5
+    assert code == 2
+    assert out == ""
+    assert "cannot parse --q: parentheses nested deeper than 50" in err
+
+
+def test_sextic_check_accepts_nesting_at_the_bound(capsys):
+    code, out, _ = run_main(
+        capsys, ["sextic-check", "--q", "(" * 50 + "x0*x1" + ")" * 50])
+    assert code == 0
+    assert "[pass] castelnuovo certificate" in out
+
+
 def test_importing_the_package_does_not_import_networkx():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

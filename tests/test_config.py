@@ -56,11 +56,6 @@ def test_rejects_wrong_diagonal():
         CurveConfig(("a",), ((0,),))
 
 
-def test_neighbors_and_degree():
-    assert sorted(TRIANGLE.neighbors("a")) == ["b", "c"]
-    assert TRIANGLE.degree("a") == 2
-
-
 def test_subconfig_preserves_ambient_order():
     sub = TRIANGLE.subconfig(["c", "a"])
     assert sub.names == ("a", "c")
@@ -76,10 +71,6 @@ def test_connectivity():
     assert TRIANGLE.is_connected()
     path = CurveConfig.from_edges(("a", "b", "c"), [("a", "b")])
     assert not path.is_connected()
-
-
-def test_config_json_round_trip():
-    assert CurveConfig.from_json(TRIANGLE.to_json()) == TRIANGLE
 
 
 def test_divisor_arithmetic():
@@ -138,9 +129,7 @@ def test_numclass_flags_and_nef():
     d = Divisor.from_map({"a": 1, "b": 1, "c": 1}, TRIANGLE)
     cls = NumClass.from_divisor(d).flagged(primitive=True, half_fiber=True)
     assert cls.primitive_flag and cls.half_fiber_flag
-    assert cls.is_nef()
     single = NumClass.from_divisor(Divisor.from_map({"a": 1}, TRIANGLE))
-    assert not single.is_nef()
     assert not single.primitive_flag
 
 

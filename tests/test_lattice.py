@@ -141,10 +141,6 @@ def test_in_span_on_a_singular_tuple():
     assert not in_span([0] * 9 + [1], tup, G)
 
 
-def test_gram_json_round_trip():
-    assert GramForm.from_json(G.to_json()) == G
-
-
 _coords = st.lists(st.integers(min_value=-30, max_value=30),
                    min_size=10, max_size=10)
 
