@@ -21,6 +21,7 @@ from .divisors import (
     is_c_sequence,
     specialness_witness,
 )
+from .lattice import GramForm, rank_and_discriminant
 from .rootfibers import NotAffine, affine_shape
 
 
@@ -35,6 +36,11 @@ class IncompleteCatalog(RuntimeError):
 class CatalogDataError(ValueError):
     pass
 
+
+# the rank of Num(Y) for an Enriques surface Y, and the most components a
+# fiber of a genus one fibration on Y can have
+NUM_RANK = 10
+MAX_FIBER_COMPONENTS = 9
 
 CATALOG_NAMES = (
     "E8~", "D8~", "E7~", "A7~", "typeI", "BP", "E7(2)", "2D4~",
@@ -118,6 +124,10 @@ def _model_from_json(data):
         [tuple(e) for e in data["edges"]],
         [tuple(t) for t in data.get("tangent_edges", [])],
     )
+    rank, _ = rank_and_discriminant(GramForm.from_rows(config.inter))
+    if rank > NUM_RANK:
+        raise CatalogDataError(
+            f"the curves span a lattice of rank {rank}, above {NUM_RANK}")
     fibrations = []
     for entry in data["fibrations"]:
         support = tuple(entry["support"])
@@ -184,7 +194,8 @@ def fibration_records(s):
     config = s.config
     annotated = {frozenset(f.support): f for f in s.fibrations}
     rays = {}
-    for subset in connected_subsets(config, min_size=2):
+    for subset in connected_subsets(config, min_size=2,
+                                    max_size=MAX_FIBER_COMPONENTS):
         sub = config.subconfig(subset)
         try:
             shape = affine_shape(sub)

@@ -14,7 +14,6 @@ from itertools import permutations
 from .config import CurveConfig, Divisor
 from .divisors import (
     MAX_COMPONENTS,
-    InvariantViolation,
     build_triangle,
     connected_subsets,
     extension_obstruction,
@@ -103,6 +102,26 @@ def _decompositions(kind):
         if second is None or second.coeffs != rest:
             continue
         out.append(Decomposition(kind, first, second))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _orbit_first(kind):
+    """The splittings of kind that come first in their Aut(G)-orbit, in
+    _decompositions order.  Two splittings lie in one orbit exactly when
+    the fiber graph, coloured by (first, second) coefficients, has the
+    same least certificate."""
+    inter = fiber_graph(kind).inter
+    nbrs = [[(u, w) for u, w in enumerate(row) if w and u != v]
+            for v, row in enumerate(inter)]
+    seen = set()
+    out = []
+    for d in _decompositions(kind):
+        cert = _least_certificate(
+            list(zip(d.first.coeffs, d.second.coeffs)), inter, nbrs)
+        if cert not in seen:
+            seen.add(cert)
+            out.append(d)
     return tuple(out)
 
 
@@ -221,13 +240,15 @@ class Survivor:
 
 
 def _raw_triangles(max_components):
-    """All consistent gluings as (types, n, weights, coeff rows), with the
-    role types already in canonical sorted order."""
+    """Consistent gluings as (kinds, types, n, weights, coeff rows), with
+    the role types already in canonical sorted order.  Each fiber takes
+    only its orbit-first splittings: a gluing from any other splitting has
+    an isomorphic twin from the orbit-first one, earlier in this order."""
     by_first = {}
     by_pair = {}
     all_decomps = []
     for kind in FIBER_KINDS:
-        for d in _decompositions(kind):
+        for d in _orbit_first(kind):
             all_decomps.append((kind, d))
             by_first.setdefault(d.first.dtype, []).append((kind, d))
             by_pair.setdefault((d.first.dtype, d.second.dtype),
@@ -314,6 +335,21 @@ def _leaves(colours, nbrs):
             yield from _leaves(_refine(split, nbrs), nbrs)
 
 
+def _least_certificate(labels, weights, nbrs):
+    """Least certificate over the leaves reached from the colouring by
+    labels: a leaf's certificate is the vertex labels in leaf order plus
+    the reordered weight matrix.  Two labelled weighted graphs are
+    isomorphic exactly when their least certificates are equal."""
+    best = None
+    for leaf in _leaves(_refine(labels, nbrs), nbrs):
+        order = sorted(range(len(labels)), key=leaf.__getitem__)
+        cert = (tuple(labels[v] for v in order),
+                tuple(tuple(weights[a][b] for b in order) for a in order))
+        if best is None or cert < best:
+            best = cert
+    return best
+
+
 def _canonical_key(types, n, weights, coeffs):
     """Isomorphism invariant of a raw gluing that separates non-isomorphic
     ones: isomorphisms may relabel vertices and permute roles of equal type.
@@ -321,36 +357,32 @@ def _canonical_key(types, n, weights, coeffs):
     Colour refinement plus exhaustive individualisation, after McKay and
     Piperno, "Practical graph isomorphism II" (2014), with no automorphism
     pruning.  Vertices are coloured by their S-coefficients in the permuted
-    role order; a leaf's certificate is the vertex labels in leaf order
-    plus the reordered weight matrix, and the key keeps the least one.
+    role order, and the key keeps the least certificate over the role
+    permutations that fix the type triple.
     """
     nbrs = [[(u, w) for u, w in enumerate(row) if w] for row in weights]
-    best = None
-    for perm in permutations(range(3)):
-        if any(types[p] != t for p, t in zip(perm, types)):
-            continue
-        labels = [tuple(coeffs[p][v] for p in perm) for v in range(n)]
-        for leaf in _leaves(_refine(labels, nbrs), nbrs):
-            order = sorted(range(n), key=leaf.__getitem__)
-            cert = (tuple(labels[v] for v in order),
-                    tuple(tuple(weights[a][b] for b in order)
-                          for a in order))
-            if best is None or cert < best:
-                best = cert
-    return types, best
+    return types, min(
+        _least_certificate(
+            [tuple(coeffs[p][v] for p in perm) for v in range(n)],
+            weights, nbrs)
+        for perm in permutations(range(3))
+        if all(types[p] == t for p, t in zip(perm, types)))
 
 
 def enumerate_triangles(max_components=MAX_COMPONENTS):
     """Census of triangle graphs up to isomorphism.
 
     For every triple of fibers (G_1, G_2, G_3), every ordered splitting
-    of each, and every identification of the two copies of each S_k up
-    to a diagram automorphism, attempt the gluing and keep the
-    consistent results, deduplicated up to isomorphism respecting the
-    (S_1, S_2, S_3) partition up to permutation.  Each class is
-    represented by its first gluing in enumeration order; capacity, rank
-    and discriminant are isomorphism invariants, so the entry is built
-    for that gluing only.
+    of each that comes first in its Aut(G)-orbit, and every
+    identification of the two copies of each S_k up to a diagram
+    automorphism, attempt the gluing and keep the consistent results,
+    deduplicated up to isomorphism respecting the (S_1, S_2, S_3)
+    partition up to permutation.  Gluing only orbit-first splittings is
+    the isomorph-free cut of McKay, "Isomorph-free exhaustive
+    generation" (1998): the other splittings give only gluings
+    isomorphic to earlier ones.  Each class is represented by its first
+    gluing in enumeration order; capacity, rank and discriminant are
+    isomorphism invariants, so the entry is built for that gluing only.
     """
     seen = set()
     kept = []

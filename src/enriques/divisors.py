@@ -12,8 +12,6 @@ from itertools import combinations
 
 from .config import CurveConfig, Divisor, NumClass, intersect
 from .rootfibers import (
-    DynkinType,
-    KodairaType,
     NonDefinite,
     NotAffine,
     affine_shape,

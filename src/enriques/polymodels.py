@@ -108,6 +108,8 @@ class MultiPoly:
         return result
 
     def __eq__(self, other):
+        if not isinstance(other, (MultiPoly, int)):
+            return NotImplemented
         return self.terms == _coerce(other).terms
 
     def degree(self):

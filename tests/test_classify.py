@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 from itertools import permutations
 
@@ -5,15 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enriques import classify
 from enriques.classify import (
     FIBER_KINDS,
     Excluded,
     Survivor,
     _canonical_key,
+    _decompositions,
+    _glue_indexed,
+    _orbit_first,
+    _raw_triangles,
     decompose_fiber,
+    enumerate_triangles,
     sort_triple,
     type_sort_key,
 )
+from enriques.divisors import MAX_COMPONENTS
 from enriques.rootfibers import (
     DynkinType,
     KodairaType,
@@ -73,6 +81,144 @@ def test_fiber_graph_round_trips_through_recognition(kind):
     cfg = fiber_graph(kind)
     assert cfg.size() == kind.component_count()
     assert classify_affine(cfg) == kind
+
+
+# Aut(G)-orbits of the ordered splittings of each fiber kind
+ORBIT_COUNTS = {
+    "I2": 1, "I3": 2, "I4": 3, "I5": 4, "I6": 5, "I7": 6, "I8": 7, "I9": 8,
+    "I0*": 3, "I1*": 5, "I2*": 6, "I3*": 7, "I4*": 8,
+    "IV*": 4, "III*": 5, "II*": 4,
+}
+
+
+def fiber_automorphisms(kind):
+    """Every vertex permutation preserving the fiber's intersection matrix,
+    by backtracking over partial permutations."""
+    inter = fiber_graph(kind).inter
+    n = len(inter)
+    found = []
+
+    def extend(images):
+        i = len(images)
+        if i == n:
+            found.append(tuple(images))
+            return
+        for j in range(n):
+            if j not in images and all(inter[i][a] == inter[j][b]
+                                       for a, b in enumerate(images)):
+                extend(images + [j])
+
+    extend([])
+    return found
+
+
+def orbit_firsts_by_brute_force(kind):
+    """The first splitting of each orbit under the fiber automorphisms."""
+    splittings = [(d.first.coeffs, d.second.coeffs)
+                  for d in _decompositions(kind)]
+    seen = set()
+    firsts = []
+    for d, split in zip(_decompositions(kind), splittings):
+        if split in seen:
+            continue
+        firsts.append(d)
+        for sigma in fiber_automorphisms(kind):
+            image = tuple(tuple(c[sigma.index(v)] for v in range(len(c)))
+                          for c in split)
+            assert image in splittings
+            seen.add(image)
+    return firsts
+
+
+def test_orbit_counts_match_brute_force_automorphisms():
+    t0 = time.perf_counter()
+    assert {str(k): len(_orbit_first(k)) for k in FIBER_KINDS} == ORBIT_COUNTS
+    assert sum(len(_decompositions(k)) for k in FIBER_KINDS) == 354
+    for kind in FIBER_KINDS:
+        assert list(_orbit_first(kind)) == orbit_firsts_by_brute_force(kind)
+    assert time.perf_counter() - t0 < 5
+
+
+def full_raw_triangles(max_components):
+    """The gluing loop over every splitting of each fiber, with no orbit cut;
+    otherwise the loop of classify._raw_triangles."""
+    by_first = {}
+    by_pair = {}
+    all_decomps = []
+    for kind in FIBER_KINDS:
+        for d in _decompositions(kind):
+            all_decomps.append((kind, d))
+            by_first.setdefault(d.first.dtype, []).append((kind, d))
+            by_pair.setdefault((d.first.dtype, d.second.dtype),
+                               []).append((kind, d))
+    found = {}
+    for k3, d3 in all_decomps:  # fiber 3 carries (S_1, S_2)
+        t1, t2 = d3.first.dtype, d3.second.dtype
+        if type_sort_key(t1) > type_sort_key(t2):
+            continue
+        for k2, d2 in by_first.get(t1, ()):  # fiber 2 carries (S_1, S_3)
+            t3 = d2.second.dtype
+            if type_sort_key(t2) > type_sort_key(t3):
+                continue
+            for k1, d1 in by_pair.get((t2, t3), ()):  # fiber 1: (S_2, S_3)
+                kinds = (k1, k2, k3)
+                decomps = (d1, d2, d3)
+                for o1 in d2.first.orders:
+                    for o2 in d1.first.orders:
+                        for o3 in d1.second.orders:
+                            chosen = {
+                                1: ((2, o1), (3, d3.first.orders[0])),
+                                2: ((1, o2), (3, d3.second.orders[0])),
+                                3: ((1, o3), (2, d2.second.orders[0])),
+                            }
+                            glued = _glue_indexed(kinds, decomps, chosen)
+                            if glued is None:
+                                continue
+                            n, weights, coeffs = glued
+                            if n > max_components:
+                                continue
+                            key = ((t1, t2, t3), weights, coeffs)
+                            if key not in found:
+                                found[key] = (kinds, (t1, t2, t3),
+                                              n, weights, coeffs)
+    return list(found.values())
+
+
+def first_of_each_class(raw):
+    """The first raw gluing of each isomorphism class, in input order."""
+    seen = set()
+    out = []
+    for gluing in raw:
+        key = _canonical_key(*gluing[1:])
+        if key not in seen:
+            seen.add(key)
+            out.append(gluing)
+    return out
+
+
+@pytest.fixture(scope="module")
+def full_loop_firsts():
+    raw = full_raw_triangles(MAX_COMPONENTS)
+    assert len(raw) == 3130
+    return first_of_each_class(raw)
+
+
+def test_orbit_cut_keeps_the_full_loop_representatives(full_loop_firsts):
+    fast = _raw_triangles(MAX_COMPONENTS)
+    assert len(fast) == 235
+    assert first_of_each_class(fast) == full_loop_firsts
+    assert len(full_loop_firsts) == 124
+
+
+@pytest.mark.parametrize("max_components", range(1, MAX_COMPONENTS + 1))
+def test_orbit_cut_matches_the_full_loop_at_every_bound(
+        full_loop_firsts, monkeypatch, max_components):
+    # n is an isomorphism invariant, so the bound drops whole classes
+    firsts = [g for g in full_loop_firsts if g[2] <= max_components]
+    assert first_of_each_class(_raw_triangles(max_components)) == firsts
+    fast = enumerate_triangles(max_components)
+    monkeypatch.setattr(classify, "_raw_triangles", lambda _: firsts)
+    assert enumerate_triangles(max_components) == fast
 
 
 def read_golden(name):

@@ -88,6 +88,29 @@ def test_malformed_catalog_data_fails_cleanly(capsys, tmp_path, text, reason):
     assert f"[fail] catalog data: bad.json: {reason}" in out
 
 
+def _clique(size):
+    curves = [f"c{i}" for i in range(size)]
+    return {"name": "K", "curves": curves,
+            "edges": [[a, b, 1] for i, a in enumerate(curves)
+                      for b in curves[i + 1:]],
+            "fibrations": []}
+
+
+@pytest.mark.parametrize("command", ["verify-surface", "fibrations"])
+def test_catalog_surface_of_too_high_rank_fails_at_once(
+        capsys, tmp_path, command):
+    # 26 curves meeting pairwise once span a lattice of rank 26
+    (tmp_path / "K.json").write_text(json.dumps(_clique(26)))
+    t0 = time.perf_counter()
+    code, out, err = run_main(
+        capsys, [command, "K", "--catalog-dir", str(tmp_path)])
+    assert time.perf_counter() - t0 < 5
+    assert code == 1
+    assert err == ""
+    assert ("[fail] catalog data: K.json: the curves span a lattice of "
+            "rank 26, above 10") in out
+
+
 @pytest.mark.parametrize("value", ["12", "0"])
 def test_classify_rejects_out_of_range_max_components_at_once(capsys, value):
     t0 = time.perf_counter()

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from enriques.exactmat import det_bareiss, smith_normal_form
 from enriques.lattice import (
-    CossecSolveError,
     DimensionMismatch,
     GramForm,
     divisibility_check,

@@ -41,6 +41,14 @@ def test_arithmetic_identities():
     assert MultiPoly.constant(3) == 3 and a != 3
 
 
+def test_comparison_with_a_non_polynomial_is_false():
+    a = x(0)
+    assert (a == None) is False  # noqa: E711
+    assert (a == "x0") is False
+    assert a != None  # noqa: E711
+    assert a != "x0"
+
+
 def test_geometric_degree_ignores_symbolic_coefficients():
     q = generic_form(2, "q")
     assert q.degree() == 2
