@@ -116,13 +116,14 @@ def orbit_firsts_by_brute_force(kind):
     """The first splitting of each orbit under the fiber automorphisms."""
     splittings = [(d.first.coeffs, d.second.coeffs)
                   for d in _decompositions(kind)]
+    automorphisms = fiber_automorphisms(kind)
     seen = set()
     firsts = []
     for d, split in zip(_decompositions(kind), splittings):
         if split in seen:
             continue
         firsts.append(d)
-        for sigma in fiber_automorphisms(kind):
+        for sigma in automorphisms:
             image = tuple(tuple(c[sigma.index(v)] for v in range(len(c)))
                           for c in split)
             assert image in splittings
