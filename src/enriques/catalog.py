@@ -9,11 +9,10 @@ bounds) is recomputed from the graph.
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
-from .config import CurveConfig, Divisor, NumClass, intersect
+from .config import CurveConfig, Divisor, NumClass, intersect, pairings
 from .divisors import (
     build_triangle,
     connected_subsets,
@@ -131,6 +130,11 @@ def _model_from_json(data):
     fibrations = []
     for entry in data["fibrations"]:
         support = tuple(entry["support"])
+        for f in fibrations:
+            if f.label == entry["label"] or set(f.support) == set(support):
+                raise CatalogDataError(
+                    f"fibers {f.label} and {entry['label']} repeat a label "
+                    "or a support")
         if entry["multiplicity"] not in ("half", "simple"):
             raise CatalogDataError(
                 f"bad multiplicity {entry['multiplicity']!r}"
@@ -148,10 +152,17 @@ def _model_from_json(data):
                 f"fiber {entry['label']} annotated {entry['kind']} "
                 f"but classifies as {kind}"
             )
+        if len(divisor.support()) > MAX_FIBER_COMPONENTS:
+            raise CatalogDataError(
+                f"fiber {entry['label']} has {len(divisor.support())} "
+                f"components, above {MAX_FIBER_COMPONENTS}"
+            )
         fibrations.append(
             FiberAnnotation(entry["label"], support, entry["multiplicity"],
                             kind, divisor)
         )
+    claims = data.get("claims", {})
+    _check_claims(claims, {f.label for f in fibrations})
     return SurfaceModel(
         name=data["name"],
         config=config,
@@ -159,8 +170,38 @@ def _model_from_json(data):
         char_tag=data.get("char_tag", ""),
         complete=bool(data.get("complete", False)),
         additive_default=data.get("additive_default", ""),
-        claims=data.get("claims", {}),
+        claims=claims,
     )
+
+
+def _check_claims(claims, labels):
+    """Reject claims that verify_surface could not read: claims that are
+    not an object, sequences of the wrong length, fiber labels the
+    surface does not annotate, and a witness index outside 1..3."""
+    if not isinstance(claims, dict):
+        raise CatalogDataError("claims must be a JSON object")
+    named = {key: (claims[key], size)
+             for key, size in (("triple", 3), ("four_sequence", 4))
+             if key in claims}
+    if "minus_two" in claims:
+        claim = claims["minus_two"]
+        named["minus_two"] = (list(claim["triple"]) + [claim["other"]], 4)
+    if "unique_nonspecial" in claims:
+        named["unique_nonspecial"] = (
+            [lab for label, partners in claims["unique_nonspecial"].items()
+             for lab in (label, *partners)], None)
+    for key, (seq, size) in named.items():
+        if size is not None and len(seq) != size:
+            raise CatalogDataError(f"claims.{key} must name {size} fibers")
+        for label in seq:
+            if label not in labels:
+                raise CatalogDataError(
+                    f"claims.{key} names {label!r}, no annotated fiber")
+    if "witness" in claims:
+        k = claims["witness"]["k"]
+        if type(k) is not int or not 1 <= k <= 3:
+            raise CatalogDataError(
+                f"claims.witness.k must be an integer in 1..3, not {k!r}")
 
 
 @dataclass(frozen=True)
@@ -170,11 +211,6 @@ class FibrationClass:
     kinds: tuple  # fiber kinds seen in this class's fibration
     determined: bool
     ray: tuple  # primitive pairing vector, the dedup key
-
-
-def _pairing_ints(divisor):
-    vec = NumClass.from_divisor(divisor).pairing_vector()
-    return tuple(int(x) for x in vec)
 
 
 def _is_multiplicative(kind):
@@ -202,12 +238,13 @@ def fibration_records(s):
         except NotAffine:
             continue
         d = Divisor.from_map(shape.mult_map(), config)
-        pv = _pairing_ints(d)
+        pv = pairings(d.vec, config)
         g = 0
         for x in pv:
             g = gcd(g, abs(x))
         if g == 0:
-            raise CatalogDataError("fiber with no horizontal curve")
+            raise CatalogDataError(
+                f"{s.name}: fiber {'+'.join(subset)} has no horizontal curve")
         ray = tuple(x // g for x in pv)
         rays.setdefault(ray, []).append(
             (d, pv, str(shape.kind), annotated.get(frozenset(subset)))
@@ -235,7 +272,7 @@ def fibration_records(s):
                 rep = (d, pv)
             elif half_pv != forced:
                 raise CatalogDataError(
-                    f"inconsistent half-fiber scale on ray {ray}"
+                    f"{s.name}: inconsistent half-fiber scale on ray {ray}"
                 )
         labels = tuple(
             ann.label for _, _, _, ann in members if ann is not None
@@ -248,20 +285,12 @@ def fibration_records(s):
             records.append(FibrationClass(labels, cls, kinds, False, ray))
             continue
         d, pv = rep
-        scale = Fraction(half_pv[_first_nonzero(half_pv)],
-                         pv[_first_nonzero(half_pv)])
-        cls = NumClass.from_divisor(d, scale=scale).flagged(
+        # the forced pairing is pv itself or pv / 2, so the class is d or d/2
+        cls = NumClass.from_divisor(d, 1 if half_pv == pv else 2).flagged(
             primitive=True, half_fiber=True
         )
         records.append(FibrationClass(labels, cls, kinds, True, ray))
     return records
-
-
-def _first_nonzero(vec):
-    for i, x in enumerate(vec):
-        if x:
-            return i
-    raise ValueError("zero vector")
 
 
 def half_fiber_class(s, label):
@@ -357,7 +386,7 @@ def verify_surface(s):
     for f in s.fibrations:
         kind = f.kind
         if f.multiplicity == "simple":
-            ok = all(x % 2 == 0 for x in _pairing_ints(f.divisor))
+            ok = all(x % 2 == 0 for x in pairings(f.divisor.vec, s.config))
             _check(checks, f"fiber {f.label} simple scale", ok,
                    f"{kind}; pairing vector halves to an integral class"
                    if ok else f"{kind}; odd pairing contradicts a simple fiber")

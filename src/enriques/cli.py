@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import catalog, classify, lattice, polymodels
 
@@ -64,7 +65,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once: parse_args keeps no state and
+    every default is immutable."""
     parser = _Parser(prog="enriques")
     sub = parser.add_subparsers(dest="command")
 
@@ -133,8 +137,6 @@ def _load_surface(args, report):
     except catalog.UnknownSurface:
         report.add("catalog lookup", "fail",
                    f"{args.surface} not in catalog")
-    except catalog.CatalogDataError as exc:
-        report.add("catalog data", "fail", str(exc))
     return None
 
 
@@ -232,7 +234,10 @@ def run(argv):
     if args.command is None:
         raise UsageError("a subcommand is required")
     report = Report(command=args.command)
-    _COMMANDS[args.command](args, report)
+    try:
+        _COMMANDS[args.command](args, report)
+    except catalog.CatalogDataError as exc:
+        report.add("catalog data", "fail", str(exc))
     return report, args
 
 

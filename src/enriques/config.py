@@ -7,7 +7,8 @@ optional tangent-edge annotation.  The names are labels only: every
 vertex is its position in ``names``, and the name-to-index map and the
 neighbour-index tuples (``adj``) are computed once, at construction,
 next to the validation.  A Divisor is a coefficient vector aligned with
-its ambient configuration's vertices.
+its ambient configuration's vertices, and a NumClass is a Divisor over a
+denominator of 1 or 2, so every pairing is an integer sum.
 """
 
 from dataclasses import dataclass, field
@@ -154,55 +155,85 @@ class Divisor:
 
 @dataclass(frozen=True)
 class NumClass:
-    """Rational class in the span of the ambient curves."""
+    """The class D/den of an integral divisor D, with den 1 or 2.
 
-    vec: tuple  # tuple of Fraction, indexed by ambient.names
+    ``vec`` holds the integer coefficients of D in ambient order.  Every
+    class the package builds is a divisor or half of one (a half-fiber is
+    half its fiber), so the form is exact, and it is kept reduced: den is
+    2 only when some coefficient is odd.
+    """
+
+    vec: tuple  # ints, one per ambient curve, in ambient order
     ambient: CurveConfig
+    den: int = 1
     primitive_flag: bool = False
     half_fiber_flag: bool = False
 
+    def __post_init__(self):
+        if self.den not in (1, 2):
+            raise ValueError(f"denominator {self.den!r} is not 1 or 2")
+        if self.den == 2 and not any(c % 2 for c in self.vec):
+            object.__setattr__(self, "vec", tuple(c // 2 for c in self.vec))
+            object.__setattr__(self, "den", 1)
+
     @staticmethod
-    def from_divisor(d, scale=1):
-        vec = tuple(Fraction(c) * scale for c in d.vec)
-        return NumClass(vec, d.ambient)
+    def from_divisor(d, den=1):
+        return NumClass(d.vec, d.ambient, den)
 
     def flagged(self, primitive=None, half_fiber=None):
         return NumClass(
             self.vec,
             self.ambient,
+            self.den,
             self.primitive_flag if primitive is None else primitive,
             self.half_fiber_flag if half_fiber is None else half_fiber,
         )
 
     def pairing_vector(self):
-        """Products against every ambient curve, in ambient order."""
-        inter = self.ambient.inter
-        n = len(self.vec)
-        return tuple(
-            sum(self.vec[i] * inter[i][j] for i in range(n)) for j in range(n)
-        )
+        """Products against every ambient curve, in ambient order: ints,
+        and an exact Fraction where a half class meets a curve oddly."""
+        pv = pairings(self.vec, self.ambient)
+        if self.den == 1:
+            return pv
+        return tuple(x // 2 if x % 2 == 0 else Fraction(x, 2) for x in pv)
+
+
+def pairings(vec, ambient):
+    """inter . vec for an integer vector, summed over its nonzero entries."""
+    inter = ambient.inter
+    adj = ambient.adj
+    out = [0] * len(vec)
+    for i, c in enumerate(vec):
+        if c:
+            row = inter[i]
+            out[i] += c * row[i]
+            for j in adj[i]:
+                out[j] += c * row[j]
+    return tuple(out)
 
 
 def _as_vec(x, ambient):
-    if not isinstance(x, (Divisor, NumClass)):
+    if isinstance(x, Divisor):
+        den = 1
+    elif isinstance(x, NumClass):
+        den = x.den
+    else:
         raise TypeError(f"cannot pair object of type {type(x)!r}")
-    if x.ambient != ambient:
+    if x.ambient is not ambient and x.ambient != ambient:
         raise AmbientMismatch("mixed ambients in pairing")
-    return x.vec
+    return x.vec, den
 
 
 def intersect(a, b):
-    """Bilinear pairing of divisors / numerical classes on one configuration."""
+    """Bilinear pairing of divisors / numerical classes on one configuration.
+
+    An int when the value is integral, else an exact Fraction.
+    """
     ambient = a.ambient
-    va = _as_vec(a, ambient)
-    vb = _as_vec(b, ambient)
-    inter = ambient.inter
-    n = len(va)
-    total = sum(
-        va[i] * inter[i][j] * vb[j] for i in range(n) for j in range(n) if inter[i][j]
-    )
-    if isinstance(total, int):
-        return total
-    if total.denominator == 1:
-        return int(total)
-    return total
+    va, da = _as_vec(a, ambient)
+    vb, db = _as_vec(b, ambient)
+    total = sum(x * y for x, y in zip(va, pairings(vb, ambient)) if x)
+    den = da * db
+    if total % den == 0:
+        return total // den
+    return Fraction(total, den)

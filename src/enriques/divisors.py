@@ -7,10 +7,9 @@ drives the whole classification.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
-from .config import CurveConfig, Divisor, NumClass, intersect
+from .config import CurveConfig, Divisor, NumClass, intersect, pairings
 from .rootfibers import (
     NonDefinite,
     NotAffine,
@@ -141,11 +140,22 @@ class Witness:
     k: int  # [divisor] = F_i + F_j - F_k with {i, j} the other two indices
 
 
-def _class_minus(f, i, j, k):
-    vec = tuple(
-        f[i].vec[t] + f[j].vec[t] - f[k].vec[t] for t in range(len(f[i].vec))
-    )
-    return NumClass(vec, f[i].ambient)
+def _twice_pairings(f):
+    """2 (F . C) for every ambient curve C, as integers."""
+    return tuple((2 // f.den) * x for x in pairings(f.vec, f.ambient))
+
+
+def _witness_targets(F):
+    """k -> the pairing vector of F_i + F_j - F_k, or None where it is not
+    integral, so that no divisor has it."""
+    twice = [_twice_pairings(f) for f in F]
+    targets = {}
+    for k in range(3):
+        i, j = [t for t in range(3) if t != k]
+        t2 = [a + b - c for a, b, c in zip(twice[i], twice[j], twice[k])]
+        targets[k] = (None if any(x % 2 for x in t2)
+                      else tuple(x // 2 for x in t2))
+    return targets
 
 
 def specialness_witness(F, ambient, all_permutations=False):
@@ -156,21 +166,20 @@ def specialness_witness(F, ambient, all_permutations=False):
     With all_permutations=True, a dict k -> Witness for every k that
     admits one.
     """
-    targets = {}
-    for k in range(3):
-        i, j = [t for t in range(3) if t != k]
-        targets[k] = _class_minus(F, i, j, k).pairing_vector()
+    targets = _witness_targets(F)
     found = {}
     for subset in connected_subsets(ambient):
         try:
             z = fundamental_cycle(ambient.subconfig(subset))
         except NonDefinite:
             continue
-        z_amb = Divisor.from_map(dict(z.coeffs), ambient)
-        pv = NumClass.from_divisor(z_amb).pairing_vector()
+        vec = [0] * ambient.size()
+        for name, c in zip(z.ambient.names, z.vec):
+            vec[ambient.index(name)] = c
+        pv = pairings(vec, ambient)
         for k in range(3):
             if k not in found and pv == targets[k]:
-                found[k] = Witness(z_amb, k)
+                found[k] = Witness(Divisor(tuple(vec), ambient), k)
         if not all_permutations and found:
             break
     if all_permutations:
@@ -205,11 +214,11 @@ def build_triangle(F=None, witnesses=None, ambient=None):
     S = tuple(Divisor.from_map(dict(d.coeffs), glued) for d in divisors)
 
     if F is not None:
+        targets = _witness_targets(F)
         for k in range(3):
             i, j = [t for t in range(3) if t != k]
-            target = _class_minus(F, i, j, k).pairing_vector()
-            got = NumClass.from_divisor(divisors[k]).pairing_vector()
-            if got != target:
+            d = divisors[k]
+            if pairings(d.vec, d.ambient) != targets[k]:
                 raise InvariantViolation(
                     f"[S_{k+1}] != F_{i+1} + F_{j+1} - F_{k+1}"
                 )
@@ -260,18 +269,9 @@ def fibration_capacity_ok(t):
     for i in range(3):
         j, k = [x for x in range(3) if x != i]
         g = t.S[j] + t.S[k]
-        supp = g.support()
-        gvec = g.as_vector()
-        names = t.glued.names
-        inter = t.glued.inter
-        n = len(names)
-        extra = 0
-        for idx, name in enumerate(names):
-            if name in supp:
-                continue
-            if sum(inter[idx][m] * gvec[m] for m in range(n)) == 0:
-                extra += 1
-        if (len(supp) - 1) + extra > 8:
+        pv = pairings(g.vec, t.glued)
+        extra = sum(1 for c, x in zip(g.vec, pv) if not c and not x)
+        if (len(g.support()) - 1) + extra > 8:
             return False
     return True
 
@@ -320,8 +320,7 @@ def half_fiber_classes(t):
     for i in range(3):
         j, k = [x for x in range(3) if x != i]
         g = t.S[j] + t.S[k]
-        vec = tuple(Fraction(c, 2) for c in g.as_vector())
-        out.append(NumClass(vec, t.glued, primitive_flag=True,
+        out.append(NumClass(g.vec, t.glued, 2, primitive_flag=True,
                             half_fiber_flag=True))
     return out
 
@@ -332,7 +331,7 @@ def internal_extender(t):
     Returns (NumClass, KodairaType) for the first extender found in the
     canonical subset order.
     """
-    fibers = half_fiber_classes(t)
+    twice = [_twice_pairings(f) for f in half_fiber_classes(t)]
     for subset in connected_subsets(t.glued, min_size=2):
         sub = t.glued.subconfig(subset)
         try:
@@ -340,7 +339,8 @@ def internal_extender(t):
         except NotAffine:
             continue
         d = Divisor.from_map(shape.mult_map(), t.glued)
-        cls = NumClass.from_divisor(d).flagged(half_fiber=True, primitive=True)
-        if all(intersect(cls, f) == 1 for f in fibers):
+        if all(sum(c * x for c, x in zip(d.vec, tw)) == 2 for tw in twice):
+            cls = NumClass.from_divisor(d).flagged(half_fiber=True,
+                                                  primitive=True)
             return cls, shape.kind
     return None

@@ -161,12 +161,12 @@ def test_2d4_nonspecial_partner_products():
     g1 = half_fiber_class(s, "G1")
     g2 = half_fiber_class(s, "G2")
     assert intersect(f4, f5) == 4
-    combo = tuple(
-        g1.vec[i] + g2.vec[i] - f4.vec[i] for i in range(len(f4.vec))
-    )
+    # G1 and G2 are halves of their fibers and F4 is its own fiber
+    assert (g1.den, g2.den, f4.den) == (2, 2, 1)
+    combo = tuple(a + b - 2 * c for a, b, c in zip(g1.vec, g2.vec, f4.vec))
     from enriques.config import NumClass
 
-    assert intersect(NumClass(combo, s.config), f5) == -2
+    assert intersect(NumClass(combo, s.config, 2), f5) == -2
 
 
 def test_e7_2_has_exactly_three_fibrations_all_determined():
@@ -223,3 +223,28 @@ def test_wrong_kind_annotation_is_rejected(tmp_path):
     (tmp_path / "bad.json").write_text(json.dumps(data))
     with pytest.raises(CatalogDataError):
         load_surface("mislabeled", catalog_dir=tmp_path)
+
+
+def _cycle_surface(n, fibrations):
+    curves = [f"c{i}" for i in range(n)]
+    return {"name": "cycle", "curves": curves,
+            "edges": [[curves[i], curves[(i + 1) % n], 1] for i in range(n)],
+            "fibrations": fibrations, "complete": False}
+
+
+@pytest.mark.parametrize("n, fibrations, reason", [
+    # an Enriques fiber has at most 9 components; I10 has 10
+    (10, [{"label": "F0", "support": [f"c{i}" for i in range(10)],
+           "multiplicity": "half"}], "fiber F0 has 10 components, above 9"),
+    (3, [{"label": "F0", "support": ["c0", "c1", "c2"],
+          "multiplicity": "half"},
+         {"label": "F1", "support": ["c2", "c1", "c0"],
+          "multiplicity": "simple"}],
+     "fibers F0 and F1 repeat a label or a support"),
+], ids=("ten-components", "repeated-support"))
+def test_fibers_no_record_can_hold_are_rejected(tmp_path, n, fibrations,
+                                                reason):
+    (tmp_path / "cycle.json").write_text(
+        json.dumps(_cycle_surface(n, fibrations)))
+    with pytest.raises(CatalogDataError, match=reason):
+        load_surface("cycle", catalog_dir=tmp_path)

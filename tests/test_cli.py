@@ -111,6 +111,82 @@ def test_catalog_surface_of_too_high_rank_fails_at_once(
             "rank 26, above 10") in out
 
 
+def _three_cycle():
+    # the fiber a+b+c meets no other curve, so its fibration has no ray
+    return {"name": "C3", "curves": ["a", "b", "c"],
+            "edges": [["a", "b", 1], ["b", "c", 1], ["c", "a", 1]],
+            "fibrations": [{"label": "F0", "support": ["a", "b", "c"],
+                            "multiplicity": "half"}],
+            "complete": True}
+
+
+@pytest.mark.parametrize("command", ["verify-surface", "nd", "fibrations"])
+def test_fiber_without_horizontal_curve_fails_cleanly(
+        capsys, tmp_path, command):
+    (tmp_path / "C3.json").write_text(json.dumps(_three_cycle()))
+    code, out, err = run_main(
+        capsys, [command, "C3", "--catalog-dir", str(tmp_path)])
+    assert code == 1
+    assert err == ""
+    assert ("[fail] catalog data: C3: fiber a+b+c has no horizontal "
+            "curve") in out
+
+
+def _surface_data(name):
+    return json.loads((catalog._data_dir() / name).read_text())
+
+
+def _unknown_triple_label():
+    data = _surface_data("A7t.json")
+    data["claims"]["triple"][1] = "F99"
+    return data
+
+
+def _unknown_minus_two_label():
+    data = _surface_data("2D4t.json")
+    data["claims"]["minus_two"]["other"] = "F99"
+    return data
+
+
+def _unknown_unique_nonspecial_label():
+    data = _surface_data("2D4t.json")
+    data["claims"]["unique_nonspecial"]["F4"] = ["G1", "F99"]
+    return data
+
+
+def _claims_not_an_object():
+    data = _surface_data("A7t.json")
+    data["claims"] = "oops"
+    return data
+
+
+def _witness_k(k):
+    data = _surface_data("A7t.json")
+    data["claims"]["witness"]["k"] = k
+    return data
+
+
+@pytest.mark.parametrize("data, reason", [
+    (_unknown_triple_label(), "claims.triple names 'F99', no annotated fiber"),
+    (_unknown_minus_two_label(),
+     "claims.minus_two names 'F99', no annotated fiber"),
+    (_unknown_unique_nonspecial_label(),
+     "claims.unique_nonspecial names 'F99', no annotated fiber"),
+    (_claims_not_an_object(), "claims must be a JSON object"),
+    (_witness_k("3"), "claims.witness.k must be an integer in 1..3, not '3'"),
+    (_witness_k(4), "claims.witness.k must be an integer in 1..3, not 4"),
+], ids=("triple", "minus-two", "unique-nonspecial", "claims-not-object",
+        "witness-k-string", "witness-k-range"))
+def test_malformed_claims_fail_cleanly(capsys, tmp_path, data, reason):
+    (tmp_path / "s.json").write_text(json.dumps(data))
+    code, out, err = run_main(
+        capsys, ["verify-surface", data["name"], "--catalog-dir",
+                 str(tmp_path)])
+    assert code == 1
+    assert err == ""
+    assert f"[fail] catalog data: s.json: {reason}" in out
+
+
 @pytest.mark.parametrize("value", ["12", "0"])
 def test_classify_rejects_out_of_range_max_components_at_once(capsys, value):
     t0 = time.perf_counter()
@@ -246,6 +322,16 @@ def test_importing_the_package_does_not_import_networkx():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_parser_is_built_once_and_keeps_its_defaults():
+    assert cli._build_parser() is cli._build_parser()
+    _, args = cli.run(["classify", "--max-components", "9", "--json"])
+    assert args.max_components == 9 and args.json
+    args = cli._build_parser().parse_args(["classify"])
+    assert args.max_components == 11 and not args.json
+    with pytest.raises(cli.UsageError):
+        cli.run([])
 
 
 def test_run_returns_report_object():

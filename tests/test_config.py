@@ -113,7 +113,7 @@ def test_intersect_rejects_mixed_ambients():
 
 def test_numclass_integer_result_is_int():
     d = Divisor.from_map({"a": 1, "b": 1, "c": 1}, TRIANGLE)
-    cls = NumClass.from_divisor(d, scale=Fraction(1, 2))
+    cls = NumClass.from_divisor(d, den=2)
     value = intersect(cls, cls)
     assert value == 0
     assert isinstance(value, int)
@@ -121,7 +121,7 @@ def test_numclass_integer_result_is_int():
 
 def test_numclass_fractional_result_stays_exact():
     d = Divisor.from_map({"a": 1}, TRIANGLE)
-    cls = NumClass.from_divisor(d, scale=Fraction(1, 2))
+    cls = NumClass.from_divisor(d, den=2)
     assert intersect(cls, cls) == Fraction(-1, 2)
 
 

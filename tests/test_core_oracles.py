@@ -1,20 +1,30 @@
 """Independent oracles for the indexed configuration core.
 
-Random weighted graphs (up to 8 curves, weights 0, 1, 2) and random
+Random weighted graphs (up to 10 curves, weights 0, 1, 2) and random
 integer matrices are checked against brute-force or textbook references
 kept in this file.
 """
 
+from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from enriques.config import CurveConfig, Divisor
-from enriques.divisors import connected_subsets
+from enriques.catalog import (
+    CATALOG_NAMES,
+    _record_class,
+    fibration_records,
+    load_surface,
+)
+from enriques.config import CurveConfig, Divisor, NumClass, intersect
+from enriques.divisors import Witness, connected_subsets, specialness_witness
 from enriques.exactmat import det_bareiss, smith_normal_form
 from enriques.rootfibers import (
     DynkinType,
+    NonDefinite,
     _diagram_edges,
     fundamental_cycle,
     is_negative_definite,
@@ -147,3 +157,102 @@ def test_smith_normal_form_is_a_unimodular_diagonalisation(m):
     nonzero = [x for x in diag if x]
     assert diag == nonzero + [0] * (len(diag) - len(nonzero))
     assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+
+
+def fraction_pairing_vector(vec, config):
+    """The pairing vector of a class given by Fraction coefficients."""
+    n = len(vec)
+    return tuple(sum(vec[i] * config.inter[i][j] for i in range(n))
+                 for j in range(n))
+
+
+def fraction_vec(cls):
+    return tuple(Fraction(c, cls.den) for c in cls.vec)
+
+
+def _exact(value):
+    """An int when integral, else a Fraction, as the package returns."""
+    return (type(value) is int if Fraction(value).denominator == 1
+            else type(value) is Fraction)
+
+
+@st.composite
+def num_classes(draw, config):
+    vec = tuple(draw(st.integers(-4, 4)) for _ in config.names)
+    return NumClass(vec, config, draw(st.sampled_from((1, 2))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs(max_n=10), st.data())
+def test_integer_pairing_matches_the_fraction_formula(config, data):
+    a = data.draw(num_classes(config))
+    b = data.draw(num_classes(config))
+    fa, fb = fraction_vec(a), fraction_vec(b)
+    pv = a.pairing_vector()
+    assert pv == fraction_pairing_vector(fa, config)
+    assert all(_exact(x) for x in pv)
+    value = intersect(a, b)
+    assert value == sum(x * y for x, y in
+                        zip(fa, fraction_pairing_vector(fb, config)))
+    assert _exact(value)
+    d = Divisor(b.vec, config)
+    assert intersect(a, d) == intersect(d, a) == sum(
+        x * y for x, y in zip(fa, fraction_pairing_vector(b.vec, config)))
+
+
+@lru_cache(maxsize=None)
+def fraction_cycles(name):
+    """(fundamental cycle, its Fraction pairing vector) for every connected
+    negative definite subconfiguration of the surface, in subset order."""
+    config = load_surface(name).config
+    out = []
+    for subset in connected_subsets(config):
+        try:
+            z = fundamental_cycle(config.subconfig(subset))
+        except NonDefinite:
+            continue
+        z_amb = Divisor.from_map(dict(z.coeffs), config)
+        out.append((z_amb, fraction_pairing_vector(
+            tuple(Fraction(c) for c in z_amb.vec), config)))
+    return out
+
+
+def fraction_specialness_witness(F, name):
+    """specialness_witness(F, all_permutations=True) over Fractions."""
+    config = load_surface(name).config
+    frac = [fraction_vec(f) for f in F]
+    targets = {}
+    for k in range(3):
+        i, j = [t for t in range(3) if t != k]
+        targets[k] = fraction_pairing_vector(tuple(
+            x + y - z for x, y, z in zip(frac[i], frac[j], frac[k])), config)
+    found = {}
+    for z, pv in fraction_cycles(name):
+        for k in range(3):
+            if k not in found and pv == targets[k]:
+                found[k] = Witness(z, k)
+    return found
+
+
+def claimed_triples(claims):
+    """Every triple of fiber labels the surface's claims name."""
+    triples = []
+    if "triple" in claims:
+        triples.append(claims["triple"])
+    triples += [list(t) for t in combinations(claims.get("four_sequence", ()),
+                                              3)]
+    if "minus_two" in claims:
+        triples.append(claims["minus_two"]["triple"])
+    for label, partners in claims.get("unique_nonspecial", {}).items():
+        triples.append(partners + [label])
+    return triples
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_specialness_witness_matches_the_fraction_search(name):
+    s = load_surface(name)
+    records = fibration_records(s)
+    for labels in claimed_triples(s.claims):
+        F = [_record_class(records, label) for label in labels]
+        assert specialness_witness(F, s.config, all_permutations=True) == (
+            fraction_specialness_witness(F, name)), labels
