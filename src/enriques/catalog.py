@@ -177,7 +177,9 @@ def _model_from_json(data):
 def _check_claims(claims, labels):
     """Reject claims that verify_surface could not read: claims that are
     not an object, sequences of the wrong length, fiber labels the
-    surface does not annotate, and a witness index outside 1..3."""
+    surface does not annotate, a witness that is not an object with a
+    divisor of integer coefficients and an index in 1..3, and a special
+    triple without its three fiber types."""
     if not isinstance(claims, dict):
         raise CatalogDataError("claims must be a JSON object")
     named = {key: (claims[key], size)
@@ -198,10 +200,27 @@ def _check_claims(claims, labels):
                 raise CatalogDataError(
                     f"claims.{key} names {label!r}, no annotated fiber")
     if "witness" in claims:
-        k = claims["witness"]["k"]
+        witness = claims["witness"]
+        if not (isinstance(witness, dict)
+                and isinstance(witness.get("divisor"), dict)):
+            raise CatalogDataError(
+                "claims.witness must be an object with a divisor object")
+        for name, c in witness["divisor"].items():
+            if type(c) is not int:
+                raise CatalogDataError(
+                    f"claims.witness.divisor[{name!r}] must be an integer, "
+                    f"not {c!r}")
+        k = witness.get("k")
         if type(k) is not int or not 1 <= k <= 3:
             raise CatalogDataError(
                 f"claims.witness.k must be an integer in 1..3, not {k!r}")
+        types = claims.get("types")
+        if "triple" in claims and not (
+                isinstance(types, list) and len(types) == 3
+                and all(isinstance(t, str) for t in types)):
+            raise CatalogDataError(
+                f"claims.types must list the 3 fiber types of a special "
+                f"triple, not {types!r}")
 
 
 @dataclass(frozen=True)
@@ -456,7 +475,7 @@ def _verify_triple(s, records, checks):
                "no effective F_i + F_j - F_k")
         return
     k = expected["k"] - 1
-    want = {name: int(c) for name, c in expected["divisor"].items()}
+    want = expected["divisor"]
     got = found.get(k)
     ok = got is not None and dict(got.divisor.coeffs) == want
     desc = "+".join(

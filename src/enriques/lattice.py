@@ -137,9 +137,14 @@ def solve_cossec_vector(tup, i, j):
 
 @lru_cache(maxsize=8)
 def _span_snf(tup):
-    """(invariant factors, columns of V) for U*T*V = D, T the tuple as rows."""
+    """The pairs (d_i, column i of V) with |d_i| != 1, for U*T*V = D and
+    T the square tuple as rows.  A unit factor divides every integer, so
+    only these columns can keep a vector out of the span."""
+    if any(len(f) != len(tup) for f in tup):
+        raise DimensionMismatch("span test needs a square generating set")
     d, _, v = smith_normal_form([list(f) for f in tup])
-    return tuple(d[i][i] for i in range(len(d))), tuple(zip(*v))
+    return tuple((d[i][i], col) for i, col in enumerate(zip(*v))
+                 if abs(d[i][i]) != 1)
 
 
 def in_span(v, tup, g):
@@ -152,19 +157,25 @@ def in_span(v, tup, g):
         raise DimensionMismatch("span test needs a square generating set")
     if len(v) != g.dim:
         raise DimensionMismatch("vector length does not match form dimension")
-    diag, cols = _span_snf(tuple(tuple(f) for f in tup))
-    for d, col in zip(diag, cols):
+    for d, col in _span_snf(tuple(tuple(f) for f in tup)):
         x = sum(a * b for a, b in zip(v, col))
         if (x % d if d else x) != 0:
             return False
     return True
 
 
+@lru_cache(maxsize=8)
+def _paired_sum(tup, g):
+    """G*(f_1 + ... + f_n): v.Sf is the dot product of v with it."""
+    return tuple(mat_vec(g.entries, [sum(col) for col in zip(*tup)]))
+
+
 def divisibility_check(v, tup, g=None):
     """(3 | v.Sf, v in Z-span(f), 9 | v.Sf) for the isotropic tuple f."""
     if g is None:
         g = e10_gram()
-    total = [sum(f[k] for f in tup) for k in range(g.dim)]
-    prod = gram_product(list(v), total, g)
+    tup = tuple(tuple(f) for f in tup)
+    prod = sum(a * b for a, b in zip(v, _paired_sum(tup, g)))
+    # in_span rejects a v or a tuple of the wrong shape before prod is read
     span = in_span(v, tup, g)
     return prod % 3 == 0, span, prod % 9 == 0

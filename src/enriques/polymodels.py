@@ -16,6 +16,7 @@ two polynomials are equal exactly when their dicts are.
 """
 
 import sys
+from functools import lru_cache
 from itertools import combinations_with_replacement, groupby
 
 GEOMETRIC_VARS = frozenset(("x0", "x1", "x2", "x3"))
@@ -85,27 +86,26 @@ class MultiPoly:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(sorted(m1 + m2))
-                out[m] = out.get(m, 0) + c1 * c2
-        return MultiPoly(out)
+        return MultiPoly(_product(self.terms, _coerce(other).terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        """Square and multiply from the low bit, with no squaring past the
+        top bit: p ** 2**k makes exactly k products."""
         if n < 0:
             raise ValueError("negative power")
-        result = MultiPoly.constant(1)
+        if n == 0:
+            return MultiPoly.constant(1)
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         if not isinstance(other, (MultiPoly, int)):
@@ -124,14 +124,14 @@ class MultiPoly:
         out = {}
         powers = {}
         for mono, c in self.terms.items():
-            term = MultiPoly({tuple(v for v in mono if v not in mapping): c})
+            term = {tuple(v for v in mono if v not in mapping): c}
             for v, run in groupby(mono):
                 if v in mapping:
                     e = len(tuple(run))
                     if (v, e) not in powers:
-                        powers[(v, e)] = mapping[v] ** e
-                    term = term * powers[(v, e)]
-            for m, c2 in term.terms.items():
+                        powers[(v, e)] = (mapping[v] ** e).terms
+                    term = _product(term, powers[(v, e)])
+            for m, c2 in term.items():
                 out[m] = out.get(m, 0) + c2
         return MultiPoly(out)
 
@@ -184,6 +184,16 @@ class MultiPoly:
     __repr__ = __str__
 
 
+def _product(terms1, terms2):
+    """The term dict of the product of two term dicts; zero sums are kept."""
+    out = {}
+    for m1, c1 in terms1.items():
+        for m2, c2 in terms2.items():
+            m = tuple(sorted(m1 + m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
 def _coerce(x):
     if isinstance(x, MultiPoly):
         return x
@@ -209,19 +219,36 @@ def generic_form(degree, prefix, nvars=4):
     return total
 
 
-def enriques_sextic(Q):
-    """The degree-6 form with the four double planes and a quadric term."""
-    Q = _coerce(Q)
-    if not Q.is_homogeneous(2):
-        raise DegreeError("Q must be a quadric")
+@lru_cache(maxsize=None)
+def _sextic_parts():
+    """The parts of the sextic and of its Cremona image that do not depend
+    on Q, built on first use: the four double planes, x0*x1*x2*x3, the
+    Cremona substitution, x0^3*x2^2*x3^2 and the quintic's fixed part
+    x0*(x1^2*x2^2 + x1^2*x3^2 + x2^2*x3^2 + x0^2*x1^2).  Callers must not
+    mutate the substitution dict."""
     x0, x1, x2, x3 = (x(i) for i in range(4))
-    base = (
+    planes = (
         x0 ** 2 * x1 ** 2 * x2 ** 2
         + x0 ** 2 * x1 ** 2 * x3 ** 2
         + x0 ** 2 * x2 ** 2 * x3 ** 2
         + x1 ** 2 * x2 ** 2 * x3 ** 2
     )
-    return base + x0 * x1 * x2 * x3 * Q
+    cremona = {"x0": x2 * x3, "x1": x0 * x1, "x2": x0 * x2, "x3": x0 * x3}
+    factor = MultiPoly({("x0", "x0", "x0", "x2", "x2", "x3", "x3"): 1})
+    fixed = x0 * (
+        x1 ** 2 * x2 ** 2 + x1 ** 2 * x3 ** 2 + x2 ** 2 * x3 ** 2
+        + x0 ** 2 * x1 ** 2
+    )
+    return planes, x0 * x1 * x2 * x3, cremona, factor, fixed
+
+
+def enriques_sextic(Q):
+    """The degree-6 form with the four double planes and a quadric term."""
+    Q = _coerce(Q)
+    if not Q.is_homogeneous(2):
+        raise DegreeError("Q must be a quadric")
+    planes, x0123, _, _, _ = _sextic_parts()
+    return planes + x0123 * Q
 
 
 def castelnuovo_transform(Q):
@@ -232,19 +259,10 @@ def castelnuovo_transform(Q):
     x0*(x1^2*x2^2 + x1^2*x3^2 + x2^2*x3^2 + x0^2*x1^2) + x1*Q' with
     Q' = Q(x2*x3, x0*x1, x0*x2, x0*x3).
     """
-    Q = _coerce(Q)
-    if not Q.is_homogeneous(2):
-        raise DegreeError("Q must be a quadric")
-    x0, x1, x2, x3 = (x(i) for i in range(4))
-    cremona = {"x0": x2 * x3, "x1": x0 * x1, "x2": x0 * x2, "x3": x0 * x3}
-    transformed = enriques_sextic(Q).substitute(cremona)
-    # x0^3*x2^2*x3^2
-    factor = MultiPoly({("x0", "x0", "x0", "x2", "x2", "x3", "x3"): 1})
-    quintic = transformed.divide_by_monomial(factor)
-    expected = x0 * (
-        x1 ** 2 * x2 ** 2 + x1 ** 2 * x3 ** 2 + x2 ** 2 * x3 ** 2
-        + x0 ** 2 * x1 ** 2
-    ) + x1 * Q.substitute(cremona)
+    sextic = enriques_sextic(Q)  # raises DegreeError unless Q is a quadric
+    _, _, cremona, factor, fixed = _sextic_parts()
+    quintic = sextic.substitute(cremona).divide_by_monomial(factor)
+    expected = fixed + x(1) * _coerce(Q).substitute(cremona)
     return quintic, quintic == expected
 
 

@@ -166,6 +166,16 @@ def _witness_k(k):
     return data
 
 
+def _a7_claims(**changes):
+    data = _surface_data("A7t.json")
+    for key, value in changes.items():
+        if value is None:
+            del data["claims"][key]
+        else:
+            data["claims"][key] = value
+    return data
+
+
 @pytest.mark.parametrize("data, reason", [
     (_unknown_triple_label(), "claims.triple names 'F99', no annotated fiber"),
     (_unknown_minus_two_label(),
@@ -175,8 +185,19 @@ def _witness_k(k):
     (_claims_not_an_object(), "claims must be a JSON object"),
     (_witness_k("3"), "claims.witness.k must be an integer in 1..3, not '3'"),
     (_witness_k(4), "claims.witness.k must be an integer in 1..3, not 4"),
+    (_a7_claims(witness={"divisor": {"R6": "x"}, "k": 3}),
+     "claims.witness.divisor['R6'] must be an integer, not 'x'"),
+    (_a7_claims(witness=[3]),
+     "claims.witness must be an object with a divisor object"),
+    (_a7_claims(witness={"k": 3}),
+     "claims.witness must be an object with a divisor object"),
+    (_a7_claims(types=None),
+     "claims.types must list the 3 fiber types of a special triple, "
+     "not None"),
 ], ids=("triple", "minus-two", "unique-nonspecial", "claims-not-object",
-        "witness-k-string", "witness-k-range"))
+        "witness-k-string", "witness-k-range", "witness-divisor-string",
+        "witness-not-object", "witness-without-divisor",
+        "special-triple-without-types"))
 def test_malformed_claims_fail_cleanly(capsys, tmp_path, data, reason):
     (tmp_path / "s.json").write_text(json.dumps(data))
     code, out, err = run_main(

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from enriques.exactmat import det_bareiss, smith_normal_form
@@ -138,6 +138,69 @@ def test_in_span_on_a_singular_tuple():
     assert in_span(tup[1], tup, G)
     assert in_span([3, 0, 0, 0, 0, 0, 0, 0, 5, 0], tup, G)
     assert not in_span([0] * 9 + [1], tup, G)
+
+
+def all_columns_in_span(v, tup):
+    """The span test before unit factors were dropped: every invariant
+    factor with its column of V, units included."""
+    d, _, vv = smith_normal_form([list(f) for f in tup])
+    diag = tuple(d[i][i] for i in range(len(d)))
+    for di, col in zip(diag, zip(*vv)):
+        x = sum(a * b for a, b in zip(v, col))
+        if (x % di if di else x) != 0:
+            return False
+    return True
+
+
+@st.composite
+def span_cases(draw):
+    """(v, tuple, form) in dimension n <= 6.  Rows have entries in -3..3
+    and are scaled by 0, 2 or 3 at random, so singular tuples and non-unit
+    invariant factors are common; v is a combination of the rows, moved
+    off it by a small offset in about half the draws."""
+    n = draw(st.integers(1, 6))
+    small = st.integers(-3, 3)
+    tup = tuple(tuple(s * draw(small) for _ in range(n))
+                for s in draw(st.lists(st.sampled_from((0, 1, 1, 2, 3)),
+                                       min_size=n, max_size=n)))
+    coeffs = [draw(small) for _ in range(n)]
+    v = [sum(c * f[k] for c, f in zip(coeffs, tup)) for k in range(n)]
+    if draw(st.booleans()):
+        v = [a + draw(st.integers(-2, 2)) for a in v]
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = draw(small)
+    return v, tup, GramForm.from_rows(a)
+
+
+_SINGULAR = ([2, 4], ((1, 2), (2, 4)), GramForm.from_rows([[0, 1], [1, 0]]))
+_FACTOR_TWO = ([1, 1], ((2, 0), (0, 1)), GramForm.from_rows([[1, 1], [1, 1]]))
+
+
+@given(span_cases())
+@example(_SINGULAR)
+@example(_FACTOR_TWO)
+@settings(max_examples=300, deadline=None)
+def test_span_and_divisibility_match_the_all_columns_formula(case):
+    v, tup, g = case
+    span = all_columns_in_span(v, tup)
+    assert in_span(v, tup, g) == span
+    prod = gram_product(v, [sum(f[k] for f in tup) for k in range(g.dim)], g)
+    assert divisibility_check(v, tup, g) == (prod % 3 == 0, span,
+                                             prod % 9 == 0)
+
+
+def test_divisibility_check_rejects_a_vector_of_the_wrong_length():
+    with pytest.raises(DimensionMismatch):
+        divisibility_check([1, 2], BASIS, G)
+
+
+def test_span_tests_reject_a_tuple_of_short_vectors():
+    with pytest.raises(DimensionMismatch):
+        divisibility_check([0] * 10, [f[:9] for f in BASIS], G)
+    with pytest.raises(DimensionMismatch):
+        in_span([0] * 10, [f[:9] for f in BASIS], G)
 
 
 _coords = st.lists(st.integers(min_value=-30, max_value=30),

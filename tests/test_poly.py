@@ -1,10 +1,15 @@
 import hashlib
+import os
+import subprocess
+import sys
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enriques import polymodels
 from enriques.polymodels import (
     DegreeError,
     MultiPoly,
@@ -39,6 +44,30 @@ def test_arithmetic_identities():
     assert a + b != a - b
     assert a ** 2 != 2 * a
     assert MultiPoly.constant(3) == 3 and a != 3
+
+
+def test_power_matches_repeated_multiplication():
+    p = x(0) - 2 * x(1) + 3
+    want = MultiPoly.constant(1)
+    for n in range(9):
+        assert p ** n == want
+        want = want * p
+
+
+@pytest.mark.parametrize("n, products", [(1, 0), (2, 1), (3, 2), (8, 3)])
+def test_power_squares_no_further_than_the_top_bit(monkeypatch, n, products):
+    p = x(0) + x(1)
+    want = p ** n
+    mul = MultiPoly.__mul__
+    calls = []
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting)
+    assert p ** n == want
+    assert len(calls) == products
 
 
 def test_comparison_with_a_non_polynomial_is_false():
@@ -94,6 +123,30 @@ def test_castelnuovo_concrete_quadric():
     quintic, certificate = castelnuovo_transform(parse_poly("x0*x1 + 2*x2^2"))
     assert certificate
     assert quintic.is_homogeneous(5)
+
+
+def test_importing_the_cli_builds_no_sextic_parts():
+    code = ("import enriques.cli, enriques.polymodels as p; "
+            "print(p._sextic_parts.cache_info().currsize)")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
+
+
+def test_cached_sextic_parts_survive_the_transform():
+    before = [str(part) for part in polymodels._sextic_parts()]
+    quintics = [castelnuovo_transform(parse_poly(q))
+                for q in ("x0^2 - 3*x1*x2 + 2*x3^2",
+                          "5*x0*x3 - x1^2 + x2*x3")]
+    assert [str(part) for part in polymodels._sextic_parts()] == before
+    assert [(str(q), ok) for q, ok in quintics] == [
+        ("x0^3*x1^2 - 3*x0^2*x1^2*x2 + 2*x0^2*x1*x3^2 + x0*x1^2*x2^2"
+         " + x0*x1^2*x3^2 + x0*x2^2*x3^2 + x1*x2^2*x3^2", True),
+        ("x0^3*x1^2 - x0^2*x1^3 + x0^2*x1*x2*x3 + x0*x1^2*x2^2"
+         " + x0*x1^2*x3^2 + 5*x0*x1*x2*x3^2 + x0*x2^2*x3^2", True),
+    ]
 
 
 def test_octic_trivial_branch_data():
