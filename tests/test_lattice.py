@@ -155,9 +155,9 @@ def all_columns_in_span(v, tup):
 @st.composite
 def span_cases(draw):
     """(v, tuple, form) in dimension n <= 6.  Rows have entries in -3..3
-    and are scaled by 0, 2 or 3 at random, so singular tuples and non-unit
-    invariant factors are common; v is a combination of the rows, moved
-    off it by a small offset in about half the draws."""
+    and are scaled by 0, 1, 2 or 3 at random, so singular tuples and
+    non-unit invariant factors are common; v is a combination of the rows,
+    moved off it by a small offset in about half the draws."""
     n = draw(st.integers(1, 6))
     small = st.integers(-3, 3)
     tup = tuple(tuple(s * draw(small) for _ in range(n))
