@@ -70,11 +70,6 @@ def _data_dir():
     return Path(__file__).parent / "data"
 
 
-def _surface_files(catalog_dir=None):
-    base = Path(catalog_dir) if catalog_dir is not None else _data_dir()
-    return sorted(base.glob("*.json"))
-
-
 def _data_error(path, exc):
     reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
     return CatalogDataError(f"{path.name}: {reason}")
@@ -85,7 +80,8 @@ def _surfaces(catalog_dir=None):
 
     Files that cannot be read or lack a name raise CatalogDataError.
     """
-    for path in _surface_files(catalog_dir):
+    base = Path(catalog_dir) if catalog_dir is not None else _data_dir()
+    for path in sorted(base.glob("*.json")):
         try:
             with open(path) as fh:
                 data = json.load(fh)
@@ -93,10 +89,6 @@ def _surfaces(catalog_dir=None):
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise _data_error(path, exc) from None
         yield path, name, data
-
-
-def catalog_names(catalog_dir=None):
-    return sorted(name for _, name, _ in _surfaces(catalog_dir))
 
 
 def _fiber_divisor(config, support):
@@ -258,9 +250,7 @@ def fibration_records(s):
             continue
         d = Divisor.from_map(shape.mult_map(), config)
         pv = pairings(d.vec, config)
-        g = 0
-        for x in pv:
-            g = gcd(g, abs(x))
+        g = gcd(*pv)
         if g == 0:
             raise CatalogDataError(
                 f"{s.name}: fiber {'+'.join(subset)} has no horizontal curve")
@@ -299,26 +289,19 @@ def fibration_records(s):
         kinds = tuple(sorted({kind for _, _, kind, _ in members}))
         if half_pv is None:
             d, pv, _, _ = members[0]
-            cls = NumClass.from_divisor(d).flagged(primitive=False,
-                                                  half_fiber=False)
+            cls = NumClass.from_divisor(d)
             records.append(FibrationClass(labels, cls, kinds, False, ray))
             continue
         d, pv = rep
         # the forced pairing is pv itself or pv / 2, so the class is d or d/2
         cls = NumClass.from_divisor(d, 1 if half_pv == pv else 2).flagged(
-            primitive=True, half_fiber=True
-        )
+            half_fiber=True)
         records.append(FibrationClass(labels, cls, kinds, True, ray))
     return records
 
 
-def half_fiber_class(s, label):
-    """Half-fiber class of the fibration containing the labelled fiber."""
-    return _record_class(fibration_records(s), label)
-
-
 def _record_class(records, label):
-    """half_fiber_class, looked up in already computed records."""
+    """Half-fiber class of the record holding the labelled fiber."""
     for rec in records:
         if label in rec.labels:
             if not rec.determined:
@@ -468,7 +451,7 @@ def _verify_triple(s, records, checks):
     _check(checks, "three-sequence", is_c_sequence(F),
            " ".join(claims["triple"]))
 
-    found = specialness_witness(F, s.config, all_permutations=True)
+    found = specialness_witness(F, s.config)
     expected = claims.get("witness")
     if expected is None:
         _check(checks, "non-special", not found,
@@ -541,7 +524,6 @@ def _verify_unique_nonspecial(s, records, checks):
         _check(checks, f"unique sequence through {label}", ok,
                f"partners {', '.join(claims[label])}")
         triple = want + [f]
-        witness = specialness_witness(triple, s.config,
-                                      all_permutations=True)
+        witness = specialness_witness(triple, s.config)
         _check(checks, f"non-special through {label}", not witness,
                "no effective F_i + F_j - F_k")

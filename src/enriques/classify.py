@@ -25,6 +25,7 @@ from .rootfibers import (
     DynkinType,
     KodairaType,
     NotDynkin,
+    _affine_kind,
     _diagram_orderings,
     classify_dynkin,
     fiber_graph,
@@ -33,14 +34,12 @@ from .rootfibers import (
 )
 
 # fibers that can occur as a simple fiber of a single fibration: at most
-# nine components and root type embeddable in E8
+# nine components, so root rank at most 8 (every such lattice embeds in
+# E8), and one kind per dual graph (III and IV repeat those of I2 and I3)
 FIBER_KINDS = tuple(
-    KodairaType(s)
-    for s in (
-        ["I%d" % n for n in range(2, 10)]
-        + ["I%d*" % n for n in range(5)]
-        + ["IV*", "III*", "II*"]
-    )
+    _affine_kind(DynkinType(family, n))
+    for family, least in (("A", 1), ("D", 4), ("E", 6))
+    for n in range(least, 9)
 )
 
 _FAMILY_ORDER = {"E": 0, "D": 1, "A": 2}
@@ -48,10 +47,6 @@ _FAMILY_ORDER = {"E": 0, "D": 1, "A": 2}
 
 def type_sort_key(t):
     return (_FAMILY_ORDER[t.family], -t.n)
-
-
-def sort_triple(types):
-    return tuple(sorted(types, key=type_sort_key))
 
 
 @dataclass(frozen=True)
@@ -108,21 +103,14 @@ def _decompositions(kind):
 @lru_cache(maxsize=None)
 def _orbit_first(kind):
     """The splittings of kind that come first in their Aut(G)-orbit, in
-    _decompositions order.  Two splittings lie in one orbit exactly when
-    the fiber graph, coloured by (first, second) coefficients, has the
-    same least certificate."""
-    inter = fiber_graph(kind).inter
-    nbrs = [[(u, w) for u, w in enumerate(row) if w and u != v]
-            for v, row in enumerate(inter)]
-    seen = set()
-    out = []
+    _decompositions order.  On every kind in FIBER_KINDS two splittings
+    lie in one orbit exactly when they have the same ordered type pair
+    (first.dtype, second.dtype); the tests check this against a
+    brute-force automorphism search."""
+    out = {}
     for d in _decompositions(kind):
-        cert = _least_certificate(
-            list(zip(d.first.coeffs, d.second.coeffs)), inter, nbrs)
-        if cert not in seen:
-            seen.add(cert)
-            out.append(d)
-    return tuple(out)
+        out.setdefault((d.first.dtype, d.second.dtype), d)
+    return tuple(out.values())
 
 
 @dataclass(frozen=True)

@@ -51,11 +51,14 @@ class CurveConfig:
 
     @staticmethod
     def from_edges(names, edges, tangent_edges=()):
-        """Build from a list of (name_a, name_b, weight) or (name_a, name_b)."""
+        """Build from a list of (name_a, name_b, weight) or (name_a, name_b);
+        an edge that does not name two of the curves raises ValueError."""
         idx = {name: k for k, name in enumerate(names)}
         n = len(names)
         m = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
         for edge in edges:
+            if len(edge) < 2 or not {edge[0], edge[1]} <= idx.keys():
+                raise ValueError(f"edge {list(edge)} does not name two curves")
             a, b = edge[0], edge[1]
             w = edge[2] if len(edge) > 2 else 1
             m[idx[a]][idx[b]] = w
@@ -136,9 +139,6 @@ class Divisor:
     def support(self):
         return frozenset(name for name, _ in self.coeffs)
 
-    def as_vector(self):
-        return list(self.vec)
-
     def __add__(self, other):
         if other.ambient is not self.ambient and other.ambient != self.ambient:
             raise AmbientMismatch("divisors live on different configurations")
@@ -166,7 +166,6 @@ class NumClass:
     vec: tuple  # ints, one per ambient curve, in ambient order
     ambient: CurveConfig
     den: int = 1
-    primitive_flag: bool = False
     half_fiber_flag: bool = False
 
     def __post_init__(self):
@@ -180,14 +179,8 @@ class NumClass:
     def from_divisor(d, den=1):
         return NumClass(d.vec, d.ambient, den)
 
-    def flagged(self, primitive=None, half_fiber=None):
-        return NumClass(
-            self.vec,
-            self.ambient,
-            self.den,
-            self.primitive_flag if primitive is None else primitive,
-            self.half_fiber_flag if half_fiber is None else half_fiber,
-        )
+    def flagged(self, half_fiber):
+        return NumClass(self.vec, self.ambient, self.den, half_fiber)
 
     def pairing_vector(self):
         """Products against every ambient curve, in ambient order: ints,

@@ -7,7 +7,6 @@ drives the whole classification.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .config import CurveConfig, Divisor, NumClass, intersect, pairings
 from .rootfibers import (
@@ -74,67 +73,6 @@ def is_c_sequence(classes):
 
 
 @dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    reason: str = ""
-
-    def __bool__(self):
-        return self.ok
-
-
-@dataclass(frozen=True)
-class DegenerateSequence:
-    blocks: tuple  # ((half_fiber: NumClass, chain: tuple of curve names), ...)
-    ambient: CurveConfig
-
-
-def validate_degenerate_sequence(seq):
-    """The four defining conditions of a degenerate sequence of half-fibers."""
-    blocks = seq.blocks
-    config = seq.ambient
-    fibers = [f for f, _ in blocks]
-    for i, a in enumerate(fibers):
-        for j, b in enumerate(fibers):
-            want = 0 if i == j else 1
-            if intersect(a, b) != want:
-                return ValidationResult(
-                    False, f"condition (1): F_{i+1}.F_{j+1} != {want}"
-                )
-    for i, (_, chain) in enumerate(blocks):
-        for j in range(len(chain) - 1):
-            if config.pair(chain[j], chain[j + 1]) != 1:
-                return ValidationResult(
-                    False,
-                    f"condition (2): R_{i+1},{j+1}.R_{i+1},{j+2} != 1",
-                )
-    all_positions = [
-        (i, j, name)
-        for i, (_, chain) in enumerate(blocks)
-        for j, name in enumerate(chain)
-    ]
-    for (i1, j1, r1), (i2, j2, r2) in combinations(all_positions, 2):
-        if i1 == i2 and abs(j1 - j2) == 1:
-            continue
-        if config.pair(r1, r2) != 0:
-            return ValidationResult(
-                False,
-                f"condition (3): {r1} meets {r2} outside chain adjacency",
-            )
-    for i, (_, chain) in enumerate(blocks):
-        for k, f in enumerate(fibers):
-            for j, name in enumerate(chain):
-                want = 1 if (k == i and j == 0) else 0
-                vec = f.pairing_vector()
-                got = vec[config.index(name)]
-                if got != want:
-                    return ValidationResult(
-                        False,
-                        f"condition (4): F_{k+1}.R_{i+1},{j+1} = {got} != {want}",
-                    )
-    return ValidationResult(True)
-
-
-@dataclass(frozen=True)
 class Witness:
     divisor: Divisor
     k: int  # [divisor] = F_i + F_j - F_k with {i, j} the other two indices
@@ -158,13 +96,12 @@ def _witness_targets(F):
     return targets
 
 
-def specialness_witness(F, ambient, all_permutations=False):
-    """Effective divisor S with [S] = F_i + F_j - F_k, or None.
+def specialness_witness(F, ambient):
+    """A dict k -> Witness for every k such that some effective divisor S
+    has [S] = F_i + F_j - F_k.
 
     The search ranges over fundamental cycles of connected negative
     definite subconfigurations, which exhausts the possible witnesses.
-    With all_permutations=True, a dict k -> Witness for every k that
-    admits one.
     """
     targets = _witness_targets(F)
     found = {}
@@ -173,20 +110,12 @@ def specialness_witness(F, ambient, all_permutations=False):
             z = fundamental_cycle(ambient.subconfig(subset))
         except NonDefinite:
             continue
-        vec = [0] * ambient.size()
-        for name, c in zip(z.ambient.names, z.vec):
-            vec[ambient.index(name)] = c
-        pv = pairings(vec, ambient)
+        d = Divisor.from_map(dict(z.coeffs), ambient)
+        pv = pairings(d.vec, ambient)
         for k in range(3):
             if k not in found and pv == targets[k]:
-                found[k] = Witness(Divisor(tuple(vec), ambient), k)
-        if not all_permutations and found:
-            break
-    if all_permutations:
-        return found
-    if not found:
-        return None
-    return found[min(found)]
+                found[k] = Witness(d, k)
+    return found
 
 
 @dataclass(frozen=True)
@@ -197,27 +126,21 @@ class TriangleGraph:
     glued: CurveConfig
 
 
-def build_triangle(F=None, witnesses=None, ambient=None):
-    """Assemble and validate the triangle graph from the witnesses S_k.
-
-    The S_k may be passed directly as a triple of Divisors; when F is
-    given, [S_k] = F_i + F_j - F_k is verified as well.
+def build_triangle(witnesses, ambient, F=None):
+    """Assemble and validate the triangle graph from the witnesses S_k, a
+    triple of Divisors on ambient; when F is given, [S_k] = F_i + F_j - F_k
+    is verified as well.
     """
-    if witnesses is None or len(witnesses) != 3:
+    if len(witnesses) != 3:
         raise InvariantViolation("three witnesses are required")
-    divisors = [
-        w.divisor if isinstance(w, Witness) else w for w in witnesses
-    ]
-    if ambient is None:
-        ambient = divisors[0].ambient
-    glued = ambient.subconfig(set().union(*[d.support() for d in divisors]))
-    S = tuple(Divisor.from_map(dict(d.coeffs), glued) for d in divisors)
+    glued = ambient.subconfig(set().union(*[d.support() for d in witnesses]))
+    S = tuple(Divisor.from_map(dict(d.coeffs), glued) for d in witnesses)
 
     if F is not None:
         targets = _witness_targets(F)
         for k in range(3):
             i, j = [t for t in range(3) if t != k]
-            d = divisors[k]
+            d = witnesses[k]
             if pairings(d.vec, d.ambient) != targets[k]:
                 raise InvariantViolation(
                     f"[S_{k+1}] != F_{i+1} + F_{j+1} - F_{k+1}"
@@ -320,8 +243,7 @@ def half_fiber_classes(t):
     for i in range(3):
         j, k = [x for x in range(3) if x != i]
         g = t.S[j] + t.S[k]
-        out.append(NumClass(g.vec, t.glued, 2, primitive_flag=True,
-                            half_fiber_flag=True))
+        out.append(NumClass(g.vec, t.glued, 2, half_fiber_flag=True))
     return out
 
 
@@ -340,7 +262,6 @@ def internal_extender(t):
             continue
         d = Divisor.from_map(shape.mult_map(), t.glued)
         if all(sum(c * x for c, x in zip(d.vec, tw)) == 2 for tw in twice):
-            cls = NumClass.from_divisor(d).flagged(half_fiber=True,
-                                                  primitive=True)
+            cls = NumClass.from_divisor(d).flagged(half_fiber=True)
             return cls, shape.kind
     return None

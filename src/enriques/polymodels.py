@@ -65,9 +65,6 @@ class MultiPoly:
         # one shared object per name keeps monomials small and fast to sort
         return MultiPoly({(sys.intern(name),): 1})
 
-    def is_zero(self):
-        return not self.terms
-
     def __add__(self, other):
         out = dict(self.terms)
         for m, c in _coerce(other).terms.items():

@@ -3,14 +3,14 @@
 The one table of diagram facts (root types of Kodaira fibers, star arm
 lengths, diagram layouts, highest roots, the E8 Gram matrix) and what
 reads it: recognition of curve configurations, the dual graphs of
-Kodaira fibers, highest-root and null-vector multiplicities, Artin's
-fundamental-cycle iteration, embeddings into the E8 root lattice, and the
-component-count bound for fibers sharing one fibration.
+Kodaira fibers, highest-root and null-vector multiplicities, and Artin's
+fundamental-cycle iteration.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
+from math import gcd
 
 from .config import CurveConfig, Divisor
 from .exactmat import smith_normal_form
@@ -274,22 +274,20 @@ def fiber_graph(kind):
     return CurveConfig.from_edges(tuple(names), edges)
 
 
-def canonical_vertex_order(config, dtype=None):
-    """Vertices in the canonical ordering used by highest_root.
+def canonical_vertex_order(config, dtype):
+    """Vertices of a diagram of type dtype in the canonical ordering used
+    by highest_root.
 
     A_n: along the path.  D_n: the two short-arm leaves, then the branch
     vertex, then the long arm.  E_n: the long chain end to end (the
     branch vertex sits third from the short end), then the branch leaf.
     """
-    if dtype is None:
-        dtype = classify_dynkin(config)
     branches, arms = _tree_shape(config)
     if dtype.family == "A":
         return list(arms[0])
     branch = branches[0]
     if dtype.family == "D":
-        short1, short2 = arms[0], arms[1]
-        return [short1[0], short2[0], branch] + list(arms[2])
+        return [arms[0][0], arms[1][0], branch] + list(arms[2])
     # E types: chain = reversed middle arm + branch + long arm, leaf last
     leaf, mid, long_arm = arms[0], arms[1], arms[2]
     return list(reversed(mid)) + [branch] + list(long_arm) + [leaf[0]]
@@ -389,10 +387,7 @@ def null_vector(config):
     if r != n - 1:
         raise NotAffine("Gram radical is not one-dimensional")
     kernel = [v[row][n - 1] for row in range(n)]
-    from math import gcd
-    g = 0
-    for x in kernel:
-        g = gcd(g, abs(x))
+    g = gcd(*kernel)
     kernel = [x // g for x in kernel]
     if any(x < 0 for x in kernel):
         kernel = [-x for x in kernel]
@@ -411,19 +406,15 @@ def affine_shape(config):
 
 
 def _diagram_edges(dtype):
-    """Adjacency of the abstract diagram, vertices in a search-friendly
-    order where every vertex after the first touches an earlier one."""
+    """Adjacency of the abstract diagram, vertices ordered so that every
+    vertex after the first touches an earlier one."""
     n = dtype.n
     if dtype.family == "A":
         return n, [(i, i + 1) for i in range(n - 1)]
     if dtype.family == "D":
         # 0 = branch vertex, 1 and 2 leaves, 3.. the long arm
-        edges = [(0, 1), (0, 2)]
-        prev = 0
-        for k in range(3, n):
-            edges.append((prev, k))
-            prev = k
-        return n, edges
+        return n, ([(0, 1), (0, 2), (0, 3)]
+                   + [(k, k + 1) for k in range(3, n - 1)])
     # E types: 0..n-2 the chain (branch vertex at index 2), n-1 the leaf
     edges = [(i, i + 1) for i in range(n - 2)]
     edges.append((2, n - 1))
@@ -439,98 +430,3 @@ def diagram_gram(dtype):
         g[a][b] = g[b][a] = 1
     return g
 
-
-def _pair(g, a, b):
-    n = len(g)
-    return sum(a[i] * g[i][j] * b[j] for i in range(n) for j in range(n))
-
-
-@lru_cache(maxsize=None)
-def _e8_data():
-    """The E8 Gram matrix and its 240 roots, sorted."""
-    g = diagram_gram(DynkinType("E", 8))
-    simple = [tuple(1 if j == i else 0 for j in range(8)) for i in range(8)]
-    roots = set(simple) | {tuple(-x for x in s) for s in simple}
-    frontier = list(roots)
-    while frontier:
-        new = []
-        for beta in frontier:
-            for alpha in simple:
-                r = tuple(b + _pair(g, beta, alpha) * a
-                          for a, b in zip(alpha, beta))
-                if r not in roots:
-                    roots.add(r)
-                    new.append(r)
-        frontier = new
-    assert len(roots) == 240
-    return g, sorted(roots)
-
-
-@lru_cache(maxsize=None)
-def _embeds_in_e8(key):
-    total = sum(n for _, n in key)
-    if total > 8:
-        return False
-    g, roots = _e8_data()
-    slots = []  # (component index, required products against earlier slots)
-    offset = 0
-    for comp, (family, n) in enumerate(key):
-        size, edges = _diagram_edges(DynkinType(family, n))
-        adj = {(a, b) for a, b in edges} | {(b, a) for a, b in edges}
-        for v in range(size):
-            req = {}
-            for prev in range(offset + v):
-                if prev < offset:
-                    req[prev] = 0  # earlier component: orthogonal
-                else:
-                    req[prev] = 1 if (prev - offset, v) in adj else 0
-            slots.append(req)
-        offset += size
-
-    chosen = []
-
-    def extend(k):
-        if k == len(slots):
-            return True
-        # Weyl transitivity lets the very first root be pinned down
-        candidates = roots[:1] if k == 0 else roots
-        for r in candidates:
-            ok = True
-            for prev, want in slots[k].items():
-                if _pair(g, chosen[prev], r) != want:
-                    ok = False
-                    break
-            if ok:
-                chosen.append(r)
-                if extend(k + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return extend(0)
-
-
-def embeds_in_E8(types):
-    """Whether the orthogonal sum of the given root lattices embeds in E8."""
-    key = tuple(sorted((t.family, t.n) for t in types))
-    return _embeds_in_e8(key)
-
-
-def fiber_count_bound(fibers, s):
-    """Component-count and embedding bound for fibers within s fibers of
-    one fibration: at most 8 + s components in total, and the associated
-    root types must embed into E8."""
-    total = 0
-    types = []
-    for f in fibers:
-        if isinstance(f, KodairaType):
-            k = f
-        else:
-            k = f.kind
-        total += k.component_count()
-        rt = k.root_type()
-        if rt is not None:
-            types.append(rt)
-    if total > 8 + s:
-        return False
-    return embeds_in_E8(types)

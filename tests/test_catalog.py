@@ -8,9 +8,7 @@ from enriques.catalog import (
     CatalogDataError,
     IncompleteCatalog,
     UnknownSurface,
-    catalog_names,
     fibration_records,
-    half_fiber_class,
     load_surface,
     nd_bounds,
     verify_surface,
@@ -37,10 +35,6 @@ CLASS_COUNTS = {
     "E7(2)": 3,
     "2D4~": 10,
 }
-
-
-def test_catalog_names_cover_all_surfaces():
-    assert catalog_names() == sorted(CATALOG_NAMES)
 
 
 def test_unknown_surface():
@@ -93,7 +87,7 @@ def test_determined_classes_are_isotropic_nef_and_integral(name):
             continue
         cls = rec.cls
         assert intersect(cls, cls) == 0
-        assert cls.half_fiber_flag and cls.primitive_flag
+        assert cls.half_fiber_flag
         pv = cls.pairing_vector()
         assert all(x >= 0 for x in pv)
         assert all(x.denominator == 1 for x in pv)
@@ -129,19 +123,23 @@ def test_annotated_fiber_divisors_are_computed_at_load_only(monkeypatch, name):
     assert calls == []
 
 
+def record_class(s, label):
+    return catalog._record_class(fibration_records(s), label)
+
+
 def test_half_fiber_class_lookup():
     s = load_surface("2D4~")
-    f0 = half_fiber_class(s, "F0")
+    f0 = record_class(s, "F0")
     assert intersect(f0, f0) == 0
     with pytest.raises(KeyError):
-        half_fiber_class(s, "F99")
+        record_class(s, "F99")
 
 
 def test_claimed_triples_are_c_sequences():
     for name in ("A7~", "BP", "E7(2)"):
         s = load_surface(name)
         labels = s.claims["triple"]
-        fibers = [half_fiber_class(s, label) for label in labels]
+        fibers = [record_class(s, label) for label in labels]
         assert is_c_sequence(fibers)
 
 
@@ -150,16 +148,16 @@ def test_four_sequences_are_c_sequences():
         s = load_surface(name)
         labels = s.claims["four_sequence"]
         assert len(labels) == 4
-        fibers = [half_fiber_class(s, label) for label in labels]
+        fibers = [record_class(s, label) for label in labels]
         assert is_c_sequence(fibers)
 
 
 def test_2d4_nonspecial_partner_products():
     s = load_surface("2D4~")
-    f4 = half_fiber_class(s, "F4")
-    f5 = half_fiber_class(s, "F5")
-    g1 = half_fiber_class(s, "G1")
-    g2 = half_fiber_class(s, "G2")
+    f4 = record_class(s, "F4")
+    f5 = record_class(s, "F5")
+    g1 = record_class(s, "G1")
+    g2 = record_class(s, "G2")
     assert intersect(f4, f5) == 4
     # G1 and G2 are halves of their fibers and F4 is its own fiber
     assert (g1.den, g2.den, f4.den) == (2, 2, 1)
@@ -181,7 +179,7 @@ def test_catalog_dir_override(tmp_path):
     (tmp_path / "surface.json").write_text(src.read_text())
     s = load_surface("E8~", catalog_dir=tmp_path)
     assert s.name == "E8~"
-    assert catalog_names(catalog_dir=tmp_path) == ["E8~"]
+    assert [name for _, name, _ in catalog._surfaces(tmp_path)] == ["E8~"]
     with pytest.raises(UnknownSurface):
         load_surface("D8~", catalog_dir=tmp_path)
 

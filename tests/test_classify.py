@@ -18,7 +18,6 @@ from enriques.classify import (
     _raw_triangles,
     decompose_fiber,
     enumerate_triangles,
-    sort_triple,
     type_sort_key,
 )
 from enriques.divisors import MAX_COMPONENTS
@@ -64,14 +63,17 @@ def test_decomposition_row(symbol):
 
 
 def test_type_sort_key_orders_e_before_d_before_a():
-    triple = sort_triple(
-        (DynkinType("A", 1), DynkinType("E", 8), DynkinType("D", 8))
-    )
+    triple = sorted(
+        (DynkinType("A", 1), DynkinType("E", 8), DynkinType("D", 8)),
+        key=type_sort_key)
     assert tuple(str(t) for t in triple) == ("E8", "D8", "A1")
     assert type_sort_key(DynkinType("A", 7)) < type_sort_key(DynkinType("A", 2))
 
 
 def test_fiber_kinds_have_at_most_nine_components():
+    assert [str(k) for k in FIBER_KINDS] == [
+        "I2", "I3", "I4", "I5", "I6", "I7", "I8", "I9",
+        "I0*", "I1*", "I2*", "I3*", "I4*", "IV*", "III*", "II*"]
     for kind in FIBER_KINDS:
         assert 2 <= kind.component_count() <= 9
 
@@ -281,7 +283,7 @@ def raw_gluing(e):
         tuple(0 if i == j else e.glued.inter[i][j] for j in range(n))
         for i in range(n)
     )
-    return e.triple, n, weights, tuple(tuple(s.as_vector()) for s in e.S)
+    return e.triple, n, weights, tuple(s.vec for s in e.S)
 
 
 def role_perms(types):

@@ -58,19 +58,25 @@ def test_unknown_surface_fails(capsys):
     assert "[fail] catalog lookup: K3 not in catalog" in out
 
 
-def _e8_data():
+def _e8t_data():
     return json.loads((catalog._data_dir() / "E8t.json").read_text())
 
 
 def _without_edges():
-    data = _e8_data()
+    data = _e8t_data()
     del data["edges"]
     return json.dumps(data)
 
 
 def _bad_multiplicity():
-    data = _e8_data()
+    data = _e8t_data()
     data["fibrations"][0]["multiplicity"] = "double"
+    return json.dumps(data)
+
+
+def _with_edges(edges):
+    data = _e8t_data()
+    data["edges"] = edges
     return json.dumps(data)
 
 
@@ -81,6 +87,20 @@ def _bad_multiplicity():
 ], ids=("invalid-json", "missing-key", "catalog-data-error"))
 def test_malformed_catalog_data_fails_cleanly(capsys, tmp_path, text, reason):
     (tmp_path / "bad.json").write_text(text)
+    code, out, err = run_main(
+        capsys, ["verify-surface", "E8~", "--catalog-dir", str(tmp_path)])
+    assert code == 1
+    assert err == ""
+    assert f"[fail] catalog data: bad.json: {reason}" in out
+
+
+@pytest.mark.parametrize("edges, reason", [
+    ([["R1"]], "edge ['R1'] does not name two curves"),
+    ([["R1", "nosuchcurve", 1]],
+     "edge ['R1', 'nosuchcurve', 1] does not name two curves"),
+], ids=("one-curve", "unknown-curve"))
+def test_malformed_edge_fails_cleanly(capsys, tmp_path, edges, reason):
+    (tmp_path / "bad.json").write_text(_with_edges(edges))
     code, out, err = run_main(
         capsys, ["verify-surface", "E8~", "--catalog-dir", str(tmp_path)])
     assert code == 1

@@ -127,10 +127,10 @@ def test_numclass_fractional_result_stays_exact():
 
 def test_numclass_flags_and_nef():
     d = Divisor.from_map({"a": 1, "b": 1, "c": 1}, TRIANGLE)
-    cls = NumClass.from_divisor(d).flagged(primitive=True, half_fiber=True)
-    assert cls.primitive_flag and cls.half_fiber_flag
+    cls = NumClass.from_divisor(d).flagged(half_fiber=True)
+    assert cls.half_fiber_flag
     single = NumClass.from_divisor(Divisor.from_map({"a": 1}, TRIANGLE))
-    assert not single.primitive_flag
+    assert not single.half_fiber_flag
 
 
 def test_pairing_vector_of_cycle_class():

@@ -119,7 +119,7 @@ def test_divisor_round_trips_through_from_map_and_coeffs(config, data):
     assert d1.coeffs == tuple(
         (name, m1[name]) for name in config.names if m1.get(name, 0))
     assert Divisor.from_map(dict(d1.coeffs), config) == d1
-    assert d1.as_vector() == [m1.get(name, 0) for name in config.names]
+    assert list(d1.vec) == [m1.get(name, 0) for name in config.names]
     assert d1.support() == {name for name, c in m1.items() if c}
     for name in config.names:
         assert d1.coeff(name) == m1.get(name, 0)
@@ -221,7 +221,7 @@ def fraction_cycles(name):
 
 
 def fraction_specialness_witness(F, name):
-    """specialness_witness(F, all_permutations=True) over Fractions."""
+    """specialness_witness(F) over Fractions."""
     config = load_surface(name).config
     frac = [fraction_vec(f.vec, f.den) for f in F]
     targets = {}
@@ -257,5 +257,5 @@ def test_specialness_witness_matches_the_fraction_search(name):
     records = fibration_records(s)
     for labels in claimed_triples(s.claims):
         F = [_record_class(records, label) for label in labels]
-        assert specialness_witness(F, s.config, all_permutations=True) == (
+        assert specialness_witness(F, s.config) == (
             fraction_specialness_witness(F, name)), labels

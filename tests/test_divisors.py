@@ -1,8 +1,7 @@
 import pytest
 
-from enriques.config import CurveConfig, Divisor, intersect
+from enriques.config import CurveConfig, Divisor
 from enriques.divisors import (
-    DegenerateSequence,
     InvariantViolation,
     Obstruction,
     build_triangle,
@@ -12,7 +11,6 @@ from enriques.divisors import (
     half_fiber_classes,
     is_c_sequence,
     specialness_witness,
-    validate_degenerate_sequence,
 )
 from enriques.rootfibers import DynkinType, KodairaType
 
@@ -60,19 +58,11 @@ def test_half_fiber_classes_form_c_sequence():
 def test_specialness_witness_recovers_all_three():
     t = small_triangle()
     fibers = half_fiber_classes(t)
-    found = specialness_witness(fibers, t.glued, all_permutations=True)
+    found = specialness_witness(fibers, t.glued)
     assert set(found) == {0, 1, 2}
     for k, w in found.items():
         assert w.k == k
         assert w.divisor.support() == t.S[k].support()
-
-
-def test_specialness_witness_single_mode():
-    t = small_triangle()
-    fibers = half_fiber_classes(t)
-    w = specialness_witness(fibers, t.glued)
-    assert w is not None
-    assert intersect(w.divisor, w.divisor) == -2
 
 
 def test_build_triangle_checks_class_identity():
@@ -101,36 +91,3 @@ def test_small_triangle_capacity_and_obstruction():
 def test_obstruction_formatting():
     obs = Obstruction("no simple component in S_1")
     assert str(obs) == "NonExtendable(no simple component in S_1)"
-
-
-def test_validate_degenerate_sequence_with_empty_chains():
-    t = small_triangle()
-    fibers = half_fiber_classes(t)
-    seq = DegenerateSequence(
-        blocks=tuple((f, ()) for f in fibers), ambient=t.glued
-    )
-    result = validate_degenerate_sequence(seq)
-    assert bool(result)
-
-
-def test_validate_degenerate_sequence_condition_one():
-    t = small_triangle()
-    fibers = half_fiber_classes(t)
-    seq = DegenerateSequence(
-        blocks=((fibers[0], ()), (fibers[0], ())), ambient=t.glued
-    )
-    result = validate_degenerate_sequence(seq)
-    assert not result
-    assert result.reason.startswith("condition (1)")
-
-
-def test_validate_degenerate_sequence_condition_four():
-    t = small_triangle()
-    fibers = half_fiber_classes(t)
-    seq = DegenerateSequence(
-        blocks=((fibers[0], ("a",)), (fibers[1], ()), (fibers[2], ())),
-        ambient=t.glued,
-    )
-    result = validate_degenerate_sequence(seq)
-    assert not result
-    assert result.reason.startswith("condition (4)")

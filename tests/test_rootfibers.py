@@ -11,8 +11,6 @@ from enriques.rootfibers import (
     canonical_vertex_order,
     classify_affine,
     classify_dynkin,
-    embeds_in_E8,
-    fiber_count_bound,
     fundamental_cycle,
     highest_root,
     is_negative_definite,
@@ -149,23 +147,3 @@ def test_kodaira_rejects_bad_symbols():
     for bad in ("I0", "V", "I-1*", "X3"):
         with pytest.raises(ValueError):
             KodairaType(bad)
-
-
-def test_embeds_in_e8_basic_facts():
-    D = DynkinType.parse
-    assert embeds_in_E8([D("E8")])
-    assert embeds_in_E8([D("D8")])
-    assert embeds_in_E8([D("A8")])
-    assert embeds_in_E8([D("E7"), D("A1")])
-    assert embeds_in_E8([D("A4"), D("A4")])
-    assert not embeds_in_E8([D("A8"), D("A1")])  # rank 9 > 8
-
-
-def test_fiber_count_bound():
-    K = KodairaType
-    assert fiber_count_bound([K("II*")], 1)
-    assert fiber_count_bound([K("III*"), K("I2")], 2)
-    assert not fiber_count_bound([K("III*"), K("I2")], 1)
-    assert not fiber_count_bound([K("I4*"), K("I2")], 2)
-    assert fiber_count_bound([K("I0*"), K("I0*")], 2)
-    assert fiber_count_bound([K("I4*"), K("smooth")], 2)
