@@ -110,11 +110,24 @@ def load_surface(name, catalog_dir=None):
 
 
 def _model_from_json(data):
+    tangents = [tuple(t) for t in data.get("tangent_edges", [])]
     config = CurveConfig.from_edges(
-        data["curves"],
-        [tuple(e) for e in data["edges"]],
-        [tuple(t) for t in data.get("tangent_edges", [])],
-    )
+        data["curves"], [tuple(e) for e in data["edges"]], tangents)
+    # a tangent edge marks two curves tangent at one point (III, not I2)
+    for a, b in tangents:
+        if config.pair(a, b) != 2:
+            raise CatalogDataError(
+                f"tangent edge {[a, b]} joins curves meeting with weight "
+                f"{config.pair(a, b)}, not 2")
+    complete = data.get("complete", False)
+    if type(complete) is not bool:
+        raise CatalogDataError(
+            f"complete must be true or false, not {complete!r}")
+    additive_default = data.get("additive_default", "")
+    if additive_default not in ("simple", ""):
+        raise CatalogDataError(
+            f"additive_default must be 'simple' or '', "
+            f"not {additive_default!r}")
     rank, _ = rank_and_discriminant(GramForm.from_rows(config.inter))
     if rank > NUM_RANK:
         raise CatalogDataError(
@@ -160,8 +173,8 @@ def _model_from_json(data):
         config=config,
         fibrations=tuple(fibrations),
         char_tag=data.get("char_tag", ""),
-        complete=bool(data.get("complete", False)),
-        additive_default=data.get("additive_default", ""),
+        complete=complete,
+        additive_default=additive_default,
         claims=claims,
     )
 

@@ -6,13 +6,15 @@ transversal points) or a tangency; the two are told apart only by the
 optional tangent-edge annotation.  The names are labels only: every
 vertex is its position in ``names``, and the name-to-index map and the
 neighbour-index tuples (``adj``) are computed once, at construction,
-next to the validation.  A Divisor is a coefficient vector aligned with
+next to the validation; an induced subconfiguration derives them from
+its parent's instead.  A Divisor is a coefficient vector aligned with
 its ambient configuration's vertices, and a NumClass is a Divisor over a
 denominator of 1 or 2, so every pairing is an integer sum.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 
 class AmbientMismatch(ValueError):
@@ -24,7 +26,7 @@ class CurveConfig:
     names: tuple
     inter: tuple  # tuple of tuples, symmetric, diagonal -2
     tangent_edges: frozenset = field(default_factory=frozenset)
-    # derived in __post_init__: name -> index, and neighbour indices per vertex
+    # derived (see _set): name -> index, and neighbour indices per vertex
     _pos: dict = field(init=False, repr=False, compare=False)
     adj: tuple = field(init=False, repr=False, compare=False)
 
@@ -43,28 +45,47 @@ class CurveConfig:
                     raise ValueError("intersection matrix must be symmetric")
                 if i != j and self.inter[i][j] < 0:
                     raise ValueError("off-diagonal entries must be >= 0")
-        object.__setattr__(self, "_pos", pos)
-        object.__setattr__(self, "adj", tuple(
+        self._set(_pos=pos, adj=tuple(
             tuple(j for j in range(n) if j != i and self.inter[i][j])
             for i in range(n)
         ))
 
+    def _set(self, **fields):
+        """Set fields of this frozen instance: the derived ones after
+        validation, or all of them for an unchecked induced subset."""
+        for key, value in fields.items():
+            object.__setattr__(self, key, value)
+
     @staticmethod
     def from_edges(names, edges, tangent_edges=()):
-        """Build from a list of (name_a, name_b, weight) or (name_a, name_b);
-        an edge that does not name two of the curves raises ValueError."""
+        """Build from edges (name_a, name_b, weight) or (name_a, name_b),
+        the weight an int >= 0 that defaults to 1, and tangent edges given
+        as pairs of distinct curves; any other edge or tangent edge raises
+        ValueError."""
         idx = {name: k for k, name in enumerate(names)}
         n = len(names)
         m = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
         for edge in edges:
             if len(edge) < 2 or not {edge[0], edge[1]} <= idx.keys():
                 raise ValueError(f"edge {list(edge)} does not name two curves")
+            if len(edge) > 3:
+                raise ValueError(f"edge {list(edge)} has more than 3 entries")
             a, b = edge[0], edge[1]
             w = edge[2] if len(edge) > 2 else 1
+            if type(w) is not int or w < 0:
+                raise ValueError(
+                    f"edge {list(edge)} has weight {w!r}, not an integer >= 0")
             m[idx[a]][idx[b]] = w
             m[idx[b]][idx[a]] = w
-        tangents = frozenset(frozenset((a, b)) for a, b in tangent_edges)
-        return CurveConfig(tuple(names), tuple(tuple(r) for r in m), tangents)
+        tangents = set()
+        for t in tangent_edges:
+            pair = frozenset(t)
+            if len(t) != 2 or len(pair) != 2 or not pair <= idx.keys():
+                raise ValueError(
+                    f"tangent edge {list(t)} does not name two distinct curves")
+            tangents.add(pair)
+        return CurveConfig(tuple(names), tuple(tuple(r) for r in m),
+                           frozenset(tangents))
 
     def size(self):
         return len(self.names)
@@ -82,15 +103,36 @@ class CurveConfig:
         return frozenset((a, b)) in self.tangent_edges
 
     def subconfig(self, support):
-        """Induced configuration on a subset of curves, in ambient order."""
+        """Induced configuration on a subset of curves, in ambient order.
+
+        A principal submatrix of a validated matrix is valid, so the
+        result skips __post_init__: its adjacency is the parent's, kept
+        to the subset and renumbered, which keeps each tuple ascending.
+        """
         support = set(support)
         unknown = support.difference(self._pos)
         if unknown:
             raise ValueError(f"unknown curves: {sorted(unknown)}")
         idxs = sorted(self._pos[name] for name in support)
-        m = tuple(tuple(self.inter[i][j] for j in idxs) for i in idxs)
-        tangents = frozenset(t for t in self.tangent_edges if t <= support)
-        return CurveConfig(tuple(self.names[i] for i in idxs), m, tangents)
+        new = {old: k for k, old in enumerate(idxs)}
+        names = tuple(self.names[i] for i in idxs)
+        if len(idxs) > 1:
+            pick = itemgetter(*idxs)
+            inter = tuple(pick(self.inter[i]) for i in idxs)
+        else:  # itemgetter of a single index returns no tuple
+            inter = ((-2,),) * len(idxs)
+        adj = self.adj
+        sub = object.__new__(CurveConfig)
+        sub._set(
+            names=names,
+            inter=inter,
+            tangent_edges=frozenset(
+                t for t in self.tangent_edges if t <= support),
+            _pos={name: k for k, name in enumerate(names)},
+            adj=tuple(tuple([new[j] for j in adj[i] if j in new])
+                      for i in idxs),
+        )
+        return sub
 
     def is_connected(self):
         if not self.names:

@@ -12,8 +12,7 @@ from functools import lru_cache
 from itertools import permutations
 from math import gcd
 
-from .config import CurveConfig, Divisor
-from .exactmat import smith_normal_form
+from .config import CurveConfig, Divisor, pairings
 
 
 class NotDynkin(ValueError):
@@ -355,16 +354,10 @@ def is_negative_definite(config):
 ARTIN_STEPS_PER_COMPONENT = 30
 
 
-def fundamental_cycle(config):
-    """Least positive divisor Z on all of config with Z.R <= 0 for every R.
-
-    Artin's iteration: start from the reduced sum of components and add
-    any component that still pairs positively.  On a negative definite
-    configuration this stops within the highest-root coefficient total,
-    which is at most 29 per component.
-    """
-    if not is_negative_definite(config):
-        raise NonDefinite("fundamental cycle needs a negative definite config")
+def _artin(config):
+    """Artin's iteration from the reduced sum of components: add any
+    component that still pairs positively.  The vector it stops at, or
+    None when it runs past its step bound."""
     inter, adj = config.inter, config.adj
     n = config.size()
     z = [1] * n
@@ -374,26 +367,44 @@ def fundamental_cycle(config):
                 z[j] += 1
                 break
         else:
-            return Divisor(tuple(z), config)
-    raise NonDefinite("Artin iteration exceeded its step bound")
+            return z
+    return None
+
+
+def fundamental_cycle(config):
+    """Least positive divisor Z on all of config with Z.R <= 0 for every R.
+
+    Artin's iteration stops at Z on a negative definite configuration,
+    within the highest-root coefficient total, which is at most 29 per
+    component.
+    """
+    if not is_negative_definite(config):
+        raise NonDefinite("fundamental cycle needs a negative definite config")
+    z = _artin(config)
+    if z is None:
+        raise NonDefinite("Artin iteration exceeded its step bound")
+    return Divisor(tuple(z), config)
 
 
 def null_vector(config):
-    """Primitive positive kernel vector of an affine configuration's Gram."""
-    m = [list(row) for row in config.inter]
-    d, _, v = smith_normal_form(m)
-    n = config.size()
-    r = sum(1 for i in range(n) if d[i][i] != 0)
-    if r != n - 1:
-        raise NotAffine("Gram radical is not one-dimensional")
-    kernel = [v[row][n - 1] for row in range(n)]
-    g = gcd(*kernel)
-    kernel = [x // g for x in kernel]
-    if any(x < 0 for x in kernel):
-        kernel = [-x for x in kernel]
-    if any(x <= 0 for x in kernel):
-        raise NotAffine("kernel vector is not strictly positive")
-    return {name: c for name, c in zip(config.names, kernel)}
+    """Primitive positive kernel vector of an affine configuration's Gram.
+
+    On an affine graph with null vector d, Artin's iteration never passes
+    a z' with z'.C <= 0 for every C (Laufer), and by Zariski's lemma
+    every such z' is a multiple of d, so it stops at d itself (d sums to
+    at most 30, for II*).  The stop is certified: z.C == 0 for every C
+    and gcd(z) == 1.  A connected graph with a strictly positive kernel
+    vector is affine (Kac, Thm 4.3), so any other input fails the
+    certificate or the step bound.
+    """
+    if not config.is_connected():
+        raise NotAffine("configuration is not connected")
+    z = _artin(config)
+    if z is None:
+        raise NotAffine("Artin iteration exceeded its step bound")
+    if any(pairings(z, config)) or gcd(*z) != 1:
+        raise NotAffine("Gram matrix has no primitive positive kernel vector")
+    return dict(zip(config.names, z))
 
 
 def affine_shape(config):

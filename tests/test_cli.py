@@ -80,11 +80,34 @@ def _with_edges(edges):
     return json.dumps(data)
 
 
+def _e8t_with(**changes):
+    data = _e8t_data()
+    data.update(changes)
+    return json.dumps(data)
+
+
 @pytest.mark.parametrize("text, reason", [
     ('{"name": "E8~", ', "Expecting"),
     (_without_edges(), "missing key 'edges'"),
     (_bad_multiplicity(), "bad multiplicity 'double'"),
-], ids=("invalid-json", "missing-key", "catalog-data-error"))
+    (_e8t_with(tangent_edges=[["R1", "ZZ"]]),
+     "tangent edge ['R1', 'ZZ'] does not name two distinct curves"),
+    (_e8t_with(tangent_edges=[["R1"]]),
+     "tangent edge ['R1'] does not name two distinct curves"),
+    (_e8t_with(tangent_edges=[["R1", "R1"]]),
+     "tangent edge ['R1', 'R1'] does not name two distinct curves"),
+    (_e8t_with(tangent_edges=[["R1", "R2", "R3"]]),
+     "tangent edge ['R1', 'R2', 'R3'] does not name two distinct curves"),
+    (_e8t_with(tangent_edges=[["R1", "R2"]]),
+     "tangent edge ['R1', 'R2'] joins curves meeting with weight 1, not 2"),
+    (_e8t_with(complete="false"),
+     "complete must be true or false, not 'false'"),
+    (_e8t_with(additive_default="half"),
+     "additive_default must be 'simple' or '', not 'half'"),
+], ids=("invalid-json", "missing-key", "catalog-data-error",
+        "tangent-unknown-curve", "tangent-one-curve", "tangent-same-curve",
+        "tangent-three-curves", "tangent-weight-1", "complete-string",
+        "additive-default-half"))
 def test_malformed_catalog_data_fails_cleanly(capsys, tmp_path, text, reason):
     (tmp_path / "bad.json").write_text(text)
     code, out, err = run_main(
@@ -98,7 +121,18 @@ def test_malformed_catalog_data_fails_cleanly(capsys, tmp_path, text, reason):
     ([["R1"]], "edge ['R1'] does not name two curves"),
     ([["R1", "nosuchcurve", 1]],
      "edge ['R1', 'nosuchcurve', 1] does not name two curves"),
-], ids=("one-curve", "unknown-curve"))
+    ([["R8", "R9", 1.0]],
+     "edge ['R8', 'R9', 1.0] has weight 1.0, not an integer >= 0"),
+    ([["R8", "R9", True]],
+     "edge ['R8', 'R9', True] has weight True, not an integer >= 0"),
+    ([["R8", "R9", "1"]],
+     "edge ['R8', 'R9', '1'] has weight '1', not an integer >= 0"),
+    ([["R8", "R9", -1]],
+     "edge ['R8', 'R9', -1] has weight -1, not an integer >= 0"),
+    ([["R1", "R2", 1, 5, "junk"]],
+     "edge ['R1', 'R2', 1, 5, 'junk'] has more than 3 entries"),
+], ids=("one-curve", "unknown-curve", "weight-float", "weight-bool",
+        "weight-string", "weight-negative", "too-many-entries"))
 def test_malformed_edge_fails_cleanly(capsys, tmp_path, edges, reason):
     (tmp_path / "bad.json").write_text(_with_edges(edges))
     code, out, err = run_main(

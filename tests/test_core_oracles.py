@@ -8,6 +8,7 @@ kept in this file.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,15 +20,19 @@ from enriques.catalog import (
     fibration_records,
     load_surface,
 )
+from enriques.classify import FIBER_KINDS
 from enriques.config import CurveConfig, Divisor, NumClass, intersect
 from enriques.divisors import Witness, connected_subsets, specialness_witness
 from enriques.exactmat import det_bareiss, smith_normal_form
 from enriques.rootfibers import (
     DynkinType,
     NonDefinite,
+    NotAffine,
     _diagram_edges,
+    fiber_graph,
     fundamental_cycle,
     is_negative_definite,
+    null_vector,
 )
 
 
@@ -59,6 +64,34 @@ def test_connected_subsets_match_brute_force(config, lo, hi):
         config, 1, config.size())
     assert connected_subsets(config, lo, hi) == brute_connected_subsets(
         config, lo, hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs(max_n=10), st.data())
+def test_subconfig_matches_the_validated_constructor(config, data):
+    meeting = [frozenset((a, b)) for a, b in combinations(config.names, 2)
+               if config.pair(a, b)]
+    tangents = data.draw(st.sets(st.sampled_from(meeting))
+                         if meeting else st.just(set()))
+    config = CurveConfig(config.names, config.inter, frozenset(tangents))
+    support = data.draw(st.sets(st.sampled_from(config.names))
+                        if config.names else st.just(set()))
+    idxs = [i for i, name in enumerate(config.names) if name in support]
+    want = CurveConfig(
+        tuple(config.names[i] for i in idxs),
+        tuple(tuple(config.inter[i][j] for j in idxs) for i in idxs),
+        frozenset(t for t in config.tangent_edges if t <= support),
+    )
+    sub = config.subconfig(support)
+    assert sub == want
+    assert (sub.names, sub.inter, sub.tangent_edges, sub.adj) == (
+        want.names, want.inter, want.tangent_edges, want.adj)
+    for name in config.names:
+        if name in support:
+            assert sub.index(name) == want.index(name)
+        else:
+            with pytest.raises(ValueError):
+                sub.index(name)
 
 
 @settings(max_examples=200, deadline=None)
@@ -259,3 +292,105 @@ def test_specialness_witness_matches_the_fraction_search(name):
         F = [_record_class(records, label) for label in labels]
         assert specialness_witness(F, s.config) == (
             fraction_specialness_witness(F, name)), labels
+
+
+def snf_null_vector(config):
+    """The positive primitive kernel vector of the Gram matrix, read from
+    its Smith normal form, or None when the kernel is not one-dimensional
+    or its generator has a zero or mixed signs."""
+    n = config.size()
+    if n == 0:
+        return None
+    d, _, v = smith_normal_form([list(row) for row in config.inter])
+    if sum(1 for i in range(n) if d[i][i]) != n - 1:
+        return None
+    kernel = [v[row][n - 1] for row in range(n)]
+    g = gcd(*kernel)
+    kernel = [x // g for x in kernel]
+    if kernel[0] < 0:
+        kernel = [-x for x in kernel]
+    if any(x <= 0 for x in kernel):
+        return None
+    return dict(zip(config.names, kernel))
+
+
+def assert_null_vector_matches_snf(config):
+    want = snf_null_vector(config)
+    if want is None:
+        with pytest.raises(NotAffine):
+            null_vector(config)
+    else:
+        assert null_vector(config) == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(FIBER_KINDS), st.randoms(use_true_random=False))
+def test_null_vector_of_reordered_fiber_graphs_matches_snf(kind, rnd):
+    graph = fiber_graph(kind)
+    order = list(range(graph.size()))
+    rnd.shuffle(order)
+    cfg = CurveConfig(
+        tuple(graph.names[i] for i in order),
+        tuple(tuple(graph.inter[i][j] for j in order) for i in order))
+    assert snf_null_vector(cfg) is not None
+    assert_null_vector_matches_snf(cfg)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_null_vector_on_catalog_subsets_matches_snf(name):
+    config = load_surface(name).config
+    affine = 0
+    for subset in connected_subsets(config):
+        sub = config.subconfig(subset)
+        affine += snf_null_vector(sub) is not None
+        assert_null_vector_matches_snf(sub)
+    assert affine > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(configs())
+def test_null_vector_of_random_graphs_matches_snf(config):
+    assert_null_vector_matches_snf(config)
+
+
+def _edges(cfg, suffix=""):
+    return [(a + suffix, b + suffix, cfg.pair(a, b))
+            for a, b in combinations(cfg.names, 2) if cfg.pair(a, b)]
+
+
+def _disjoint_union(first, second):
+    return CurveConfig.from_edges(
+        [name + "_0" for name in first.names]
+        + [name + "_1" for name in second.names],
+        _edges(first, "_0") + _edges(second, "_1"))
+
+
+def _diagram(dtype):
+    n, edges = _diagram_edges(dtype)
+    names = [f"v{i}" for i in range(n)]
+    return CurveConfig.from_edges(names, [(names[a], names[b])
+                                          for a, b in edges])
+
+
+II_STAR = fiber_graph(FIBER_KINDS[-1])
+
+
+@pytest.mark.parametrize("config", [
+    *(_diagram(d) for d in ADE_UP_TO_RANK_8),
+    # indefinite: a triple edge, a 4-cycle with a chord, K4, II* with a
+    # leaf on the end of its long arm
+    CurveConfig.from_edges(("a", "b"), [("a", "b", 3)]),
+    CurveConfig.from_edges("abcd", [
+        ("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "c")]),
+    CurveConfig.from_edges("abcd", list(combinations("abcd", 2))),
+    CurveConfig.from_edges(II_STAR.names + ("x",),
+                           _edges(II_STAR) + [("t0_4", "x")]),
+    # disconnected: two fibers, a fiber and a curve
+    _disjoint_union(fiber_graph(FIBER_KINDS[0]), fiber_graph(FIBER_KINDS[1])),
+    _disjoint_union(fiber_graph(FIBER_KINDS[2]), _diagram(DynkinType("A", 1))),
+], ids=[*(str(d) for d in ADE_UP_TO_RANK_8), "triple-edge",
+        "cycle-with-chord", "K4", "II*-plus-leaf", "I2+I3", "I4+A1"])
+def test_null_vector_rejects_dynkin_indefinite_and_disconnected(config):
+    assert snf_null_vector(config) is None
+    with pytest.raises(NotAffine):
+        null_vector(config)
