@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass
 from math import gcd
 from pathlib import Path
+from typing import NamedTuple
 
 from .config import CurveConfig, Divisor, NumClass, intersect, pairings
 from .divisors import (
@@ -70,25 +71,102 @@ def _data_dir():
     return Path(__file__).parent / "data"
 
 
-def _data_error(path, exc):
-    reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-    return CatalogDataError(f"{path.name}: {reason}")
+class _Shape(NamedTuple):
+    """A JSON value the catalog file format accepts, and the words that
+    name it in a message.  A list's items have one shape, or a shape per
+    position; an object's are {key: shape}, the key str standing for any
+    key the object's own table does not name."""
+    type: type
+    text: str
+    items: object = None
+    sizes: tuple = ()  # the lengths a list may have
+    ok: object = None  # a test the value must pass besides its type
+    required: tuple = ()  # the keys an object must hold
+
+
+def _object(required, optional=None):
+    return _Shape(dict, "an object", {**required, **(optional or {})},
+                  required=tuple(required))
+
+
+def _strings(n):
+    return _Shape(list, f"a list of {n} strings", _STR, (n,))
+
+
+_STR, _INT, _BOOL = (_Shape(str, "a string"), _Shape(int, "an integer"),
+                     _Shape(bool, "true or false"))
+_NAMES = _Shape(list, "a list of strings", _STR)
+
+# The catalog file format: each key a surface file may hold, with the
+# shape of its value, required keys first.  Load checks a parsed file
+# against it once, before anything else reads the data.
+SURFACE_FILE = _object({
+    "name": _STR, "curves": _NAMES,
+    "edges": _Shape(list, "a list of edges", _Shape(
+        list, "a list of 2 curves and an optional weight",
+        (_STR, _STR, _Shape(int, "an integer >= 0", ok=(0).__le__)), (2, 3))),
+    "fibrations": _Shape(list, "a list of fibers", _object(
+        {"label": _STR, "support": _NAMES,
+         "multiplicity": _Shape(str, "'half' or 'simple'",
+                                ok=("half", "simple").__contains__)},
+        {"kind": _STR})),
+}, {
+    "tangent_edges": _Shape(list, "a list of curve pairs", _strings(2)),
+    "char_tag": _STR, "complete": _BOOL,
+    "additive_default": _Shape(str, "'simple' or ''",
+                               ok=("simple", "").__contains__),
+    "claims": _object({}, {
+        "fibration_count": _INT, "max_clique": _INT,
+        "nd": _Shape(list, "a list of 2 integers", _INT, (2,)),
+        "triple": _strings(3), "types": _strings(3), "non_extendable": _BOOL,
+        "witness": _object({
+            "divisor": _object({}, {str: _INT}),
+            "k": _Shape(int, "an integer in 1..3", ok=(1, 2, 3).__contains__),
+        }),
+        "four_sequence": _strings(4),
+        "minus_two": _object(
+            {"triple": _strings(3), "other": _STR, "value": _INT}),
+        "unique_nonspecial": _object({}, {str: _strings(2)}),
+    }),
+})
+# the value of a missing key, and the shape of a key no table names
+_MISSING = type("Missing", (), {"__repr__": lambda self: "missing"})()
+_ABSENT = _Shape(type(_MISSING), "absent")
+
+
+def _check_shape(value, shape, path=""):
+    """Check a parsed value, and everything it holds, against its shape."""
+    if (type(value) is not shape.type
+            or shape.sizes and len(value) not in shape.sizes
+            or shape.ok and not shape.ok(value)):
+        raise CatalogDataError(
+            f"{path or 'the file'} must be {shape.text}, not {value!r}")
+    items = shape.items
+    if type(items) is dict:
+        for key in sorted(value.keys() | set(shape.required)):
+            _check_shape(value.get(key, _MISSING),
+                         items.get(key, items.get(str, _ABSENT)),
+                         f"{path}.{key}" if path else key)
+    elif items:
+        for i, item in enumerate(value):
+            _check_shape(item, items[i] if type(items) is tuple else items,
+                         f"{path}[{i}]")
 
 
 def _surfaces(catalog_dir=None):
-    """(path, surface name, parsed JSON) for every surface file.
-
-    Files that cannot be read or lack a name raise CatalogDataError.
-    """
+    """(path, surface name, parsed JSON) for every surface file; a file
+    that cannot be read, or is not an object with a string name, raises
+    CatalogDataError."""
     base = Path(catalog_dir) if catalog_dir is not None else _data_dir()
     for path in sorted(base.glob("*.json")):
         try:
             with open(path) as fh:
                 data = json.load(fh)
-            name = data["name"]
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            raise _data_error(path, exc) from None
-        yield path, name, data
+            _check_shape(data, SURFACE_FILE._replace(items=None, required=()))
+            _check_shape(data.get("name", _MISSING), _STR, "name")
+        except (OSError, RecursionError, ValueError) as exc:
+            raise CatalogDataError(f"{path.name}: {exc}") from None
+        yield path, data["name"], data
 
 
 def _fiber_divisor(config, support):
@@ -104,30 +182,21 @@ def load_surface(name, catalog_dir=None):
         if surface == name:
             try:
                 return _model_from_json(data)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise _data_error(path, exc) from None
+            except ValueError as exc:
+                raise CatalogDataError(f"{path.name}: {exc}") from None
     raise UnknownSurface(f"{name!r} is not in the catalog")
 
 
 def _model_from_json(data):
-    tangents = [tuple(t) for t in data.get("tangent_edges", [])]
-    config = CurveConfig.from_edges(
-        data["curves"], [tuple(e) for e in data["edges"]], tangents)
+    _check_shape(data, SURFACE_FILE)
+    tangents = data.get("tangent_edges", [])
+    config = CurveConfig.from_edges(data["curves"], data["edges"], tangents)
     # a tangent edge marks two curves tangent at one point (III, not I2)
     for a, b in tangents:
         if config.pair(a, b) != 2:
             raise CatalogDataError(
                 f"tangent edge {[a, b]} joins curves meeting with weight "
                 f"{config.pair(a, b)}, not 2")
-    complete = data.get("complete", False)
-    if type(complete) is not bool:
-        raise CatalogDataError(
-            f"complete must be true or false, not {complete!r}")
-    additive_default = data.get("additive_default", "")
-    if additive_default not in ("simple", ""):
-        raise CatalogDataError(
-            f"additive_default must be 'simple' or '', "
-            f"not {additive_default!r}")
     rank, _ = rank_and_discriminant(GramForm.from_rows(config.inter))
     if rank > NUM_RANK:
         raise CatalogDataError(
@@ -140,92 +209,50 @@ def _model_from_json(data):
                 raise CatalogDataError(
                     f"fibers {f.label} and {entry['label']} repeat a label "
                     "or a support")
-        if entry["multiplicity"] not in ("half", "simple"):
-            raise CatalogDataError(
-                f"bad multiplicity {entry['multiplicity']!r}"
-            )
         try:
             divisor, kind = _fiber_divisor(config, support)
         except NotAffine as exc:
-            raise CatalogDataError(
-                f"fiber {entry['label']} is not an affine configuration: {exc}"
-            )
+            raise CatalogDataError(f"fiber {entry['label']} is not an affine "
+                                   f"configuration: {exc}")
         except ValueError as exc:
             raise CatalogDataError(f"fiber {entry['label']}: {exc}")
         if entry.get("kind") and entry["kind"] != kind:
-            raise CatalogDataError(
-                f"fiber {entry['label']} annotated {entry['kind']} "
-                f"but classifies as {kind}"
-            )
+            raise CatalogDataError(f"fiber {entry['label']} annotated "
+                                   f"{entry['kind']} but classifies as {kind}")
         if len(divisor.support()) > MAX_FIBER_COMPONENTS:
             raise CatalogDataError(
                 f"fiber {entry['label']} has {len(divisor.support())} "
-                f"components, above {MAX_FIBER_COMPONENTS}"
-            )
-        fibrations.append(
-            FiberAnnotation(entry["label"], support, entry["multiplicity"],
-                            kind, divisor)
-        )
+                f"components, above {MAX_FIBER_COMPONENTS}")
+        fibrations.append(FiberAnnotation(
+            entry["label"], support, entry["multiplicity"], kind, divisor))
     claims = data.get("claims", {})
     _check_claims(claims, {f.label for f in fibrations})
     return SurfaceModel(
-        name=data["name"],
-        config=config,
-        fibrations=tuple(fibrations),
-        char_tag=data.get("char_tag", ""),
-        complete=complete,
-        additive_default=additive_default,
-        claims=claims,
-    )
+        data["name"], config, tuple(fibrations), data.get("char_tag", ""),
+        data.get("complete", False), data.get("additive_default", ""), claims)
 
 
 def _check_claims(claims, labels):
-    """Reject claims that verify_surface could not read: claims that are
-    not an object, sequences of the wrong length, fiber labels the
-    surface does not annotate, a witness that is not an object with a
-    divisor of integer coefficients and an index in 1..3, and a special
-    triple without its three fiber types."""
-    if not isinstance(claims, dict):
-        raise CatalogDataError("claims must be a JSON object")
-    named = {key: (claims[key], size)
-             for key, size in (("triple", 3), ("four_sequence", 4))
-             if key in claims}
-    if "minus_two" in claims:
-        claim = claims["minus_two"]
-        named["minus_two"] = (list(claim["triple"]) + [claim["other"]], 4)
-    if "unique_nonspecial" in claims:
-        named["unique_nonspecial"] = (
-            [lab for label, partners in claims["unique_nonspecial"].items()
-             for lab in (label, *partners)], None)
-    for key, (seq, size) in named.items():
-        if size is not None and len(seq) != size:
-            raise CatalogDataError(f"claims.{key} must name {size} fibers")
+    """Reject claims that name a fiber label the surface does not
+    annotate, and a special triple without its three fiber types."""
+    minus_two = claims.get("minus_two", {})
+    unique = claims.get("unique_nonspecial", {})
+    named = {
+        "triple": claims.get("triple", ()),
+        "four_sequence": claims.get("four_sequence", ()),
+        "minus_two": minus_two and [*minus_two["triple"], minus_two["other"]],
+        "unique_nonspecial": [lab for label, partners in unique.items()
+                              for lab in (label, *partners)],
+    }
+    for key, seq in named.items():
         for label in seq:
             if label not in labels:
                 raise CatalogDataError(
                     f"claims.{key} names {label!r}, no annotated fiber")
-    if "witness" in claims:
-        witness = claims["witness"]
-        if not (isinstance(witness, dict)
-                and isinstance(witness.get("divisor"), dict)):
-            raise CatalogDataError(
-                "claims.witness must be an object with a divisor object")
-        for name, c in witness["divisor"].items():
-            if type(c) is not int:
-                raise CatalogDataError(
-                    f"claims.witness.divisor[{name!r}] must be an integer, "
-                    f"not {c!r}")
-        k = witness.get("k")
-        if type(k) is not int or not 1 <= k <= 3:
-            raise CatalogDataError(
-                f"claims.witness.k must be an integer in 1..3, not {k!r}")
-        types = claims.get("types")
-        if "triple" in claims and not (
-                isinstance(types, list) and len(types) == 3
-                and all(isinstance(t, str) for t in types)):
-            raise CatalogDataError(
-                f"claims.types must list the 3 fiber types of a special "
-                f"triple, not {types!r}")
+    if "witness" in claims and "triple" in claims and "types" not in claims:
+        raise CatalogDataError(
+            "claims.types must list the 3 fiber types of a special "
+            "triple, not None")
 
 
 @dataclass(frozen=True)
@@ -256,9 +283,8 @@ def fibration_records(s):
     rays = {}
     for subset in connected_subsets(config, min_size=2,
                                     max_size=MAX_FIBER_COMPONENTS):
-        sub = config.subconfig(subset)
         try:
-            shape = affine_shape(sub)
+            shape = affine_shape(config.subconfig(subset))
         except NotAffine:
             continue
         d = Divisor.from_map(shape.mult_map(), config)
@@ -272,10 +298,8 @@ def fibration_records(s):
             (d, pv, str(shape.kind), annotated.get(frozenset(subset)))
         )
     records = []
-    for ray in sorted(rays):
-        members = rays[ray]
-        half_pv = None
-        rep = None
+    for ray, members in sorted(rays.items()):
+        half_pv = rep = None
         for d, pv, kind, ann in members:
             forced = None
             if any(x % 2 for x in pv):
@@ -296,20 +320,17 @@ def fibration_records(s):
                 raise CatalogDataError(
                     f"{s.name}: inconsistent half-fiber scale on ray {ray}"
                 )
-        labels = tuple(
-            ann.label for _, _, _, ann in members if ann is not None
-        )
+        labels = tuple(ann.label for _, _, _, ann in members if ann)
         kinds = tuple(sorted({kind for _, _, kind, _ in members}))
         if half_pv is None:
-            d, pv, _, _ = members[0]
-            cls = NumClass.from_divisor(d)
-            records.append(FibrationClass(labels, cls, kinds, False, ray))
-            continue
-        d, pv = rep
-        # the forced pairing is pv itself or pv / 2, so the class is d or d/2
-        cls = NumClass.from_divisor(d, 1 if half_pv == pv else 2).flagged(
-            half_fiber=True)
-        records.append(FibrationClass(labels, cls, kinds, True, ray))
+            cls = NumClass.from_divisor(members[0][0])
+        else:
+            d, pv = rep
+            # the forced pairing is pv or pv / 2, so the class is d or d/2
+            cls = NumClass.from_divisor(d, 1 if half_pv == pv else 2).flagged(
+                half_fiber=True)
+        records.append(
+            FibrationClass(labels, cls, kinds, half_pv is not None, ray))
     return records
 
 
@@ -382,11 +403,6 @@ def _nd_bounds(s, records):
 
 def _check(checks, name, ok, detail):
     checks.append((name, "pass" if ok else "fail", detail))
-    return ok
-
-
-def _claimed_triple(records, labels):
-    return [_record_class(records, lab) for lab in labels]
 
 
 def verify_surface(s):
@@ -423,7 +439,7 @@ def verify_surface(s):
         _verify_triple(s, records, checks)
 
     if "four_sequence" in claims:
-        seq = _claimed_triple(records, claims["four_sequence"])
+        seq = [_record_class(records, lab) for lab in claims["four_sequence"]]
         _check(checks, "four-sequence", is_c_sequence(seq),
                " ".join(claims["four_sequence"]))
 
@@ -432,7 +448,7 @@ def verify_surface(s):
 
     if "minus_two" in claims:
         claim = claims["minus_two"]
-        f1, f2, f4 = _claimed_triple(records, claim["triple"])
+        f1, f2, f4 = (_record_class(records, lab) for lab in claim["triple"])
         f5 = _record_class(records, claim["other"])
         val = intersect(f1, f5) + intersect(f2, f5) - intersect(f4, f5)
         _check(checks, "degenerating product", val == claim["value"],
@@ -460,7 +476,7 @@ def verify_surface(s):
 
 def _verify_triple(s, records, checks):
     claims = s.claims
-    F = _claimed_triple(records, claims["triple"])
+    F = [_record_class(records, lab) for lab in claims["triple"]]
     _check(checks, "three-sequence", is_c_sequence(F),
            " ".join(claims["triple"]))
 
@@ -481,25 +497,23 @@ def _verify_triple(s, records, checks):
     if not ok:
         return
 
+    # G_i: the whole fiber of F_i, twice its divisor for a half-fiber
+    G = [f.divisor.scale(2 if f.multiplicity == "half" else 1)
+         for label in claims["triple"] for f in s.fibrations
+         if f.label == label]
     witnesses = []
     for kk in range(3):
         if kk in found:
             witnesses.append(found[kk].divisor)
-        else:
-            i, j = [t for t in range(3) if t != kk]
-            gi = _fiber_sum(s, claims["triple"][i])
-            gj = _fiber_sum(s, claims["triple"][j])
-            gk = _fiber_sum(s, claims["triple"][kk])
-            half = {}
-            for name in s.config.names:
-                c = gi.coeff(name) + gj.coeff(name) - gk.coeff(name)
-                if c % 2:
-                    _check(checks, "triangle graph", False,
-                           f"G_i + G_j - G_k odd at {name}")
-                    return
-                if c:
-                    half[name] = c // 2
-            witnesses.append(Divisor.from_map(half, s.config))
+            continue
+        i, j = [t for t in range(3) if t != kk]
+        twice = G[i] + G[j] - G[kk]
+        odd = [name for name, c in twice.coeffs if c % 2]
+        if odd:
+            _check(checks, "triangle graph", False,
+                   f"G_i + G_j - G_k odd at {odd[0]}")
+            return
+        witnesses.append(Divisor(tuple(c // 2 for c in twice.vec), s.config))
     tri = build_triangle(F=F, witnesses=witnesses, ambient=s.config)
     got_types = sorted(str(t) for t in tri.types)
     want_types = sorted(claims["types"])
@@ -511,13 +525,6 @@ def _verify_triple(s, records, checks):
         ok = obstruction is not None
         _check(checks, "non-extendable", ok,
                str(obstruction) if ok else "criterion inconclusive")
-
-
-def _fiber_sum(s, label):
-    for f in s.fibrations:
-        if f.label == label:
-            return f.divisor.scale(2 if f.multiplicity == "half" else 1)
-    raise KeyError(f"no annotated fiber labelled {label!r}")
 
 
 def _verify_unique_nonspecial(s, records, checks):

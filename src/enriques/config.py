@@ -59,28 +59,21 @@ class CurveConfig:
     @staticmethod
     def from_edges(names, edges, tangent_edges=()):
         """Build from edges (name_a, name_b, weight) or (name_a, name_b),
-        the weight an int >= 0 that defaults to 1, and tangent edges given
-        as pairs of distinct curves; any other edge or tangent edge raises
-        ValueError."""
+        the weight defaulting to 1, and tangent edges given as pairs of
+        curves; an edge or tangent edge that does not name two (distinct)
+        curves raises ValueError."""
         idx = {name: k for k, name in enumerate(names)}
         n = len(names)
         m = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
-        for edge in edges:
-            if len(edge) < 2 or not {edge[0], edge[1]} <= idx.keys():
-                raise ValueError(f"edge {list(edge)} does not name two curves")
-            if len(edge) > 3:
-                raise ValueError(f"edge {list(edge)} has more than 3 entries")
-            a, b = edge[0], edge[1]
-            w = edge[2] if len(edge) > 2 else 1
-            if type(w) is not int or w < 0:
+        for a, b, *w in edges:
+            if not {a, b} <= idx.keys():
                 raise ValueError(
-                    f"edge {list(edge)} has weight {w!r}, not an integer >= 0")
-            m[idx[a]][idx[b]] = w
-            m[idx[b]][idx[a]] = w
+                    f"edge {[a, b, *w]} does not name two curves")
+            m[idx[a]][idx[b]] = m[idx[b]][idx[a]] = w[0] if w else 1
         tangents = set()
         for t in tangent_edges:
             pair = frozenset(t)
-            if len(t) != 2 or len(pair) != 2 or not pair <= idx.keys():
+            if len(pair) != 2 or not pair <= idx.keys():
                 raise ValueError(
                     f"tangent edge {list(t)} does not name two distinct curves")
             tangents.add(pair)

@@ -1,9 +1,9 @@
 """Exact linear algebra over the integers.
 
 All matrices are plain lists of lists of Python ints, so every result is
-exact at arbitrary precision.  The three workhorses are a fraction-free
-determinant (Bareiss), Smith normal form with transformation matrices,
-and exact rational solving via Fraction back-substitution.
+exact at arbitrary precision.  The two workhorses are Smith normal form
+with transformation matrices, and exact rational solving via Fraction
+back-substitution.
 """
 
 from fractions import Fraction
@@ -15,31 +15,6 @@ def identity(n):
 
 def mat_vec(m, v):
     return [sum(x * y for x, y in zip(row, v)) for row in m]
-
-
-def det_bareiss(m):
-    """Determinant by fraction-free Gaussian elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def smith_normal_form(m):
@@ -119,13 +94,6 @@ def smith_normal_form(m):
 
     d = [[a[i][j] if i == j else 0 for j in range(cols)] for i in range(rows)]
     return d, u, v
-
-
-def rank(m):
-    if not m:
-        return 0
-    d, _, _ = smith_normal_form(m)
-    return sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
 
 
 def solve_rational(m, rhs):

@@ -8,14 +8,9 @@ vertex b attached at c3 (negative definite, diagonal -2, adjacent +1).
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
-from .exactmat import (
-    det_bareiss,
-    mat_vec,
-    rank as mat_rank,
-    smith_normal_form,
-    solve_rational,
-)
+from .exactmat import mat_vec, smith_normal_form, solve_rational
 from .rootfibers import DynkinType, diagram_gram, highest_root
 
 
@@ -70,10 +65,15 @@ def rank_and_discriminant(g):
 
 
 def sublattice_index(sub, g):
-    """Index [ambient : span(sub)], or "infinite" when span is not full rank."""
-    if len(sub) != g.dim or mat_rank([list(v) for v in sub]) < g.dim:
+    """Index [ambient : span(sub)], or "infinite" when span is not full rank.
+
+    The index is the product of the invariant factors of the vectors'
+    matrix, and that product is 0 exactly when the rank falls short.
+    """
+    if len(sub) != g.dim or any(len(v) != g.dim for v in sub):
         return "infinite"
-    return abs(det_bareiss([list(v) for v in sub]))
+    d, _, _ = smith_normal_form([list(v) for v in sub])
+    return prod(d[i][i] for i in range(g.dim)) or "infinite"
 
 
 def e10_gram():

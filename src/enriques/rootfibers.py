@@ -100,10 +100,6 @@ class KodairaType:
         """Dynkin type spanned by the fiber components minus one."""
         return _root_of(self.symbol)
 
-    def component_count(self):
-        rt = self.root_type()
-        return 1 if rt is None else rt.n + 1
-
 
 def _affine_kind(dtype, additive=False):
     """The Kodaira type whose components minus one span dtype; additive

@@ -1,5 +1,7 @@
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -86,28 +88,48 @@ def _e8t_with(**changes):
     return json.dumps(data)
 
 
+def _e8t_fiber(**changes):
+    data = _e8t_data()
+    data["fibrations"][0].update(changes)
+    return json.dumps(data)
+
+
 @pytest.mark.parametrize("text, reason", [
     ('{"name": "E8~", ', "Expecting"),
-    (_without_edges(), "missing key 'edges'"),
-    (_bad_multiplicity(), "bad multiplicity 'double'"),
+    (_without_edges(), "edges must be a list of edges, not missing"),
+    (_bad_multiplicity(),
+     "fibrations[0].multiplicity must be 'half' or 'simple', not 'double'"),
     (_e8t_with(tangent_edges=[["R1", "ZZ"]]),
      "tangent edge ['R1', 'ZZ'] does not name two distinct curves"),
     (_e8t_with(tangent_edges=[["R1"]]),
-     "tangent edge ['R1'] does not name two distinct curves"),
+     "tangent_edges[0] must be a list of 2 strings, not ['R1']"),
     (_e8t_with(tangent_edges=[["R1", "R1"]]),
      "tangent edge ['R1', 'R1'] does not name two distinct curves"),
     (_e8t_with(tangent_edges=[["R1", "R2", "R3"]]),
-     "tangent edge ['R1', 'R2', 'R3'] does not name two distinct curves"),
+     "tangent_edges[0] must be a list of 2 strings, not ['R1', 'R2', 'R3']"),
     (_e8t_with(tangent_edges=[["R1", "R2"]]),
      "tangent edge ['R1', 'R2'] joins curves meeting with weight 1, not 2"),
     (_e8t_with(complete="false"),
      "complete must be true or false, not 'false'"),
     (_e8t_with(additive_default="half"),
      "additive_default must be 'simple' or '', not 'half'"),
+    ("[1, 2]", "the file must be an object, not [1, 2]"),
+    ("[" * 100000 + "]" * 100000, "maximum recursion depth exceeded"),
+    (_e8t_with(name=None), "name must be a string, not None"),
+    (_e8t_with(fibrations={}), "fibrations must be a list of fibers, not {}"),
+    (_e8t_fiber(support="R1"),
+     "fibrations[0].support must be a list of strings, not 'R1'"),
+    (_e8t_fiber(label=3), "fibrations[0].label must be a string, not 3"),
+    (_e8t_fiber(kind=5), "fibrations[0].kind must be a string, not 5"),
+    (_e8t_with(char_tag=5), "char_tag must be a string, not 5"),
+    (_e8t_with(comment="x"), "comment must be absent, not 'x'"),
 ], ids=("invalid-json", "missing-key", "catalog-data-error",
         "tangent-unknown-curve", "tangent-one-curve", "tangent-same-curve",
         "tangent-three-curves", "tangent-weight-1", "complete-string",
-        "additive-default-half"))
+        "additive-default-half", "not-an-object", "nested-too-deep",
+        "name-not-a-string",
+        "fibrations-object", "support-string", "label-integer",
+        "kind-integer", "char-tag-integer", "unknown-key"))
 def test_malformed_catalog_data_fails_cleanly(capsys, tmp_path, text, reason):
     (tmp_path / "bad.json").write_text(text)
     code, out, err = run_main(
@@ -118,19 +140,22 @@ def test_malformed_catalog_data_fails_cleanly(capsys, tmp_path, text, reason):
 
 
 @pytest.mark.parametrize("edges, reason", [
-    ([["R1"]], "edge ['R1'] does not name two curves"),
+    ([["R1"]],
+     "edges[0] must be a list of 2 curves and an optional weight, "
+     "not ['R1']"),
     ([["R1", "nosuchcurve", 1]],
      "edge ['R1', 'nosuchcurve', 1] does not name two curves"),
     ([["R8", "R9", 1.0]],
-     "edge ['R8', 'R9', 1.0] has weight 1.0, not an integer >= 0"),
+     "edges[0][2] must be an integer >= 0, not 1.0"),
     ([["R8", "R9", True]],
-     "edge ['R8', 'R9', True] has weight True, not an integer >= 0"),
+     "edges[0][2] must be an integer >= 0, not True"),
     ([["R8", "R9", "1"]],
-     "edge ['R8', 'R9', '1'] has weight '1', not an integer >= 0"),
+     "edges[0][2] must be an integer >= 0, not '1'"),
     ([["R8", "R9", -1]],
-     "edge ['R8', 'R9', -1] has weight -1, not an integer >= 0"),
+     "edges[0][2] must be an integer >= 0, not -1"),
     ([["R1", "R2", 1, 5, "junk"]],
-     "edge ['R1', 'R2', 1, 5, 'junk'] has more than 3 entries"),
+     "edges[0] must be a list of 2 curves and an optional weight, "
+     "not ['R1', 'R2', 1, 5, 'junk']"),
 ], ids=("one-curve", "unknown-curve", "weight-float", "weight-bool",
         "weight-string", "weight-negative", "too-many-entries"))
 def test_malformed_edge_fails_cleanly(capsys, tmp_path, edges, reason):
@@ -220,8 +245,8 @@ def _witness_k(k):
     return data
 
 
-def _a7_claims(**changes):
-    data = _surface_data("A7t.json")
+def _claims(surface_file, **changes):
+    data = _surface_data(surface_file)
     for key, value in changes.items():
         if value is None:
             del data["claims"][key]
@@ -230,28 +255,51 @@ def _a7_claims(**changes):
     return data
 
 
+def _a7_claims(**changes):
+    return _claims("A7t.json", **changes)
+
+
 @pytest.mark.parametrize("data, reason", [
     (_unknown_triple_label(), "claims.triple names 'F99', no annotated fiber"),
     (_unknown_minus_two_label(),
      "claims.minus_two names 'F99', no annotated fiber"),
     (_unknown_unique_nonspecial_label(),
      "claims.unique_nonspecial names 'F99', no annotated fiber"),
-    (_claims_not_an_object(), "claims must be a JSON object"),
+    (_claims_not_an_object(), "claims must be an object, not 'oops'"),
     (_witness_k("3"), "claims.witness.k must be an integer in 1..3, not '3'"),
     (_witness_k(4), "claims.witness.k must be an integer in 1..3, not 4"),
     (_a7_claims(witness={"divisor": {"R6": "x"}, "k": 3}),
-     "claims.witness.divisor['R6'] must be an integer, not 'x'"),
-    (_a7_claims(witness=[3]),
-     "claims.witness must be an object with a divisor object"),
+     "claims.witness.divisor.R6 must be an integer, not 'x'"),
+    (_a7_claims(witness=[3]), "claims.witness must be an object, not [3]"),
     (_a7_claims(witness={"k": 3}),
-     "claims.witness must be an object with a divisor object"),
+     "claims.witness.divisor must be an object, not missing"),
     (_a7_claims(types=None),
      "claims.types must list the 3 fiber types of a special triple, "
      "not None"),
+    (_claims("2D4t.json", unique_nonspecial={"F4": ["G1"]}),
+     "claims.unique_nonspecial.F4 must be a list of 2 strings, not ['G1']"),
+    (_claims("2D4t.json", unique_nonspecial=["F4"]),
+     "claims.unique_nonspecial must be an object, not ['F4']"),
+    (_claims("2D4t.json",
+             minus_two={"other": "F5", "triple": ["G1", "G2", "F4"]}),
+     "claims.minus_two.value must be an integer, not missing"),
+    (_claims("E8t.json", fibration_count="1"),
+     "claims.fibration_count must be an integer, not '1'"),
+    (_claims("E8t.json", nd="11"),
+     "claims.nd must be a list of 2 integers, not '11'"),
+    (_claims("E8t.json", max_clique="1"),
+     "claims.max_clique must be an integer, not '1'"),
+    (_a7_claims(non_extendable="no"),
+     "claims.non_extendable must be true or false, not 'no'"),
+    (_claims("E8t.json", fibration_cout=7),
+     "claims.fibration_cout must be absent, not 7"),
 ], ids=("triple", "minus-two", "unique-nonspecial", "claims-not-object",
         "witness-k-string", "witness-k-range", "witness-divisor-string",
         "witness-not-object", "witness-without-divisor",
-        "special-triple-without-types"))
+        "special-triple-without-types", "partners-of-one",
+        "unique-nonspecial-list", "minus-two-without-value",
+        "fibration-count-string", "nd-string", "max-clique-string",
+        "non-extendable-string", "unknown-claim"))
 def test_malformed_claims_fail_cleanly(capsys, tmp_path, data, reason):
     (tmp_path / "s.json").write_text(json.dumps(data))
     code, out, err = run_main(
@@ -260,6 +308,87 @@ def test_malformed_claims_fail_cleanly(capsys, tmp_path, data, reason):
     assert code == 1
     assert err == ""
     assert f"[fail] catalog data: s.json: {reason}" in out
+
+
+# the keys a surface file must hold, by path with list indices dropped
+REQUIRED = {
+    "name", "curves", "edges", "fibrations", "fibrations[].label",
+    "fibrations[].support", "fibrations[].multiplicity",
+    "claims.witness.divisor", "claims.witness.k", "claims.minus_two.triple",
+    "claims.minus_two.other", "claims.minus_two.value",
+}
+# one value of each JSON type
+JSON_VALUES = (None, True, 7, 2.5, "x", ["x"], {"x": 1})
+DELETE = object()
+
+
+def _fields(value, rng, path=()):
+    """Key paths under a parsed JSON value: every object field, and one
+    item of each list, picked by rng."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list) and value:
+        k = rng.randrange(len(value))
+        items = [(k, value[k])]
+    else:
+        return
+    for key, item in items:
+        yield path + (key,)
+        yield from _fields(item, rng, path + (key,))
+
+
+def _path_text(path):
+    return "".join(f"[{k}]" if type(k) is int else f".{k}"
+                   for k in path).lstrip(".")
+
+
+def _mutants(data, rng):
+    """(path, mutated copy, replacement or DELETE) for each sampled field:
+    the field deleted, or replaced by each value of another JSON type."""
+    for path in _fields(data, rng):
+        original = data
+        for k in path:
+            original = original[k]
+        others = [v for v in JSON_VALUES if type(v) is not type(original)]
+        for value in [DELETE] + others:
+            mutant = json.loads(json.dumps(data))
+            parent = mutant
+            for k in path[:-1]:
+                parent = parent[k]
+            if value is DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            yield path, mutant, value
+
+
+@pytest.mark.parametrize("surface_file",
+                         ["E8t.json", "A7t.json", "2D4t.json", "BP.json"])
+def test_mutated_catalog_files_fail_cleanly(capsys, tmp_path, surface_file):
+    """Delete each sampled field, or give it a value of another JSON type:
+    every run exits 0 or 1 without a traceback, and each wrong type or
+    missing required key is a failed catalog data check on its path."""
+    data = _surface_data(surface_file)
+    rng = random.Random(surface_file)
+    t0 = time.perf_counter()
+    for path, mutant, value in _mutants(data, rng):
+        (tmp_path / surface_file).write_text(json.dumps(mutant))
+        where = _path_text(path)
+        must_fail = value is not DELETE or re.sub(
+            r"\[\d+\]", "[]", where) in REQUIRED
+        for command in ("verify-surface", "nd", "fibrations"):
+            argv = [command, data["name"], "--catalog-dir", str(tmp_path)]
+            try:
+                code, out, err = run_main(capsys, argv)
+            except Exception as exc:
+                pytest.fail(f"{where} = {value!r}: {command} raised {exc!r}")
+            assert code in (0, 1) and err == "", (where, value, command)
+            assert not re.search(r"\[fail\].*found (\S+), expected \1\b",
+                                 out), out
+            if must_fail:
+                assert (f"[fail] catalog data: {surface_file}: {where} "
+                        "must be ") in out, (where, value, out)
+    assert time.perf_counter() - t0 < 5
 
 
 @pytest.mark.parametrize("value", ["12", "0"])

@@ -23,7 +23,7 @@ from enriques.catalog import (
 from enriques.classify import FIBER_KINDS
 from enriques.config import CurveConfig, Divisor, NumClass, intersect
 from enriques.divisors import Witness, connected_subsets, specialness_witness
-from enriques.exactmat import det_bareiss, smith_normal_form
+from enriques.exactmat import smith_normal_form
 from enriques.rootfibers import (
     DynkinType,
     NonDefinite,
@@ -34,6 +34,31 @@ from enriques.rootfibers import (
     is_negative_definite,
     null_vector,
 )
+
+
+def det_bareiss(m):
+    """Determinant by fraction-free Gaussian elimination."""
+    n = len(m)
+    if n == 0:
+        return 1
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 @st.composite

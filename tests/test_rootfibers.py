@@ -11,6 +11,7 @@ from enriques.rootfibers import (
     canonical_vertex_order,
     classify_affine,
     classify_dynkin,
+    fiber_graph,
     fundamental_cycle,
     highest_root,
     is_negative_definite,
@@ -140,7 +141,7 @@ def test_kodaira_root_types_and_component_counts():
         k = KodairaType(symbol)
         want = None if root is None else DynkinType.parse(root)
         assert k.root_type() == want
-        assert k.component_count() == count
+        assert fiber_graph(k).size() == count
 
 
 def test_kodaira_rejects_bad_symbols():
