@@ -22,7 +22,7 @@ from .divisors import (
     specialness_witness,
 )
 from .lattice import GramForm, rank_and_discriminant
-from .rootfibers import NotAffine, affine_shape
+from .rootfibers import NotAffine, fiber_divisor
 
 
 class UnknownSurface(KeyError):
@@ -169,13 +169,6 @@ def _surfaces(catalog_dir=None):
         yield path, data["name"], data
 
 
-def _fiber_divisor(config, support):
-    """Fundamental (null-vector) divisor of an affine subconfiguration."""
-    sub = config.subconfig(support)
-    shape = affine_shape(sub)
-    return Divisor.from_map(shape.mult_map(), config), str(shape.kind)
-
-
 def load_surface(name, catalog_dir=None):
     """The named surface; malformed data raises CatalogDataError."""
     for path, surface, data in _surfaces(catalog_dir):
@@ -210,12 +203,13 @@ def _model_from_json(data):
                     f"fibers {f.label} and {entry['label']} repeat a label "
                     "or a support")
         try:
-            divisor, kind = _fiber_divisor(config, support)
+            kind, divisor = fiber_divisor(config, support)
         except NotAffine as exc:
             raise CatalogDataError(f"fiber {entry['label']} is not an affine "
                                    f"configuration: {exc}")
         except ValueError as exc:
             raise CatalogDataError(f"fiber {entry['label']}: {exc}")
+        kind = str(kind)
         if entry.get("kind") and entry["kind"] != kind:
             raise CatalogDataError(f"fiber {entry['label']} annotated "
                                    f"{entry['kind']} but classifies as {kind}")
@@ -284,10 +278,9 @@ def fibration_records(s):
     for subset in connected_subsets(config, min_size=2,
                                     max_size=MAX_FIBER_COMPONENTS):
         try:
-            shape = affine_shape(config.subconfig(subset))
+            kind, d = fiber_divisor(config, subset)
         except NotAffine:
             continue
-        d = Divisor.from_map(shape.mult_map(), config)
         pv = pairings(d.vec, config)
         g = gcd(*pv)
         if g == 0:
@@ -295,7 +288,7 @@ def fibration_records(s):
                 f"{s.name}: fiber {'+'.join(subset)} has no horizontal curve")
         ray = tuple(x // g for x in pv)
         rays.setdefault(ray, []).append(
-            (d, pv, str(shape.kind), annotated.get(frozenset(subset)))
+            (d, pv, str(kind), annotated.get(frozenset(subset)))
         )
     records = []
     for ray, members in sorted(rays.items()):
@@ -371,13 +364,9 @@ def _clique_matrix(classes):
     return adj
 
 
-def nd_bounds(s):
-    """(min, max) length of maximal half-fiber sequences on the surface."""
-    return _nd_bounds(s, None)
-
-
-def _nd_bounds(s, records):
-    """nd_bounds, on the surface's records when they are already known."""
+def nd_bounds(s, records=None):
+    """(min, max) length of maximal half-fiber sequences on the surface,
+    from its fibration records when they are already known."""
     if not s.complete:
         raise IncompleteCatalog(
             f"{s.name} does not list all of its fibrations"
@@ -457,7 +446,7 @@ def verify_surface(s):
 
     if "nd" in claims:
         try:
-            got = list(_nd_bounds(s, records))
+            got = list(nd_bounds(s, records))
         except IncompleteCatalog as exc:
             checks.append(("nd bounds", "inconclusive", str(exc)))
         else:

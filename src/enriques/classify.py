@@ -14,6 +14,7 @@ from itertools import permutations
 from .config import CurveConfig, Divisor
 from .divisors import (
     MAX_COMPONENTS,
+    TriangleGraph,
     build_triangle,
     connected_subsets,
     extension_obstruction,
@@ -27,9 +28,8 @@ from .rootfibers import (
     NotDynkin,
     _affine_kind,
     _diagram_orderings,
-    classify_dynkin,
+    dynkin_divisor,
     fiber_graph,
-    fundamental_cycle,
     null_vector,
 )
 
@@ -63,17 +63,17 @@ class Decomposition:
     second: Part
 
 
-def _part(cfg, sub):
-    """The Part on cfg carried by the fundamental cycle of the connected
-    subconfiguration sub, or None when sub is not a Dynkin diagram."""
+def _part(cfg, support):
+    """The Part on cfg carried by the fundamental cycle of the curves in
+    support, or None when they do not form a Dynkin diagram."""
     try:
-        dtype = classify_dynkin(sub)
+        dtype, z = dynkin_divisor(cfg, support)
     except NotDynkin:
         return None
-    z = fundamental_cycle(sub)
+    sub = cfg.subconfig(support)
     orders = tuple(tuple(cfg.index(v) for v in order)
                    for order in _diagram_orderings(sub, dtype))
-    return Part(dtype, tuple(z.coeff(v) for v in cfg.names), orders)
+    return Part(dtype, z.vec, orders)
 
 
 @lru_cache(maxsize=None)
@@ -82,18 +82,16 @@ def _decompositions(kind):
     cfg = fiber_graph(kind)
     if cfg.size() < 2:
         return ()  # irreducible fiber: nothing to split
-    null = null_vector(cfg)
-    null = tuple(null[v] for v in cfg.names)
+    null = tuple(null_vector(cfg).values())  # in cfg.names order
     out = []
     for subset in connected_subsets(cfg, max_size=cfg.size() - 1):
-        first = _part(cfg, cfg.subconfig(subset))
+        first = _part(cfg, subset)
         if first is None:
             continue
         rest = tuple(g - c for g, c in zip(null, first.coeffs))
         if any(c < 0 for c in rest):
             continue
-        second = _part(cfg, cfg.subconfig(
-            v for v, c in zip(cfg.names, rest) if c))
+        second = _part(cfg, [v for v, c in zip(cfg.names, rest) if c])
         if second is None or second.coeffs != rest:
             continue
         out.append(Decomposition(kind, first, second))
@@ -200,15 +198,17 @@ def _glue_indexed(kinds, decomps, chosen):
 
 
 @dataclass(frozen=True)
-class CensusEntry:
-    triple: tuple  # three DynkinType, sorted by type_sort_key
-    variant: int
-    glued: CurveConfig
-    S: tuple  # three Divisors on glued, aligned with triple
-    G_types: tuple  # G_i = S_j + S_k
+class CensusEntry(TriangleGraph):
+    """A census triangle graph, its roles in type_sort_key order, with the
+    rank and discriminant of its lattice."""
     rank: int
     disc: int
+    variant: int = 0
     verdict: object = None  # Excluded(...) / Survivor(...) once derived
+
+    @property
+    def triple(self):
+        return self.types
 
 
 @dataclass(frozen=True)
@@ -228,7 +228,7 @@ class Survivor:
 
 
 def _raw_triangles(max_components):
-    """Consistent gluings as (kinds, types, n, weights, coeff rows), with
+    """Consistent gluings as (types, n, weights, coeff rows), with
     the role types already in canonical sorted order.  Each fiber takes
     only its orbit-first splittings: a gluing from any other splitting has
     an isomorphic twin from the orbit-first one, earlier in this order."""
@@ -269,12 +269,14 @@ def _raw_triangles(max_components):
                                 continue
                             key = ((t1, t2, t3), weights, coeffs)
                             if key not in found:
-                                found[key] = (kinds, (t1, t2, t3),
+                                found[key] = ((t1, t2, t3),
                                               n, weights, coeffs)
     return list(found.values())
 
 
-def _make_entry(types, n, weights, coeffs):
+def _make_entry(n, weights, coeffs):
+    """The census entry of a raw gluing, or None when it fails the
+    capacity check.  The gluing's roles come in type_sort_key order."""
     names = tuple(f"v{i}" for i in range(n))
     inter = tuple(
         tuple(-2 if i == j else weights[i][j] for j in range(n))
@@ -285,13 +287,8 @@ def _make_entry(types, n, weights, coeffs):
     tri = build_triangle(witnesses=divisors, ambient=glued)
     if not fibration_capacity_ok(tri):
         return None
-    order = sorted(range(3), key=lambda k: type_sort_key(tri.types[k]))
-    gram = GramForm.from_rows([list(r) for r in glued.inter])
-    r, disc = rank_and_discriminant(gram)
-    return CensusEntry(
-        tuple(tri.types[k] for k in order), 0, tri.glued,
-        tuple(tri.S[k] for k in order),
-        tuple(tri.G_types[k] for k in order), r, disc)
+    r, disc = rank_and_discriminant(GramForm.from_rows(glued.inter))
+    return CensusEntry(tri.S, tri.types, tri.G_types, tri.glued, r, disc)
 
 
 def _refine(colours, nbrs):
@@ -374,12 +371,12 @@ def enumerate_triangles(max_components=MAX_COMPONENTS):
     """
     seen = set()
     kept = []
-    for _, types, n, weights, coeffs in _raw_triangles(max_components):
+    for types, n, weights, coeffs in _raw_triangles(max_components):
         key = _canonical_key(types, n, weights, coeffs)
         if key in seen:
             continue
         seen.add(key)
-        entry = _make_entry(types, n, weights, coeffs)
+        entry = _make_entry(n, weights, coeffs)
         if entry is not None:
             kept.append(entry)
     kept.sort(key=lambda e: (
@@ -423,12 +420,11 @@ def derive_survivors(filtered):
         if isinstance(e.verdict, Excluded):
             out.append(e)
             continue
-        tri = build_triangle(witnesses=e.S, ambient=e.glued)
-        ext = internal_extender(tri)
+        ext = internal_extender(e)
         if ext is not None:
             out.append(replace(e, verdict=Excluded(f"extends: {ext[1]}")))
             continue
-        obs = extension_obstruction(tri)
+        obs = extension_obstruction(e)
         if obs is None:
             out.append(replace(e, verdict=Excluded(
                 "no extender found but obstruction inconclusive")))

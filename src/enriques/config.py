@@ -61,14 +61,22 @@ class CurveConfig:
         """Build from edges (name_a, name_b, weight) or (name_a, name_b),
         the weight defaulting to 1, and tangent edges given as pairs of
         curves; an edge or tangent edge that does not name two (distinct)
-        curves raises ValueError."""
+        curves, and an edge on a pair an earlier edge named, raise
+        ValueError."""
         idx = {name: k for k, name in enumerate(names)}
         n = len(names)
         m = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
+        named = set()
         for a, b, *w in edges:
-            if not {a, b} <= idx.keys():
+            pair = frozenset((a, b))
+            if len(pair) != 2 or not pair <= idx.keys():
                 raise ValueError(
                     f"edge {[a, b, *w]} does not name two curves")
+            if pair in named:
+                raise ValueError(
+                    f"edge {[a, b, *w]} repeats the curve pair of an "
+                    "earlier edge")
+            named.add(pair)
             m[idx[a]][idx[b]] = m[idx[b]][idx[a]] = w[0] if w else 1
         tangents = set()
         for t in tangent_edges:

@@ -9,13 +9,7 @@ drives the whole classification.
 from dataclasses import dataclass
 
 from .config import CurveConfig, Divisor, NumClass, intersect, pairings
-from .rootfibers import (
-    NonDefinite,
-    NotAffine,
-    affine_shape,
-    classify_dynkin,
-    fundamental_cycle,
-)
+from .rootfibers import NotAffine, NotDynkin, dynkin_divisor, fiber_divisor
 
 
 # the most components a triangle graph may have
@@ -107,10 +101,9 @@ def specialness_witness(F, ambient):
     found = {}
     for subset in connected_subsets(ambient):
         try:
-            z = fundamental_cycle(ambient.subconfig(subset))
-        except NonDefinite:
+            _, d = dynkin_divisor(ambient, subset)
+        except NotDynkin:
             continue
-        d = Divisor.from_map(dict(z.coeffs), ambient)
         pv = pairings(d.vec, ambient)
         for k in range(3):
             if k not in found and pv == targets[k]:
@@ -149,10 +142,8 @@ def build_triangle(witnesses, ambient, F=None):
     for k, s in enumerate(S):
         if intersect(s, s) != -2:
             raise InvariantViolation(f"S_{k+1}^2 != -2")
-        sub = glued.subconfig(s.support())
-        dtype = classify_dynkin(sub)
-        z = fundamental_cycle(sub)
-        if dict(z.coeffs) != dict(s.coeffs):
+        dtype, z = dynkin_divisor(glued, s.support())
+        if z != s:
             raise InvariantViolation(
                 f"S_{k+1} is not the fundamental cycle of its support"
             )
@@ -165,16 +156,15 @@ def build_triangle(witnesses, ambient, F=None):
     for i in range(3):
         j, k = [t for t in range(3) if t != i]
         g = S[j] + S[k]
-        sub = glued.subconfig(g.support())
         try:
-            shape = affine_shape(sub)
+            kind, null = fiber_divisor(glued, g.support())
         except NotAffine as exc:
             raise InvariantViolation(f"S_{j+1} + S_{k+1} is not a fiber: {exc}")
-        if shape.mult_map() != dict(g.coeffs):
+        if null != g:
             raise InvariantViolation(
                 f"S_{j+1} + S_{k+1} does not carry fiber multiplicities"
             )
-        g_types.append(shape.kind)
+        g_types.append(kind)
     if glued.size() > MAX_COMPONENTS:
         raise InvariantViolation(
             f"triangle graph has more than {MAX_COMPONENTS} components")
@@ -255,13 +245,11 @@ def internal_extender(t):
     """
     twice = [_twice_pairings(f) for f in half_fiber_classes(t)]
     for subset in connected_subsets(t.glued, min_size=2):
-        sub = t.glued.subconfig(subset)
         try:
-            shape = affine_shape(sub)
+            kind, d = fiber_divisor(t.glued, subset)
         except NotAffine:
             continue
-        d = Divisor.from_map(shape.mult_map(), t.glued)
         if all(sum(c * x for c, x in zip(d.vec, tw)) == 2 for tw in twice):
             cls = NumClass.from_divisor(d).flagged(half_fiber=True)
-            return cls, shape.kind
+            return cls, kind
     return None

@@ -1,12 +1,10 @@
 """Exact linear algebra over the integers.
 
 All matrices are plain lists of lists of Python ints, so every result is
-exact at arbitrary precision.  The two workhorses are Smith normal form
-with transformation matrices, and exact rational solving via Fraction
-back-substitution.
+exact at arbitrary precision.  The one workhorse is Smith normal form
+with transformation matrices: rank, discriminant, index, span membership
+and integral solving all read it.
 """
-
-from fractions import Fraction
 
 
 def identity(n):
@@ -95,28 +93,3 @@ def smith_normal_form(m):
     d = [[a[i][j] if i == j else 0 for j in range(cols)] for i in range(rows)]
     return d, u, v
 
-
-def solve_rational(m, rhs):
-    """Solve m*x = rhs exactly over the rationals.
-
-    Returns a list of Fractions, or None if the system is singular or
-    inconsistent.  m must be square.
-    """
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if a[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [a[i][n] for i in range(n)]

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 
-from .exactmat import mat_vec, smith_normal_form, solve_rational
+from .exactmat import mat_vec, smith_normal_form
 from .rootfibers import DynkinType, diagram_gram, highest_root
 
 
@@ -113,23 +113,25 @@ class CossecSolveError(RuntimeError):
 def solve_cossec_vector(tup, i, j):
     """An isotropic vector pairing 2 with f_i, f_j and 1 with the other f_k.
 
-    The ten linear constraints determine the vector uniquely over Q
-    because the tuple spans a finite-index sublattice, so the solve is
-    exact; integrality and isotropy are verified afterwards.
+    The ten linear constraints A x = b determine the vector uniquely
+    because the tuple spans a finite-index sublattice.  With U A V = D in
+    Smith normal form, x = V y where D y = U b, so x is integral exactly
+    when each d_i divides (U b)_i; isotropy is verified afterwards.
     """
     if i == j:
         raise ValueError("indices must differ")
     if len(tup) != 10:
         raise ValueError("need a full 10-tuple")
     g = e10_gram()
-    a = [mat_vec([list(g.entries[r]) for r in range(10)], list(f)) for f in tup]
-    rhs = [2 if k in (i, j) else 1 for k in range(10)]
-    sol = solve_rational(a, rhs)
-    if sol is None:
+    a = [mat_vec(g.entries, f) for f in tup]
+    d, u, vmat = smith_normal_form(a)
+    ub = mat_vec(u, [2 if k in (i, j) else 1 for k in range(10)])
+    diag = [d[k][k] for k in range(10)]
+    if 0 in diag:
         raise CossecSolveError("constraint system is singular")
-    if any(x.denominator != 1 for x in sol):
+    if any(x % dk for x, dk in zip(ub, diag)):
         raise CossecSolveError("no integral solution")
-    v = [int(x) for x in sol]
+    v = mat_vec(vmat, [x // dk for x, dk in zip(ub, diag)])
     if gram_product(v, v, g) != 0:
         raise CossecSolveError("solution is not isotropic")
     return tuple(v)

@@ -4,7 +4,9 @@ The one table of diagram facts (root types of Kodaira fibers, star arm
 lengths, diagram layouts, highest roots, the E8 Gram matrix) and what
 reads it: recognition of curve configurations, the dual graphs of
 Kodaira fibers, highest-root and null-vector multiplicities, and Artin's
-fundamental-cycle iteration.
+fundamental-cycle iteration.  A connected set of curves is recognised in
+one place: dynkin_divisor and fiber_divisor return its type and its cycle
+as a Divisor on the ambient configuration.
 """
 
 from dataclasses import dataclass
@@ -20,10 +22,6 @@ class NotDynkin(ValueError):
 
 
 class NotAffine(ValueError):
-    pass
-
-
-class NonDefinite(ValueError):
     pass
 
 
@@ -43,10 +41,6 @@ class DynkinType:
 
     def __str__(self):
         return f"{self.family}{self.n}"
-
-    @staticmethod
-    def parse(s):
-        return DynkinType(s[0], int(s[1:]))
 
 
 # The Kodaira fibers with a fixed symbol, by root type: the Dynkin type
@@ -125,16 +119,6 @@ _DYNKIN_STARS = {
     _dynkin_arms(arms): _FIXED_ROOTS[symbol]
     for symbol, arms in _STAR_ARMS.items()
 }
-
-
-@dataclass(frozen=True)
-class FiberShape:
-    config: CurveConfig
-    mult: tuple  # ((name, positive int), ...) over all vertices
-    kind: KodairaType
-
-    def mult_map(self):
-        return dict(self.mult)
 
 
 def _arm_walk(adj, branch, first):
@@ -325,28 +309,8 @@ def highest_root(d):
     return (2, 4, 6, 5, 4, 3, 2, 3)
 
 
-def is_negative_definite(config):
-    """Sylvester's criterion: the k-th leading principal minor of the
-    intersection matrix has sign (-1)^k for every k.
-
-    One fraction-free (Bareiss) elimination without pivoting leaves the
-    k-th leading minor as its k-th pivot; a zero pivot is a zero minor.
-    """
-    m = [list(row) for row in config.inter]
-    n = len(m)
-    prev = 1
-    for k in range(n):
-        pivot = m[k][k]
-        if pivot == 0 or (pivot > 0) != (k % 2 == 1):
-            return False
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-        prev = pivot
-    return True
-
-
-# safety bound on Artin steps per component (see fundamental_cycle)
+# bound on Artin steps per component; no ADE or affine graph reaches it
+# (see dynkin_divisor and null_vector)
 ARTIN_STEPS_PER_COMPONENT = 30
 
 
@@ -367,19 +331,27 @@ def _artin(config):
     return None
 
 
-def fundamental_cycle(config):
-    """Least positive divisor Z on all of config with Z.R <= 0 for every R.
+def dynkin_divisor(config, support):
+    """(ADE type, fundamental cycle as a Divisor on config) of the curves
+    in support, or NotDynkin.
 
-    Artin's iteration stops at Z on a negative definite configuration,
-    within the highest-root coefficient total, which is at most 29 per
-    component.
+    The fundamental cycle is the least positive Z on the support with
+    Z.R <= 0 for every R in it.  A connected configuration (diagonal -2,
+    off-diagonal >= 0) is negative definite exactly when it is an ADE
+    diagram, as its negation is then a Cartan matrix of finite type (Kac,
+    Prop. 4.9), so the diagram's shape decides definiteness.  Artin's
+    iteration then stops at Z within the highest-root coefficient total,
+    which is at most 29 per component.
     """
-    if not is_negative_definite(config):
-        raise NonDefinite("fundamental cycle needs a negative definite config")
-    z = _artin(config)
-    if z is None:
-        raise NonDefinite("Artin iteration exceeded its step bound")
-    return Divisor(tuple(z), config)
+    sub = config.subconfig(support)
+    dtype = classify_dynkin(sub)
+    return dtype, Divisor.from_map(dict(zip(sub.names, _artin(sub))), config)
+
+
+def fundamental_cycle(config):
+    """Fundamental cycle on all of config, or NotDynkin when config is
+    not one connected ADE diagram."""
+    return dynkin_divisor(config, config.names)[1]
 
 
 def null_vector(config):
@@ -403,13 +375,12 @@ def null_vector(config):
     return dict(zip(config.names, z))
 
 
-def affine_shape(config):
-    """FiberShape with null-vector multiplicities for a Kodaira configuration."""
-    ktype = classify_affine(config)
-    mult = null_vector(config)
-    return FiberShape(
-        config, tuple((name, mult[name]) for name in config.names), ktype
-    )
+def fiber_divisor(config, support):
+    """(Kodaira type, null vector as a Divisor on config) of the curves in
+    support, or NotAffine."""
+    sub = config.subconfig(support)
+    kind = classify_affine(sub)
+    return kind, Divisor.from_map(null_vector(sub), config)
 
 
 def _diagram_edges(dtype):

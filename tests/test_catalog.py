@@ -111,14 +111,18 @@ def test_annotated_fiber_divisors_are_computed_at_load_only(monkeypatch, name):
     s = load_surface(name)
     for f in s.fibrations:
         assert f.divisor.support() == frozenset(f.support)
+    # fibration_records recognises every connected subset; apart from it,
+    # verify_surface recognises no fiber and reads the stored divisors
+    records = fibration_records(s)
     calls = []
 
     def counting(config, support):
         calls.append(support)
         return fiber_divisor(config, support)
 
-    fiber_divisor = catalog._fiber_divisor
-    monkeypatch.setattr(catalog, "_fiber_divisor", counting)
+    fiber_divisor = catalog.fiber_divisor
+    monkeypatch.setattr(catalog, "fibration_records", lambda _: records)
+    monkeypatch.setattr(catalog, "fiber_divisor", counting)
     verify_surface(s)
     assert calls == []
 

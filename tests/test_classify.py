@@ -182,7 +182,7 @@ def full_raw_triangles(max_components):
                                 continue
                             key = ((t1, t2, t3), weights, coeffs)
                             if key not in found:
-                                found[key] = (kinds, (t1, t2, t3),
+                                found[key] = ((t1, t2, t3),
                                               n, weights, coeffs)
     return list(found.values())
 
@@ -192,7 +192,7 @@ def first_of_each_class(raw):
     seen = set()
     out = []
     for gluing in raw:
-        key = _canonical_key(*gluing[1:])
+        key = _canonical_key(*gluing)
         if key not in seen:
             seen.add(key)
             out.append(gluing)
@@ -217,7 +217,7 @@ def test_orbit_cut_keeps_the_full_loop_representatives(full_loop_firsts):
 def test_orbit_cut_matches_the_full_loop_at_every_bound(
         full_loop_firsts, monkeypatch, max_components):
     # n is an isomorphism invariant, so the bound drops whole classes
-    firsts = [g for g in full_loop_firsts if g[2] <= max_components]
+    firsts = [g for g in full_loop_firsts if g[1] <= max_components]
     assert first_of_each_class(_raw_triangles(max_components)) == firsts
     fast = enumerate_triangles(max_components)
     monkeypatch.setattr(classify, "_raw_triangles", lambda _: firsts)

@@ -156,8 +156,14 @@ def test_malformed_catalog_data_fails_cleanly(capsys, tmp_path, text, reason):
     ([["R1", "R2", 1, 5, "junk"]],
      "edges[0] must be a list of 2 curves and an optional weight, "
      "not ['R1', 'R2', 1, 5, 'junk']"),
+    (_e8t_data()["edges"] + [["R2", "R1", 2]],
+     "edge ['R2', 'R1', 2] repeats the curve pair of an earlier edge"),
+    (_e8t_data()["edges"] + [["R1", "R2", 1]],
+     "edge ['R1', 'R2', 1] repeats the curve pair of an earlier edge"),
+    ([["R1", "R1", 1]], "edge ['R1', 'R1', 1] does not name two curves"),
 ], ids=("one-curve", "unknown-curve", "weight-float", "weight-bool",
-        "weight-string", "weight-negative", "too-many-entries"))
+        "weight-string", "weight-negative", "too-many-entries",
+        "repeated-pair-reversed", "repeated-pair-same-weight", "self-edge"))
 def test_malformed_edge_fails_cleanly(capsys, tmp_path, edges, reason):
     (tmp_path / "bad.json").write_text(_with_edges(edges))
     code, out, err = run_main(

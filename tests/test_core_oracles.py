@@ -26,12 +26,12 @@ from enriques.divisors import Witness, connected_subsets, specialness_witness
 from enriques.exactmat import smith_normal_form
 from enriques.rootfibers import (
     DynkinType,
-    NonDefinite,
     NotAffine,
+    NotDynkin,
     _diagram_edges,
+    dynkin_divisor,
     fiber_graph,
     fundamental_cycle,
-    is_negative_definite,
     null_vector,
 )
 
@@ -120,14 +120,21 @@ def test_subconfig_matches_the_validated_constructor(config, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(configs())
+@given(configs().filter(CurveConfig.is_connected))
 def test_negative_definite_matches_leading_minor_signs(config):
+    # Sylvester: negative definite exactly when the k-th leading minor has
+    # sign (-1)^k for every k; the fundamental cycle exists exactly then
     m = [list(row) for row in config.inter]
-    want = all(
+    definite = all(
         (-1) ** k * det_bareiss([row[:k] for row in m[:k]]) > 0
         for k in range(1, len(m) + 1)
     )
-    assert is_negative_definite(config) == want
+    if definite:
+        z = fundamental_cycle(config)
+        assert z.ambient is config and intersect(z, z) == -2
+    else:
+        with pytest.raises(NotDynkin):
+            fundamental_cycle(config)
 
 
 ADE_UP_TO_RANK_8 = (
@@ -269,12 +276,11 @@ def fraction_cycles(name):
     out = []
     for subset in connected_subsets(config):
         try:
-            z = fundamental_cycle(config.subconfig(subset))
-        except NonDefinite:
+            _, z = dynkin_divisor(config, subset)
+        except NotDynkin:
             continue
-        z_amb = Divisor.from_map(dict(z.coeffs), config)
-        out.append((z_amb, fraction_pairing_vector(
-            tuple(Fraction(c) for c in z_amb.vec), config)))
+        out.append((z, fraction_pairing_vector(
+            tuple(Fraction(c) for c in z.vec), config)))
     return out
 
 

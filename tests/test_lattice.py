@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from enriques.exactmat import smith_normal_form
 from enriques.lattice import (
+    CossecSolveError,
     DimensionMismatch,
     GramForm,
     divisibility_check,
@@ -61,6 +62,15 @@ def test_cossec_vector_symmetric_in_index_pair():
 def test_cossec_vector_rejects_equal_indices():
     with pytest.raises(ValueError):
         solve_cossec_vector(BASIS, 4, 4)
+
+
+@pytest.mark.parametrize("basis, reason", [
+    ([tuple(2 * x for x in f) for f in BASIS], "no integral solution"),
+    ([BASIS[0]] + BASIS[:9], "singular"),
+], ids=("doubled", "repeated-vector"))
+def test_cossec_vector_rejects_unsolvable_constraints(basis, reason):
+    with pytest.raises(CossecSolveError, match=reason):
+        solve_cossec_vector(basis, 8, 9)
 
 
 def test_cossec_vector_outside_span():

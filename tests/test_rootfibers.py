@@ -4,17 +4,15 @@ from enriques.config import CurveConfig
 from enriques.rootfibers import (
     DynkinType,
     KodairaType,
-    NonDefinite,
     NotAffine,
     NotDynkin,
-    affine_shape,
     canonical_vertex_order,
     classify_affine,
     classify_dynkin,
+    fiber_divisor,
     fiber_graph,
     fundamental_cycle,
     highest_root,
-    is_negative_definite,
     null_vector,
     _diagram_edges,
 )
@@ -67,8 +65,7 @@ def test_cycle_graph_is_not_dynkin():
     )
     with pytest.raises(NotDynkin):
         classify_dynkin(cycle)
-    assert not is_negative_definite(cycle)
-    with pytest.raises(NonDefinite):
+    with pytest.raises(NotDynkin):
         fundamental_cycle(cycle)
 
 
@@ -96,14 +93,17 @@ def test_classify_affine_two_vertex_double_edge():
     assert classify_affine(tangent) == KodairaType("III")
 
 
-def test_affine_shape_of_extended_e8():
+def test_fiber_divisor_of_extended_e8():
     names = tuple(f"v{i}" for i in range(8))
     edges = [(f"v{i}", f"v{i+1}") for i in range(7)]
-    # E8 chain of eight vertices with the branch leaf third from one end
-    cfg = CurveConfig.from_edges(names + ("w",), edges + [("v2", "w")])
-    shape = affine_shape(cfg)
-    assert shape.kind == KodairaType("II*")
-    assert sum(shape.mult_map().values()) == 30
+    # E8 chain of eight vertices with the branch leaf third from one end,
+    # and one curve off the fiber
+    cfg = CurveConfig.from_edges(names + ("w", "x"),
+                                 edges + [("v2", "w"), ("v7", "x")])
+    kind, null = fiber_divisor(cfg, names + ("w",))
+    assert kind == KodairaType("II*")
+    assert null.ambient is cfg
+    assert sum(null.vec) == 30 and null.coeff("x") == 0
 
 
 def test_tree_with_two_branch_vertices_off_the_d_shape_is_not_affine():
@@ -113,7 +113,7 @@ def test_tree_with_two_branch_vertices_off_the_d_shape_is_not_affine():
     cfg = CurveConfig.from_edges(
         ("c", "b", "x", "y", "l0", "l1", "l2", "l3"), edges)
     with pytest.raises(NotAffine):
-        affine_shape(cfg)
+        fiber_divisor(cfg, cfg.names)
 
 
 def test_dynkin_config_is_not_affine():
@@ -139,7 +139,7 @@ def test_kodaira_root_types_and_component_counts():
     }
     for symbol, (root, count) in table.items():
         k = KodairaType(symbol)
-        want = None if root is None else DynkinType.parse(root)
+        want = None if root is None else DynkinType(root[0], int(root[1:]))
         assert k.root_type() == want
         assert fiber_graph(k).size() == count
 
