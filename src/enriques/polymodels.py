@@ -8,18 +8,30 @@ as stated.  Generic coefficients are handled by enlarging the variable
 set with degree-zero symbols.
 
 A polynomial is one dict from monomials to nonzero integers.  A monomial
-is the sorted tuple of its variable names, each name repeated by its
-exponent: x0^2*q01 is ("q01", "x0", "x0") and the constant monomial is
-().  So two polynomials in different variables need no common variable
-list, a product monomial is the sorted concatenation of its factors, and
-two polynomials are equal exactly when their dicts are.
+is one int of packed exponents: the exponent of variable i sits in bits
+16*i to 16*i+15, so x0^2*x3 is 2 + (1 << 48) and the constant monomial
+is 0.  x0..x3 are variables 0..3; any other name takes the next index
+the first time it is used, from one name table for the whole process.
+So a product monomial is the sum of its factors, two polynomials in
+different variables need no common variable list, and two polynomials
+are equal exactly when their dicts are.  The top bit of each field is a
+guard bit: a product with an exponent above MAX_EXPONENT raises
+ExponentError instead of carrying into the next variable's field.
 """
 
-import sys
 from functools import lru_cache
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations_with_replacement
 
-GEOMETRIC_VARS = frozenset(("x0", "x1", "x2", "x3"))
+FIELD_BITS = 16
+_FIELD = (1 << FIELD_BITS) - 1
+MAX_EXPONENT = _FIELD >> 1
+_X3 = 3 * FIELD_BITS  # the shift of x3's field
+
+# the variable table, append-only: index -> name, name -> index, and the
+# guard bits of every field in use
+_NAMES = []
+_INDEX = {}
+_guard = 0
 
 
 class NotDivisible(ArithmeticError):
@@ -30,21 +42,43 @@ class DegreeError(ValueError):
     pass
 
 
-def _var_key(name):
-    return (name not in GEOMETRIC_VARS, name)
+class ExponentError(OverflowError):
+    pass
+
+
+def _index(name):
+    """The index of a variable, the next free one on first use."""
+    global _guard
+    i = _INDEX.get(name)
+    if i is None:
+        i = _INDEX[name] = len(_NAMES)
+        _NAMES.append(name)
+        _guard |= 1 << (FIELD_BITS * i + FIELD_BITS - 1)
+    return i
+
+
+for _name in ("x0", "x1", "x2", "x3"):
+    _index(_name)
 
 
 def _geometric_degree(mono):
-    return sum(v in GEOMETRIC_VARS for v in mono)
+    return ((mono & _FIELD) + (mono >> FIELD_BITS & _FIELD)
+            + (mono >> 2 * FIELD_BITS & _FIELD) + (mono >> _X3 & _FIELD))
+
+
+def _degree(terms):
+    return max(map(_geometric_degree, terms), default=-1)
 
 
 class MultiPoly:
     """Immutable polynomial with integer coefficients.
 
-    ``terms`` maps monomials (sorted tuples of variable names, repeated
-    by exponent) to nonzero integers; the constructor drops zero
-    coefficients and expects its keys in that form.  Variables outside
-    x0..x3 count as degree 0 in the geometric grading.
+    ``terms`` maps monomials (packed exponent ints with no exponent above
+    MAX_EXPONENT, see the module docstring) to nonzero integers; the
+    constructor drops zero coefficients and expects its keys in that form.  ``from_names`` and
+    ``named`` convert from and to sorted tuples of variable names, each
+    repeated by its exponent.  Variables outside x0..x3 count as degree 0
+    in the geometric grading.
     """
 
     __slots__ = ("terms",)
@@ -58,12 +92,33 @@ class MultiPoly:
 
     @staticmethod
     def constant(c):
-        return MultiPoly({(): c})
+        return MultiPoly({0: c})
 
     @staticmethod
     def variable(name):
-        # one shared object per name keeps monomials small and fast to sort
-        return MultiPoly({(sys.intern(name),): 1})
+        return MultiPoly({1 << FIELD_BITS * _index(name): 1})
+
+    @staticmethod
+    def from_names(terms):
+        """The polynomial whose terms map sorted name tuples, each name
+        repeated by its exponent, to integers; the inverse of named()."""
+        out = {}
+        for names, c in terms.items():
+            mono = 0
+            for v in set(names):
+                e = names.count(v)
+                if e > MAX_EXPONENT:
+                    raise ExponentError(f"exponent exceeds {MAX_EXPONENT}")
+                mono += e << FIELD_BITS * _index(v)
+            out[mono] = out.get(mono, 0) + c
+        return MultiPoly(out)
+
+    def named(self):
+        """The terms keyed by sorted tuples of variable names, each name
+        repeated by its exponent: x0^2*q01 is ("q01", "x0", "x0")."""
+        return {tuple(sorted(v for i, v in enumerate(_NAMES)
+                             for _ in range(m >> FIELD_BITS * i & _FIELD))): c
+                for m, c in self.terms.items()}
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -111,23 +166,27 @@ class MultiPoly:
 
     def degree(self):
         """Largest geometric term degree (only x0..x3 count); -1 for 0."""
-        return max(map(_geometric_degree, self.terms), default=-1)
+        return _degree(self.terms)
 
     def is_homogeneous(self, degree):
         return all(_geometric_degree(m) == degree for m in self.terms)
 
     def substitute(self, mapping):
-        """Replace variables by polynomials; unnamed variables persist."""
+        """Replace variables by polynomials or ints, all at once; unnamed
+        variables persist."""
+        subs = [(FIELD_BITS * _INDEX[v], _coerce(p))
+                for v, p in mapping.items() if v in _INDEX]
+        keep = ~sum(_FIELD << shift for shift, _ in subs)
         out = {}
         powers = {}
         for mono, c in self.terms.items():
-            term = {tuple(v for v in mono if v not in mapping): c}
-            for v, run in groupby(mono):
-                if v in mapping:
-                    e = len(tuple(run))
-                    if (v, e) not in powers:
-                        powers[(v, e)] = (mapping[v] ** e).terms
-                    term = _product(term, powers[(v, e)])
+            term = {mono & keep: c}
+            for shift, poly in subs:
+                e = mono >> shift & _FIELD
+                if e:
+                    if (shift, e) not in powers:
+                        powers[shift, e] = (poly ** e).terms
+                    term = _product(term, powers[shift, e])
             for m, c2 in term.items():
                 out[m] = out.get(m, 0) + c2
         return MultiPoly(out)
@@ -140,28 +199,34 @@ class MultiPoly:
         (dmono, dcoef), = mono.terms.items()
         out = {}
         for m, c in self.terms.items():
-            rest = list(m)
-            for v in dmono:
-                if v not in rest:
-                    raise NotDivisible("monomial does not divide a term")
-                rest.remove(v)
+            # a field of m below dmono's borrows, which sets its guard bit
+            if (m - dmono) & _guard:
+                raise NotDivisible("monomial does not divide a term")
             q, r = divmod(c, dcoef)
             if r:
                 raise NotDivisible("coefficient not divisible")
-            out[tuple(rest)] = q
+            out[m - dmono] = q
         return MultiPoly(out)
 
     def __str__(self):
         if not self.terms:
             return "0"
         # graded lex order, largest first: total degree over every name,
-        # then the dense exponents with x0..x3 leading
-        names = sorted({v for m in self.terms for v in m}, key=_var_key)
+        # then the dense exponents with x0..x3 leading, then the other
+        # names in string order
+        used = 0
+        for m in self.terms:
+            used |= m
+        order = sorted((i for i in range(len(_NAMES))
+                        if used >> FIELD_BITS * i & _FIELD),
+                       key=lambda i: (i > 3, _NAMES[i]))
+        shifts = [FIELD_BITS * i for i in order]
         dense = sorted(
-            ((tuple(m.count(v) for v in names), c)
+            ((tuple(m >> s & _FIELD for s in shifts), c)
              for m, c in self.terms.items()),
             key=lambda t: (sum(t[0]), t[0]), reverse=True,
         )
+        names = [_NAMES[i] for i in order]
         text = ""
         for exps, c in dense:
             body = "*".join(v if e == 1 else f"{v}^{e}"
@@ -182,12 +247,20 @@ class MultiPoly:
 
 
 def _product(terms1, terms2):
-    """The term dict of the product of two term dicts; zero sums are kept."""
+    """The term dict of the product of two term dicts; zero sums are kept.
+
+    Raises ExponentError when an exponent exceeds MAX_EXPONENT: with every
+    input field at most MAX_EXPONENT, a sum reaches at most the guard bit
+    and never carries into the next field.
+    """
     out = {}
+    get = out.get
     for m1, c1 in terms1.items():
         for m2, c2 in terms2.items():
-            m = tuple(sorted(m1 + m2))
-            out[m] = out.get(m, 0) + c1 * c2
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2
+    if any(map(_guard.__and__, out)):
+        raise ExponentError(f"exponent exceeds {MAX_EXPONENT}")
     return out
 
 
@@ -231,7 +304,7 @@ def _sextic_parts():
         + x1 ** 2 * x2 ** 2 * x3 ** 2
     )
     cremona = {"x0": x2 * x3, "x1": x0 * x1, "x2": x0 * x2, "x3": x0 * x3}
-    factor = MultiPoly({("x0", "x0", "x0", "x2", "x2", "x3", "x3"): 1})
+    factor = x0 ** 3 * x2 ** 2 * x3 ** 2
     fixed = x0 * (
         x1 ** 2 * x2 ** 2 + x1 ** 2 * x3 ** 2 + x2 ** 2 * x3 ** 2
         + x0 ** 2 * x1 ** 2
@@ -275,7 +348,7 @@ def double_plane_octic(C1, C2, Qpp):
     for poly, deg, label in ((C1, 3, "C1"), (C2, 3, "C2"), (Qpp, 2, "Q''")):
         if not poly.is_homogeneous(deg):
             raise DegreeError(f"{label} must be homogeneous of degree {deg}")
-        if any("x3" in m for m in poly.terms):
+        if any(m >> _X3 & _FIELD for m in poly.terms):
             raise DegreeError(f"{label} must not involve x3")
     x0, x1, x3 = x(0), x(1), x(3)
     quintic = x3 ** 2 * C1 + x0 * x1 * x3 * Qpp + x0 * x1 * C2
@@ -289,10 +362,10 @@ def _quadratic_coefficients(poly):
     """Coefficients of x3^2, x3, 1 for a polynomial quadratic in x3."""
     buckets = ({}, {}, {})
     for m, c in poly.terms.items():
-        e = m.count("x3")
+        e = m >> _X3 & _FIELD
         if e > 2:
             raise DegreeError("degree in x3 exceeds 2")
-        buckets[e][tuple(v for v in m if v != "x3")] = c
+        buckets[e][m - (e << _X3)] = c
     return tuple(MultiPoly(b) for b in reversed(buckets))
 
 
@@ -313,10 +386,11 @@ def _check_parse_degree(degree):
         raise ParseError(f"degree {degree} exceeds {MAX_PARSE_DEGREE}")
 
 
-def _check_parse_digits(poly):
-    if any(abs(c) >= 10 ** MAX_PARSE_DIGITS for c in poly.terms.values()):
+def _parsed_terms(terms):
+    """terms without its zero coefficients, unless one is too long."""
+    if any(abs(c) >= 10 ** MAX_PARSE_DIGITS for c in terms.values()):
         raise ParseError(f"coefficient exceeds {MAX_PARSE_DIGITS} digits")
-    return poly
+    return {m: c for m, c in terms.items() if c}
 
 
 def parse_poly(text):
@@ -329,75 +403,75 @@ def parse_poly(text):
     MAX_PARSE_NESTING deep.  Such input raises ParseError.
     """
     tokens = _tokenize(text)
-    pos = [0]
+    tokens.append(None)  # the end of the input
+    kinds = [tok and tok[0] for tok in tokens]
+    pos = 0
 
-    def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
-
-    def eat(kind=None):
-        tok = peek()
-        if tok is None or (kind is not None and tok[0] != kind):
-            raise ParseError(f"unexpected {tok!r}, wanted {kind}")
-        pos[0] += 1
-        return tok
+    def expect(kind):
+        nonlocal pos
+        if kinds[pos] != kind:
+            raise ParseError(f"unexpected {tokens[pos]!r}, wanted {kind}")
+        pos += 1
+        return tokens[pos - 1][1]
 
     def atom():
-        tok = peek()
-        if tok is None:
+        nonlocal pos
+        kind = kinds[pos]
+        if kind is None:
             raise ParseError("unexpected end of expression")
-        if tok[0] == "int":
-            eat()
-            return MultiPoly.constant(tok[1])
-        if tok[0] == "var":
-            eat()
-            return MultiPoly.variable(tok[1])
-        if tok[0] == "(":
-            eat()
-            inner = expr()
-            eat(")")
-            return inner
-        raise ParseError(f"unexpected token {tok[1]!r}")
+        value = tokens[pos][1]
+        if kind not in ("int", "var", "("):
+            raise ParseError(f"unexpected token {value!r}")
+        pos += 1
+        if kind == "int":
+            return {0: value} if value else {}
+        if kind == "var":
+            return {1 << FIELD_BITS * _INDEX[value]: 1}
+        inner = expr()
+        expect(")")
+        return inner
 
     def power():
+        nonlocal pos
         base = atom()
-        while peek() and peek()[0] == "^":
-            eat()
-            exp = eat("int")[1]
-            _check_parse_degree(max(base.degree(), 0) * exp)
+        while kinds[pos] == "^":
+            pos += 1
+            exp = expect("int")
+            _check_parse_degree(max(_degree(base), 0) * exp)
             if exp > MAX_PARSE_DEGREE:
                 raise ParseError(
                     f"exponent {exp} exceeds {MAX_PARSE_DEGREE}")
-            base = _check_parse_digits(base ** exp)
+            base = _parsed_terms((MultiPoly(base) ** exp).terms)
         return base
 
     def product():
+        nonlocal pos
         value = power()
-        while peek() and peek()[0] == "*":
-            eat()
+        while kinds[pos] == "*":
+            pos += 1
             rhs = power()
-            _check_parse_degree(value.degree() + rhs.degree())
-            value = _check_parse_digits(value * rhs)
+            _check_parse_degree(_degree(value) + _degree(rhs))
+            value = _parsed_terms(_product(value, rhs))
         return value
 
     def expr():
-        tok = peek()
-        negate = False
-        if tok and tok[0] in ("+", "-"):
-            eat()
-            negate = tok[0] == "-"
-        value = product()
-        if negate:
-            value = -value
-        while peek() and peek()[0] in ("+", "-"):
-            op = eat()[0]
-            rhs = product()
-            value = value + (-rhs if op == "-" else rhs)
-        return value
+        nonlocal pos
+        sign = -1 if kinds[pos] == "-" else 1
+        if kinds[pos] in ("+", "-"):
+            pos += 1
+        value = {}
+        while True:
+            for m, c in product().items():
+                value[m] = value.get(m, 0) + sign * c
+            if kinds[pos] not in ("+", "-"):
+                return {m: c for m, c in value.items() if c}
+            sign = -1 if kinds[pos] == "-" else 1
+            pos += 1
 
     result = expr()
-    if peek() is not None:
-        raise ParseError(f"trailing input at {peek()[1]!r}")
-    return result
+    if kinds[pos] is not None:
+        raise ParseError(f"trailing input at {tokens[pos][1]!r}")
+    return MultiPoly(result)
 
 
 def _tokenize(text):
@@ -408,9 +482,9 @@ def _tokenize(text):
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             if j - i > MAX_PARSE_DIGITS:
                 raise ParseError(

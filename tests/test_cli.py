@@ -497,6 +497,9 @@ def test_sextic_check_rejects_high_degree_before_expanding(capsys):
     ("2^100000000", "exponent 100000000 exceeds 8"),
     ("9" * 5000 + "*x0*x1", "literal exceeds 100 digits"),
     ("(" + "9" * 60 + ")^2*x0*x1", "coefficient exceeds 100 digits"),
+    # only ASCII digits are digits: no traceback, no silent reading as 3
+    ("x0\u00b2", "bad character '\u00b2'"),
+    ("x0*x1 + \u0663*x2^2", "bad character '\u0663'"),
 ])
 def test_sextic_check_rejects_huge_coefficients_at_once(capsys, q, reason):
     t0 = time.perf_counter()

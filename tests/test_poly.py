@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from enriques import polymodels
 from enriques.polymodels import (
+    MAX_EXPONENT,
     DegreeError,
+    ExponentError,
     MultiPoly,
     NotDivisible,
     ParseError,
@@ -82,7 +84,7 @@ def test_geometric_degree_ignores_symbolic_coefficients():
     q = generic_form(2, "q")
     assert q.degree() == 2
     assert q.is_homogeneous(2)
-    assert {len(m) for m in q.terms} == {3}
+    assert {len(m) for m in q.named()} == {3}
 
 
 def test_sextic_shape():
@@ -194,10 +196,57 @@ def test_string_output_is_deterministic():
 
 
 def test_monomials_are_sorted_names_repeated_by_exponent():
+    named = {("q01", "x0", "x0", "x3"): 3, ("q01", "x1"): -1}
     p = parse_poly("3*x0^2*x3 - x1") * MultiPoly.variable("q01")
-    assert p.terms == {("q01", "x0", "x0", "x3"): 3, ("q01", "x1"): -1}
-    assert (x(2) ** 3).terms == {("x2", "x2", "x2"): 1}
-    assert MultiPoly.constant(0).terms == {}
+    assert p.named() == named
+    assert MultiPoly.from_names(named) == p
+    assert MultiPoly.from_names(named).named() == named
+    assert (x(2) ** 3).named() == {("x2", "x2", "x2"): 1}
+    assert MultiPoly.from_names({("x2",) * 3: 1}) == x(2) ** 3
+    assert MultiPoly.constant(0).named() == {}
+    assert MultiPoly.constant(5).named() == {(): 5}
+
+
+def test_exponents_reach_the_field_bound():
+    top = x(0) ** MAX_EXPONENT
+    assert top.named() == {("x0",) * MAX_EXPONENT: 1}
+    assert top.degree() == MAX_EXPONENT
+    assert (top * x(1)).divide_by_monomial(top) == x(1)
+    assert str(top * x(1)) == f"x0^{MAX_EXPONENT}*x1"
+
+
+def test_an_exponent_past_the_bound_never_carries():
+    top = x(0) ** MAX_EXPONENT
+    with pytest.raises(ExponentError):
+        top * x(0)
+    with pytest.raises(ExponentError):
+        x(0) ** (MAX_EXPONENT + 1)
+    with pytest.raises(ExponentError):
+        (top + x(1)) * (x(0) + 1)
+    with pytest.raises(ExponentError):
+        (top * x(1)).substitute({"x1": x(0)})
+    with pytest.raises(ExponentError):
+        (top * x(1)).substitute({"x1": 2 * x(0) + 1})
+    with pytest.raises(ExponentError):
+        MultiPoly.from_names({("x0",) * (MAX_EXPONENT + 1): 1})
+
+
+def test_a_name_registered_late_works_like_any_other():
+    p = parse_poly("x0^2*x3 - 2*x1") + 1
+    name = f"late{len(polymodels._NAMES)}"  # a name no polynomial has used
+    z = MultiPoly.variable(name)
+    zp = z * p
+    assert zp == p * z
+    assert zp.named() == {(name, "x0", "x0", "x3"): 1, (name, "x1"): -2,
+                          (name,): 1}
+    assert str(zp) == f"x0^2*x3*{name} - 2*x1*{name} + {name}"
+    assert zp.divide_by_monomial(z) == p
+    assert zp.degree() == 3 and (z ** 5).degree() == 0
+    assert zp.substitute({name: 3}) == 3 * p
+    with pytest.raises(NotDivisible):
+        p.divide_by_monomial(z)
+    with pytest.raises(ExponentError):
+        z ** MAX_EXPONENT * zp
 
 
 # the printed generic certificates, as the CLI and the benchmark's
@@ -239,7 +288,7 @@ def monomials(names=NAMES, max_len=4):
 
 def polys(names=NAMES, max_len=4):
     return st.dictionaries(monomials(names, max_len), st.integers(-20, 20),
-                           max_size=6).map(MultiPoly)
+                           max_size=6).map(MultiPoly.from_names)
 
 
 points = st.fixed_dictionaries(
@@ -248,7 +297,7 @@ points = st.fixed_dictionaries(
 
 def value(p, env):
     """p at env, by plain int arithmetic on its terms."""
-    return sum(c * prod(env[v] for v in m) for m, c in p.terms.items())
+    return sum(c * prod(env[v] for v in m) for m, c in p.named().items())
 
 
 @settings(max_examples=150, deadline=None)
@@ -265,11 +314,13 @@ def test_ring_operations_agree_with_evaluation(p, q, n, env):
 
 
 @settings(max_examples=100, deadline=None)
-@given(polys(), st.dictionaries(st.sampled_from(NAMES), polys(max_len=2),
+@given(polys(), st.dictionaries(st.sampled_from(NAMES),
+                                polys(max_len=2) | st.integers(-5, 5),
                                 max_size=3), points)
 def test_substitute_agrees_with_evaluation(p, mapping, env):
     inner = dict(env)
-    inner.update({v: value(r, env) for v, r in mapping.items()})
+    inner.update({v: r if isinstance(r, int) else value(r, env)
+                  for v, r in mapping.items()})
     assert value(p.substitute(mapping), env) == value(p, inner)
 
 
@@ -282,7 +333,7 @@ def test_printed_text_parses_back(p):
 @settings(max_examples=100, deadline=None)
 @given(polys(), monomials(max_len=3), st.sampled_from((-3, -1, 1, 2)))
 def test_divide_by_monomial_undoes_multiplication(p, mono, c):
-    m = MultiPoly({mono: c})
+    m = MultiPoly.from_names({mono: c})
     assert (p * m).divide_by_monomial(m) == p
     if mono:
         with pytest.raises(NotDivisible):
@@ -298,7 +349,7 @@ def test_divide_by_monomial_rejects_non_monomials():
 
 def to_sympy(sp, p):
     return sp.Add(*(c * sp.Mul(*map(sp.Symbol, m))
-                    for m, c in p.terms.items()))
+                    for m, c in p.named().items()))
 
 
 def test_generic_certificates_against_sympy():
