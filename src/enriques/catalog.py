@@ -337,22 +337,24 @@ def _record_class(records, label):
     raise KeyError(f"no annotated fiber labelled {label!r}")
 
 
-def _max_clique(adj, n):
-    best = 0
-    order = sorted(range(n), key=lambda i: -sum(adj[i]))
+def _clique_sizes(adj):
+    """Sizes of the maximal cliques of the graph with adjacency matrix adj,
+    by Bron-Kerbosch with pivoting; an empty graph has one, of size 0."""
+    nbrs = [{j for j, a in enumerate(row) if a} for row in adj]
+    sizes = []
 
-    def extend(chosen, candidates):
-        nonlocal best
-        if len(chosen) > best:
-            best = len(chosen)
-        for idx, v in enumerate(candidates):
-            if len(chosen) + len(candidates) - idx <= best:
-                return
-            rest = [u for u in candidates[idx + 1:] if adj[v][u]]
-            extend(chosen + [v], rest)
+    def expand(size, cand, done):
+        if not cand and not done:
+            sizes.append(size)
+            return
+        pivot = max(cand | done, key=lambda u: len(cand & nbrs[u]))
+        for v in cand - nbrs[pivot]:
+            expand(size + 1, cand & nbrs[v], done & nbrs[v])
+            cand = cand - {v}
+            done = done | {v}
 
-    extend([], order)
-    return best
+    expand(0, set(range(len(adj))), set())
+    return sizes
 
 
 def _clique_matrix(classes):
@@ -365,8 +367,9 @@ def _clique_matrix(classes):
 
 
 def nd_bounds(s, records=None):
-    """(min, max) length of maximal half-fiber sequences on the surface,
-    from its fibration records when they are already known."""
+    """(min, max) length of maximal half-fiber sequences on the surface:
+    the sizes of the maximal cliques of its half-fiber classes, two joined
+    when they meet once, from its fibration records when already known."""
     if not s.complete:
         raise IncompleteCatalog(
             f"{s.name} does not list all of its fibrations"
@@ -378,16 +381,8 @@ def nd_bounds(s, records=None):
         raise CatalogDataError(
             f"undetermined fibration scale on rays {undetermined}"
         )
-    classes = [r.cls for r in records]
-    adj = _clique_matrix(classes)
-    n = len(classes)
-    max_nd = _max_clique(adj, n)
-    min_nd = max_nd
-    for i in range(n):
-        others = [j for j in range(n) if j != i and adj[i][j]]
-        sub = [[adj[a][b] for b in others] for a in others]
-        min_nd = min(min_nd, 1 + _max_clique(sub, len(others)))
-    return min_nd, max_nd
+    sizes = _clique_sizes(_clique_matrix([r.cls for r in records]))
+    return min(sizes), max(sizes)
 
 
 def _check(checks, name, ok, detail):
@@ -456,7 +451,7 @@ def verify_surface(s):
     if "max_clique" in claims:
         classes = [r.cls for r in records if r.determined]
         adj = _clique_matrix(classes)
-        got = _max_clique(adj, len(classes))
+        got = max(_clique_sizes(adj))
         _check(checks, "max sequence length", got == claims["max_clique"],
                f"{got}")
 

@@ -27,7 +27,7 @@ from .rootfibers import (
     KodairaType,
     NotDynkin,
     _affine_kind,
-    _diagram_orderings,
+    diagram_maps,
     dynkin_divisor,
     fiber_graph,
     null_vector,
@@ -53,7 +53,9 @@ def type_sort_key(t):
 class Part:
     dtype: DynkinType
     coeffs: tuple  # coefficient per fiber vertex, 0 outside the support
-    orders: tuple  # vertex-index tuples aligned with highest_root positions
+    # the maps of diagram(dtype) onto the support, as tuples of cfg
+    # indices; gluing two copies of a part identifies them position-wise
+    orders: tuple
 
 
 @dataclass(frozen=True)
@@ -70,10 +72,7 @@ def _part(cfg, support):
         dtype, z = dynkin_divisor(cfg, support)
     except NotDynkin:
         return None
-    sub = cfg.subconfig(support)
-    orders = tuple(tuple(cfg.index(v) for v in order)
-                   for order in _diagram_orderings(sub, dtype))
-    return Part(dtype, z.vec, orders)
+    return Part(dtype, z.vec, diagram_maps(cfg, support, dtype))
 
 
 @lru_cache(maxsize=None)

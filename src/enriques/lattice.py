@@ -11,7 +11,7 @@ from functools import lru_cache
 from math import prod
 
 from .exactmat import mat_vec, smith_normal_form
-from .rootfibers import DynkinType, diagram_gram, highest_root
+from .rootfibers import DynkinType, diagram, fundamental_cycle
 
 
 class DimensionMismatch(ValueError):
@@ -67,10 +67,14 @@ def rank_and_discriminant(g):
 def sublattice_index(sub, g):
     """Index [ambient : span(sub)], or "infinite" when span is not full rank.
 
-    The index is the product of the invariant factors of the vectors'
-    matrix, and that product is 0 exactly when the rank falls short.
+    The index is the product of the first dim invariant factors of the
+    matrix of any m >= dim vectors, and that product is 0 exactly when the
+    rank falls short.  A vector of the wrong length raises
+    DimensionMismatch.
     """
-    if len(sub) != g.dim or any(len(v) != g.dim for v in sub):
+    if any(len(v) != g.dim for v in sub):
+        raise DimensionMismatch("vector length does not match form dimension")
+    if len(sub) < g.dim:
         return "infinite"
     d, _, _ = smith_normal_form([list(v) for v in sub])
     return prod(d[i][i] for i in range(g.dim)) or "infinite"
@@ -78,7 +82,7 @@ def sublattice_index(sub, g):
 
 def e10_gram():
     hyperbolic = [[0, 1] + [0] * 8, [1, 0] + [0] * 8]
-    e8 = [[0, 0] + row for row in diagram_gram(DynkinType("E", 8))]
+    e8 = [(0, 0) + row for row in diagram(DynkinType("E", 8)).inter]
     return GramForm.from_rows(hyperbolic + e8)
 
 
@@ -94,7 +98,9 @@ def e10_isotropic_basis():
     chain = [[0] * 8 for _ in range(8)]
     for i in range(7):
         chain[i][i] = 1
-    chain[7] = [-x for x in highest_root(DynkinType("E", 8))]
+    # on an ADE diagram Artin's fundamental cycle is the highest root
+    highest = fundamental_cycle(diagram(DynkinType("E", 8))).vec
+    chain[7] = [-x for x in highest]
     vectors = [
         [1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
         [0, 1, 0, 0, 0, 0, 0, 0, 0, 0],

@@ -1,17 +1,17 @@
 """ADE and Kodaira (extended Dynkin) combinatorics.
 
 The one table of diagram facts (root types of Kodaira fibers, star arm
-lengths, diagram layouts, highest roots, the E8 Gram matrix) and what
-reads it: recognition of curve configurations, the dual graphs of
-Kodaira fibers, highest-root and null-vector multiplicities, and Artin's
-fundamental-cycle iteration.  A connected set of curves is recognised in
-one place: dynkin_divisor and fiber_divisor return its type and its cycle
-as a Divisor on the ambient configuration.
+lengths, and _diagram_edges, the one hand-written ADE layout) and what
+reads it: recognition of curve configurations, the diagrams and the dual
+graphs of Kodaira fibers derived from that layout, the maps of a diagram
+onto a set of curves, and Artin's fundamental-cycle iteration, which
+gives highest roots and null vectors.  A connected set of curves is
+recognised in one place: dynkin_divisor and fiber_divisor return its
+type and its cycle as a Divisor on the ambient configuration.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 from math import gcd
 
 from .config import CurveConfig, Divisor, pairings
@@ -56,8 +56,8 @@ _FIXED_ROOTS = {
 # I_n has root type A_{n-1} and I_n* has D_{n+4}: the symbol's index is
 # the rank plus the offset
 _FAMILY_SYMBOLS = {"A": ("", 1), "D": ("*", -4)}
-# arm lengths of the star-shaped fibers in fiber_graph's layout order; the
-# Dynkin diagram E_n is the same star with its longest arm one shorter
+# arm lengths of the star-shaped fibers; the Dynkin diagram E_n is the
+# same star with its longest arm one shorter
 _STAR_ARMS = {"IV*": (2, 2, 2), "III*": (3, 3, 1), "II*": (5, 2, 1)}
 
 
@@ -121,25 +121,24 @@ _DYNKIN_STARS = {
 }
 
 
-def _arm_walk(adj, branch, first):
-    """Vertex indices of the arm leaving branch through first, out to a
-    leaf, or None when the walk meets another branch vertex."""
-    arm = [first]
-    prev, cur = branch, first
+def _arm_length(adj, branch, first):
+    """Length of the arm leaving branch through first, out to a leaf, or
+    None when the walk meets another branch vertex."""
+    length, prev, cur = 1, branch, first
     while len(adj[cur]) == 2:
         x, y = adj[cur]
         prev, cur = cur, (y if x == prev else x)
-        arm.append(cur)
-    return arm if len(adj[cur]) == 1 else None
+        length += 1
+    return length if len(adj[cur]) == 1 else None
 
 
 def _tree_shape(config):
-    """(branch vertices, arms) of a simply laced tree.
+    """(branch count, arm lengths) of a simply laced tree.
 
-    The branch vertices are those of valency above 2, in config order; an
-    arm is the path from a branch vertex out to a leaf, and the arms come
-    sorted short-to-long.  A path has no branch vertex and is its own only
-    arm.  Raises NotDynkin when the graph is not a simply laced tree.
+    The branch vertices are those of valency above 2; an arm is the path
+    from a branch vertex out to a leaf, and the lengths come sorted
+    short-to-long.  A path has no branch vertex and is its own only arm.
+    Raises NotDynkin when the graph is not a simply laced tree.
     """
     n, adj = config.size(), config.adj
     if not config.is_connected():
@@ -149,29 +148,19 @@ def _tree_shape(config):
     if sum(map(len, adj)) != 2 * (n - 1):
         raise NotDynkin("configuration contains a cycle")
     branches = [i for i in range(n) if len(adj[i]) > 2]
-    if branches:
-        arms = [arm for b in branches for first in adj[b]
-                if (arm := _arm_walk(adj, b, first))]
-    elif n == 1:
-        arms = [[0]]
-    else:  # a path, walked from its first end
-        end = next(i for i in range(n) if len(adj[i]) == 1)
-        arms = [[end] + _arm_walk(adj, end, adj[end][0])]
-    names = config.names
-    arms = sorted(([names[i] for i in arm] for arm in arms),
-                  key=lambda arm: (len(arm), arm))
-    return [names[b] for b in branches], arms
+    arms = [length for b in branches for first in adj[b]
+            if (length := _arm_length(adj, b, first))]
+    return len(branches), tuple(sorted(arms)) or (n,)
 
 
 def classify_dynkin(config):
     """ADE type of a connected simply laced configuration, or NotDynkin."""
-    branches, arms = _tree_shape(config)
+    branches, lengths = _tree_shape(config)
     n = config.size()
     if not branches:
         return DynkinType("A", n)
-    if len(branches) > 1:
+    if branches > 1:
         raise NotDynkin("more than one branch vertex")
-    lengths = tuple(len(a) for a in arms)
     if len(lengths) > 3:
         raise NotDynkin("vertex of valency greater than 3")
     if lengths[:2] == (1, 1):
@@ -201,112 +190,16 @@ def classify_affine(config):
         return _affine_kind(DynkinType("A", n - 1),
                             n == 3 and bool(config.tangent_edges))
     try:
-        branches, arms = _tree_shape(config)
+        branches, lengths = _tree_shape(config)
     except NotDynkin as exc:
         raise NotAffine(str(exc)) from None
-    lengths = tuple(len(a) for a in arms)
     # four leaves next to the branch vertices: one of valency 4 (I0*) or
     # two of valency 3 at the ends of a chain
     if lengths == (1, 1, 1, 1):
         return _affine_kind(DynkinType("D", n - 1))
-    if len(branches) == 1 and lengths in _AFFINE_STARS:
+    if branches == 1 and lengths in _AFFINE_STARS:
         return _AFFINE_STARS[lengths]
     raise NotAffine(f"arm lengths {lengths} match no affine diagram")
-
-
-@lru_cache(maxsize=None)
-def fiber_graph(kind):
-    """The dual graph of a Kodaira fiber, vertices t0, t1, ..."""
-    rt = kind.root_type()
-    if rt is None:
-        return CurveConfig.from_edges(("t0",), [])
-    tangents = [("t0", "t1")] if kind.symbol in ("III", "IV") else ()
-    if rt.family == "A":  # a cycle, doubled edge for two components
-        n = rt.n + 1
-        names = tuple(f"t{i}" for i in range(n))
-        if n == 2:
-            return CurveConfig.from_edges(names, [("t0", "t1", 2)], tangents)
-        edges = [(names[i], names[(i + 1) % n]) for i in range(n)]
-        return CurveConfig.from_edges(names, edges, tangents)
-    if rt.family == "D":
-        n = rt.n - 4
-        if n == 0:
-            return CurveConfig.from_edges(
-                ("t0", "t1", "t2", "t3", "t4"),
-                [("t0", "t1"), ("t0", "t2"), ("t0", "t3"), ("t0", "t4")],
-            )
-        spine = [f"t{i}" for i in range(n + 1)]
-        names = tuple(spine + ["a0", "a1", "b0", "b1"])
-        edges = [(spine[i], spine[i + 1]) for i in range(n)]
-        edges += [("a0", spine[0]), ("a1", spine[0]),
-                  ("b0", spine[n]), ("b1", spine[n])]
-        return CurveConfig.from_edges(names, edges)
-    names = ["c"]
-    edges = []
-    for ai, length in enumerate(_STAR_ARMS[kind.symbol]):
-        prev = "c"
-        for j in range(length):
-            v = f"t{ai}_{j}"
-            names.append(v)
-            edges.append((prev, v))
-            prev = v
-    return CurveConfig.from_edges(tuple(names), edges)
-
-
-def canonical_vertex_order(config, dtype):
-    """Vertices of a diagram of type dtype in the canonical ordering used
-    by highest_root.
-
-    A_n: along the path.  D_n: the two short-arm leaves, then the branch
-    vertex, then the long arm.  E_n: the long chain end to end (the
-    branch vertex sits third from the short end), then the branch leaf.
-    """
-    branches, arms = _tree_shape(config)
-    if dtype.family == "A":
-        return list(arms[0])
-    branch = branches[0]
-    if dtype.family == "D":
-        return [arms[0][0], arms[1][0], branch] + list(arms[2])
-    # E types: chain = reversed middle arm + branch + long arm, leaf last
-    leaf, mid, long_arm = arms[0], arms[1], arms[2]
-    return list(reversed(mid)) + [branch] + list(long_arm) + [leaf[0]]
-
-
-def _diagram_orderings(config, dtype):
-    """All vertex orderings realizing the canonical diagram layout; they
-    differ by a diagram automorphism and preserve highest-root labels."""
-    order = canonical_vertex_order(config, dtype)
-    if dtype.family == "A":
-        if dtype.n == 1:
-            return (tuple(order),)
-        return (tuple(order), tuple(reversed(order)))
-    if dtype.family == "D":
-        if dtype.n == 4:
-            l1, l2, c, l3 = order
-            return tuple(
-                (a, b, c, d) for a, b, d in permutations((l1, l2, l3))
-            )
-        swapped = [order[1], order[0]] + list(order[2:])
-        return (tuple(order), tuple(swapped))
-    if dtype.n == 6:
-        # the chain reverses onto itself, fixing the branch leaf
-        rev = list(reversed(order[:5])) + [order[5]]
-        return (tuple(order), tuple(rev))
-    return (tuple(order),)
-
-
-def highest_root(d):
-    """Highest-root coefficients along the canonical vertex ordering."""
-    if d.family == "A":
-        return tuple([1] * d.n)
-    if d.family == "D":
-        # leaves, branch vertex, then along the chain; far end is simple
-        return tuple([1, 1] + [2] * (d.n - 3) + [1])
-    if d.n == 6:
-        return (1, 2, 3, 2, 1, 2)
-    if d.n == 7:
-        return (2, 3, 4, 3, 2, 1, 2)
-    return (2, 4, 6, 5, 4, 3, 2, 3)
 
 
 # bound on Artin steps per component; no ADE or affine graph reaches it
@@ -384,8 +277,9 @@ def fiber_divisor(config, support):
 
 
 def _diagram_edges(dtype):
-    """Adjacency of the abstract diagram, vertices ordered so that every
-    vertex after the first touches an earlier one."""
+    """Adjacency of the abstract diagram, the one hand-written ADE layout:
+    edges (a, b) with a < b, vertices ordered so that every vertex after
+    the first has exactly one edge back to an earlier one."""
     n = dtype.n
     if dtype.family == "A":
         return n, [(i, i + 1) for i in range(n - 1)]
@@ -399,12 +293,55 @@ def _diagram_edges(dtype):
     return n, edges
 
 
-def diagram_gram(dtype):
-    """Intersection matrix of the diagram's (-2)-curves, vertices in the
-    order of _diagram_edges; for E8 that is the chain c1..c7, then b."""
+@lru_cache(maxsize=None)
+def diagram(dtype):
+    """The diagram of dtype as (-2)-curves t0, t1, ... in the vertex order
+    of _diagram_edges; for E8 that is the chain c1..c7, then b."""
     n, edges = _diagram_edges(dtype)
-    g = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for a, b in edges:
-        g[a][b] = g[b][a] = 1
-    return g
+    names = tuple(f"t{i}" for i in range(n))
+    return CurveConfig.from_edges(names,
+                                  [(names[a], names[b]) for a, b in edges])
 
+
+@lru_cache(maxsize=None)
+def fiber_graph(kind):
+    """The dual graph of a Kodaira fiber: the diagram of its root type
+    plus one last curve, which meets each C with weight -(Z.C) for the
+    highest root Z, so that Z plus the curve is the fiber (Kac, ch. 4).
+    That closes the cycle of I_n and doubles the edge of I2 and III."""
+    rt = kind.root_type()
+    if rt is None:
+        return CurveConfig.from_edges(("t0",), [])
+    base = diagram(rt)
+    meet = [-x for x in pairings(_artin(base), base)]
+    inter = [row + (x,) for row, x in zip(base.inter, meet)] + [(*meet, -2)]
+    tangents = [("t0", "t1")] if kind.symbol in ("III", "IV") else []
+    return CurveConfig(base.names + (f"t{len(meet)}",), tuple(inter),
+                       frozenset(map(frozenset, tangents)))
+
+
+def diagram_maps(config, support, dtype):
+    """Every map of diagram(dtype) onto the curves in support, a diagram
+    of type dtype, that sends edges to edges, as tuples of config indices.
+
+    Each vertex of _diagram_edges after the first has one edge back to an
+    earlier one, so the backtracking places it next to that one's image.
+    The maps differ by a diagram automorphism, and each carries the
+    highest root to the fundamental cycle of the support.
+    """
+    n, edges = _diagram_edges(dtype)
+    earlier = {b: a for a, b in edges}
+    free = sorted(config.index(v) for v in support)
+    out = []
+
+    def extend(images):
+        if len(images) == n:
+            out.append(tuple(images))
+            return
+        near = config.adj[images[earlier[len(images)]]] if images else free
+        for j in near:
+            if j in free and j not in images:
+                extend(images + [j])
+
+    extend([])
+    return tuple(out)

@@ -17,6 +17,20 @@ def format_entry(e):
     return row
 
 
+def highest_root_by_vertex(dtype):
+    """Highest-root coefficients in the vertex layout of _diagram_edges:
+    A along the path; D the branch vertex, its two leaves, then the long
+    arm; E the chain from its short end, then the leaf on the branch."""
+    n = dtype.n
+    if dtype.family == "A":
+        return [1] * n
+    if dtype.family == "D":
+        return [2, 1, 1] + [2] * (n - 4) + [1]
+    return {6: [1, 2, 3, 2, 1, 2],
+            7: [2, 3, 4, 3, 2, 1, 2],
+            8: [2, 4, 6, 5, 4, 3, 2, 3]}[n]
+
+
 @pytest.fixture(scope="session")
 def timings():
     return {}

@@ -27,13 +27,12 @@ from enriques.polymodels import (
 from enriques.rootfibers import (
     DynkinType,
     KodairaType,
-    canonical_vertex_order,
+    diagram,
     fundamental_cycle,
-    highest_root,
     _diagram_edges,
 )
 
-from conftest import GOLDEN, format_entry
+from conftest import GOLDEN, format_entry, highest_root_by_vertex
 from test_classify import SPLITTING_TABLE
 
 
@@ -118,7 +117,7 @@ def test_criterion_6_nd_values():
         records = catalog.fibration_records(catalog.load_surface(name))
         classes = [r.cls for r in records]
         adj = catalog._clique_matrix(classes)
-        cliques[name] = catalog._max_clique(adj, len(classes))
+        cliques[name] = max(catalog._clique_sizes(adj))
     assert cliques == {"E8~": 1, "D8~": 2, "E7~": 2}
 
 
@@ -154,11 +153,10 @@ def test_criterion_8_fundamental_cycles():
             names, [(names[a], names[b]) for a, b in edges]
         )
         z = fundamental_cycle(cfg)
-        order = canonical_vertex_order(cfg, dtype)
-        hr = highest_root(dtype)
-        assert dict(z.coeffs) == {name: c for name, c in zip(order, hr)}
+        assert list(z.vec) == highest_root_by_vertex(dtype)
         assert intersect(z, z) == -2
-    assert highest_root(DynkinType("E", 8)) == (2, 4, 6, 5, 4, 3, 2, 3)
+    e8 = fundamental_cycle(diagram(DynkinType("E", 8)))
+    assert e8.vec == (2, 4, 6, 5, 4, 3, 2, 3)
 
 
 def test_criterion_9_polynomial_certificates():

@@ -1,6 +1,9 @@
 import json
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from enriques import catalog
 from enriques.catalog import (
@@ -75,8 +78,50 @@ def test_extra_special_max_cliques():
         records = fibration_records(load_surface(name))
         classes = [r.cls for r in records if r.determined]
         adj = catalog._clique_matrix(classes)
-        cliques[name] = catalog._max_clique(adj, len(classes))
+        cliques[name] = max(catalog._clique_sizes(adj))
     assert cliques == {"E8~": 1, "D8~": 2, "E7~": 2}
+
+
+def maximal_clique_sizes(adj):
+    """Sizes of the maximal cliques, by testing every vertex subset."""
+    n = len(adj)
+    cliques = [set(c) for k in range(n + 1) for c in combinations(range(n), k)
+               if all(adj[a][b] for a, b in combinations(c, 2))]
+    return sorted(len(c) for c in cliques
+                  if not any(c < d for d in cliques))
+
+
+def triangle_with_a_square_at_each_corner():
+    """A maximal triangle {0, 1, 2} whose corners each lie in their own
+    4-clique: maximal sequences of lengths 3 and 4, as on BP."""
+    adj = [[False] * 12 for _ in range(12)]
+    cliques = [(0, 1, 2)] + [(i, 3 * i + 3, 3 * i + 4, 3 * i + 5)
+                             for i in range(3)]
+    for clique in cliques:
+        for a, b in combinations(clique, 2):
+            adj[a][b] = adj[b][a] = True
+    return adj
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, 9))
+    adj = [[False] * n for _ in range(n)]
+    for a, b in combinations(range(n), 2):
+        adj[a][b] = adj[b][a] = draw(st.booleans())
+    return adj
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs())
+@example(triangle_with_a_square_at_each_corner())
+def test_clique_sizes_match_brute_force(adj):
+    assert sorted(catalog._clique_sizes(adj)) == maximal_clique_sizes(adj)
+
+
+def test_shortest_maximal_sequence_need_not_pass_a_longest():
+    sizes = catalog._clique_sizes(triangle_with_a_square_at_each_corner())
+    assert (min(sizes), max(sizes)) == (3, 4)
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES, ids=str)

@@ -35,6 +35,8 @@ from enriques.rootfibers import (
     null_vector,
 )
 
+from conftest import highest_root_by_vertex
+
 
 def det_bareiss(m):
     """Determinant by fraction-free Gaussian elimination."""
@@ -142,20 +144,6 @@ ADE_UP_TO_RANK_8 = (
     + [DynkinType("D", n) for n in range(4, 9)]
     + [DynkinType("E", n) for n in (6, 7, 8)]
 )
-
-
-def highest_root_by_vertex(dtype):
-    """Highest-root coefficients in the vertex layout of _diagram_edges:
-    A along the path; D the branch vertex, its two leaves, then the long
-    arm; E the chain from its short end, then the leaf on the branch."""
-    n = dtype.n
-    if dtype.family == "A":
-        return [1] * n
-    if dtype.family == "D":
-        return [2, 1, 1] + [2] * (n - 4) + [1]
-    return {6: [1, 2, 3, 2, 1, 2],
-            7: [2, 3, 4, 3, 2, 1, 2],
-            8: [2, 4, 6, 5, 4, 3, 2, 3]}[n]
 
 
 @settings(max_examples=100, deadline=None)
@@ -415,7 +403,7 @@ II_STAR = fiber_graph(FIBER_KINDS[-1])
         ("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "c")]),
     CurveConfig.from_edges("abcd", list(combinations("abcd", 2))),
     CurveConfig.from_edges(II_STAR.names + ("x",),
-                           _edges(II_STAR) + [("t0_4", "x")]),
+                           _edges(II_STAR) + [("t8", "x")]),
     # disconnected: two fibers, a fiber and a curve
     _disjoint_union(fiber_graph(FIBER_KINDS[0]), fiber_graph(FIBER_KINDS[1])),
     _disjoint_union(fiber_graph(FIBER_KINDS[2]), _diagram(DynkinType("A", 1))),

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every private top-level name of the package is read somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -30,3 +31,48 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _bound(stmt):
+    """Names a top-level statement binds: a def, a class or the plain
+    names among assignment targets."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return set()
+    return {node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)}
+
+
+def private_orphans(sources):
+    """Private top-level names (one leading underscore) of the modules whose
+    sources are given that no statement reads, as a name or an attribute,
+    other than the statement defining them; sorted."""
+    defined, read = set(), set()
+    for source in sources:
+        for stmt in ast.parse(source).body:
+            bound = _bound(stmt)
+            defined |= {name for name in bound
+                        if name.startswith("_") and not name.startswith("__")}
+            read |= {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(stmt)
+                     if isinstance(node, ast.Attribute)
+                     or (isinstance(node, ast.Name)
+                         and isinstance(node.ctx, ast.Load))} - bound
+    return sorted(defined - read)
+
+
+def test_private_orphans_are_found():
+    first = ("_used = 1\n_unused: int = 2\n_a, _b = 3, 4\n__all__ = []\n"
+             "def _recursive(n):\n    return _recursive(n - 1)\n"
+             "class _Kept:\n    pass\n")
+    second = "from first import _used\nprint(_used, _a, first._Kept)\n"
+    assert private_orphans([first, second]) == ["_b", "_recursive", "_unused"]
+
+
+def test_package_reads_every_private_name_it_defines():
+    assert private_orphans(path.read_text() for path in MODULES) == []

@@ -1,3 +1,6 @@
+from itertools import combinations
+from math import gcd
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -44,6 +47,30 @@ def test_isotropic_tuple_has_index_three():
 def test_sublattice_index_of_degenerate_set_is_infinite():
     degenerate = [BASIS[0]] * 10
     assert sublattice_index(degenerate, G) == "infinite"
+
+
+def index_by_minors(vectors):
+    """gcd of the maximal minors of the vectors' matrix: the index of
+    their span, 0 when the rank falls short."""
+    return gcd(*(det_bareiss([vectors[i] for i in rows])
+                 for rows in combinations(range(len(vectors)), 10)))
+
+
+@pytest.mark.parametrize("extra, index", [
+    (BASIS[0], 3),
+    (solve_cossec_vector(BASIS, 8, 9), 1),
+], ids=("f1-again", "cossec-vector"))
+def test_sublattice_index_of_eleven_vectors(extra, index):
+    vectors = [list(f) for f in BASIS + [extra]]
+    assert index_by_minors(vectors) == index
+    assert sublattice_index(vectors, G) == index
+
+
+@pytest.mark.parametrize("bad", [BASIS[9][:9], BASIS[9] + (0,)],
+                         ids=("short", "long"))
+def test_sublattice_index_rejects_a_vector_of_the_wrong_length(bad):
+    with pytest.raises(DimensionMismatch):
+        sublattice_index(BASIS[:9] + [bad], G)
 
 
 def test_cossec_vector_known_value():

@@ -1,21 +1,25 @@
 import pytest
 
+from enriques.classify import FIBER_KINDS
 from enriques.config import CurveConfig
+from enriques.divisors import connected_subsets
 from enriques.rootfibers import (
     DynkinType,
     KodairaType,
     NotAffine,
     NotDynkin,
-    canonical_vertex_order,
     classify_affine,
     classify_dynkin,
+    diagram,
+    diagram_maps,
+    dynkin_divisor,
     fiber_divisor,
     fiber_graph,
     fundamental_cycle,
-    highest_root,
     null_vector,
-    _diagram_edges,
 )
+
+from conftest import highest_root_by_vertex
 
 ADE_UP_TO_RANK_9 = (
     [DynkinType("A", n) for n in range(1, 10)]
@@ -24,38 +28,107 @@ ADE_UP_TO_RANK_9 = (
 )
 
 
-def diagram_config(dtype):
-    n, edges = _diagram_edges(dtype)
-    names = tuple(f"v{i}" for i in range(n))
-    return CurveConfig.from_edges(
-        names, [(names[a], names[b]) for a, b in edges]
-    )
-
-
 @pytest.mark.parametrize("dtype", ADE_UP_TO_RANK_9, ids=str)
 def test_recognition_round_trip(dtype):
-    assert classify_dynkin(diagram_config(dtype)) == dtype
+    assert classify_dynkin(diagram(dtype)) == dtype
 
 
 @pytest.mark.parametrize("dtype", ADE_UP_TO_RANK_9, ids=str)
 def test_fundamental_cycle_equals_highest_root(dtype):
-    cfg = diagram_config(dtype)
-    z = fundamental_cycle(cfg)
-    order = canonical_vertex_order(cfg, dtype)
-    hr = highest_root(dtype)
-    assert dict(z.coeffs) == {name: c for name, c in zip(order, hr)}
+    z = fundamental_cycle(diagram(dtype))
+    assert list(z.vec) == highest_root_by_vertex(dtype)
 
 
 def test_e8_highest_root_coefficients():
-    assert highest_root(DynkinType("E", 8)) == (2, 4, 6, 5, 4, 3, 2, 3)
+    e8 = fundamental_cycle(diagram(DynkinType("E", 8)))
+    assert e8.vec == (2, 4, 6, 5, 4, 3, 2, 3)
+
+
+FIBER_GRAPH_KINDS = FIBER_KINDS + (KodairaType("III"), KodairaType("IV"))
+
+
+@pytest.mark.parametrize("kind", FIBER_GRAPH_KINDS, ids=str)
+def test_fiber_graph_is_the_diagram_plus_one_last_curve(kind):
+    cfg = fiber_graph(kind)
+    rt = kind.root_type()
+    base = cfg.subconfig(cfg.names[:-1])
+    assert (base.names, base.inter) == (diagram(rt).names, diagram(rt).inter)
+    assert list(null_vector(cfg).values()) == highest_root_by_vertex(rt) + [1]
+    tangent = kind.symbol in ("III", "IV")
+    assert cfg.tangent_edges == ({frozenset(("t0", "t1"))} if tangent else set())
+    assert classify_affine(cfg) == kind
+
+
+def test_cycle_fibers_keep_their_labelled_layout():
+    # I_n is the cycle t0, ..., t_{n-1}; I0* is the star on t0
+    for n in range(3, 10):
+        names = tuple(f"t{i}" for i in range(n))
+        cycle = [(names[i], names[(i + 1) % n]) for i in range(n)]
+        assert fiber_graph(KodairaType(f"I{n}")) == CurveConfig.from_edges(
+            names, cycle)
+    assert fiber_graph(KodairaType("I2")) == CurveConfig.from_edges(
+        ("t0", "t1"), [("t0", "t1", 2)])
+    assert fiber_graph(KodairaType("I0*")) == CurveConfig.from_edges(
+        ("t0", "t1", "t2", "t3", "t4"),
+        [("t0", "t1"), ("t0", "t2"), ("t0", "t3"), ("t0", "t4")])
+
+
+def maps_by_brute_force(cfg, support, dtype):
+    """Every bijection of diagram(dtype) onto support that matches the
+    whole intersection matrix, by backtracking over all support vertices
+    in index order."""
+    inter = diagram(dtype).inter
+    free = sorted(cfg.index(v) for v in support)
+    found = []
+
+    def extend(images):
+        i = len(images)
+        if i == len(inter):
+            found.append(tuple(images))
+            return
+        for j in free:
+            if j not in images and all(inter[i][a] == cfg.inter[j][b]
+                                       for a, b in enumerate(images)):
+                extend(images + [j])
+
+    extend([])
+    return tuple(found)
+
+
+@pytest.mark.parametrize("kind", FIBER_KINDS, ids=str)
+def test_diagram_maps_are_every_isomorphism_onto_the_support(kind):
+    cfg = fiber_graph(kind)
+    checked = 0
+    for support in connected_subsets(cfg, max_size=cfg.size() - 1):
+        try:
+            dtype, z = dynkin_divisor(cfg, support)
+        except NotDynkin:
+            continue
+        maps = diagram_maps(cfg, support, dtype)
+        assert maps == maps_by_brute_force(cfg, support, dtype)
+        for images in maps:
+            assert [z.vec[j] for j in images] == highest_root_by_vertex(dtype)
+        checked += 1
+    assert checked > 0
+
+
+# orders of the diagram automorphism groups; 2 for A_n (n > 1) and D_n (n > 4)
+AUTOMORPHISMS = {"A1": 1, "D4": 6, "E6": 2, "E7": 1, "E8": 1}
+
+
+@pytest.mark.parametrize("dtype", ADE_UP_TO_RANK_9, ids=str)
+def test_diagram_maps_count_the_diagram_automorphisms(dtype):
+    cfg = diagram(dtype)
+    maps = diagram_maps(cfg, cfg.names, dtype)
+    assert len(maps) == AUTOMORPHISMS.get(str(dtype), 2)
+    assert maps == maps_by_brute_force(cfg, cfg.names, dtype)
 
 
 def test_fundamental_cycle_self_intersection_is_minus_two():
     from enriques.config import intersect
 
     for dtype in ADE_UP_TO_RANK_9:
-        cfg = diagram_config(dtype)
-        z = fundamental_cycle(cfg)
+        z = fundamental_cycle(diagram(dtype))
         assert intersect(z, z) == -2
 
 
