@@ -4,7 +4,8 @@ Each catalogued surface is a weighted dual graph of (-2)-curves together
 with a list of genus one fibers, each marked as a half-fiber or a simple
 fiber.  The catalog data lives in JSON files under data/; everything
 else (fiber kinds, fibration classes, sequence claims, non-degeneracy
-bounds) is recomputed from the graph.
+bounds) is recomputed from the graph.  Curve names are read once, at
+load; past it a set of curves is an ascending tuple of vertex indices.
 """
 
 import json
@@ -50,7 +51,7 @@ CATALOG_NAMES = (
 @dataclass(frozen=True)
 class FiberAnnotation:
     label: str
-    support: tuple
+    support: tuple  # ascending curve indices
     multiplicity: str  # "half" or "simple"
     kind: str
     divisor: Divisor  # fundamental (null-vector) divisor on the surface
@@ -196,13 +197,16 @@ def _model_from_json(data):
             f"the curves span a lattice of rank {rank}, above {NUM_RANK}")
     fibrations = []
     for entry in data["fibrations"]:
-        support = tuple(entry["support"])
+        names = set(entry["support"])
         for f in fibrations:
-            if f.label == entry["label"] or set(f.support) == set(support):
+            if f.label == entry["label"] or names == {
+                    name for name, _ in f.divisor.coeffs}:
                 raise CatalogDataError(
                     f"fibers {f.label} and {entry['label']} repeat a label "
                     "or a support")
         try:
+            support = Divisor.from_map(dict.fromkeys(names, 1),
+                                       config).support()
             kind, divisor = fiber_divisor(config, support)
         except NotAffine as exc:
             raise CatalogDataError(f"fiber {entry['label']} is not an affine "
@@ -220,15 +224,15 @@ def _model_from_json(data):
         fibrations.append(FiberAnnotation(
             entry["label"], support, entry["multiplicity"], kind, divisor))
     claims = data.get("claims", {})
-    _check_claims(claims, {f.label for f in fibrations})
+    _check_claims(claims, {f.label for f in fibrations}, config.names)
     return SurfaceModel(
         data["name"], config, tuple(fibrations), data.get("char_tag", ""),
         data.get("complete", False), data.get("additive_default", ""), claims)
 
 
-def _check_claims(claims, labels):
-    """Reject claims that name a fiber label the surface does not
-    annotate, and a special triple without its three fiber types."""
+def _check_claims(claims, labels, curves):
+    """Reject claims that name a fiber label or a curve the surface does
+    not list, and a special triple without its three fiber types."""
     minus_two = claims.get("minus_two", {})
     unique = claims.get("unique_nonspecial", {})
     named = {
@@ -243,6 +247,10 @@ def _check_claims(claims, labels):
             if label not in labels:
                 raise CatalogDataError(
                     f"claims.{key} names {label!r}, no annotated fiber")
+    for name in claims.get("witness", {}).get("divisor", {}):
+        if name not in curves:
+            raise CatalogDataError(
+                f"claims.witness.divisor names {name!r}, no curve")
     if "witness" in claims and "triple" in claims and "types" not in claims:
         raise CatalogDataError(
             "claims.types must list the 3 fiber types of a special "
@@ -273,7 +281,7 @@ def fibration_records(s):
     undetermined at the fiber scale.
     """
     config = s.config
-    annotated = {frozenset(f.support): f for f in s.fibrations}
+    annotated = {f.divisor.support(): f for f in s.fibrations}
     rays = {}
     for subset in connected_subsets(config, min_size=2,
                                     max_size=MAX_FIBER_COMPONENTS):
@@ -285,10 +293,11 @@ def fibration_records(s):
         g = gcd(*pv)
         if g == 0:
             raise CatalogDataError(
-                f"{s.name}: fiber {'+'.join(subset)} has no horizontal curve")
+                f"{s.name}: fiber {'+'.join(config.names[i] for i in subset)}"
+                " has no horizontal curve")
         ray = tuple(x // g for x in pv)
         rays.setdefault(ray, []).append(
-            (d, pv, str(kind), annotated.get(frozenset(subset)))
+            (d, pv, str(kind), annotated.get(subset))
         )
     records = []
     for ray, members in sorted(rays.items()):
@@ -470,13 +479,10 @@ def _verify_triple(s, records, checks):
         _check(checks, "non-special", not found,
                "no effective F_i + F_j - F_k")
         return
-    k = expected["k"] - 1
-    want = expected["divisor"]
-    got = found.get(k)
-    ok = got is not None and dict(got.divisor.coeffs) == want
-    desc = "+".join(
-        (f"{c}{name}" if c != 1 else name) for name, c in sorted(want.items())
-    )
+    want = Divisor.from_map(expected["divisor"], s.config)
+    ok = found.get(expected["k"] - 1) == want
+    desc = "+".join((f"{c}{name}" if c != 1 else name)
+                    for name, c in sorted(want.coeffs))
     _check(checks, "special witness", ok, f"S{expected['k']} = {desc}")
     if not ok:
         return
@@ -488,7 +494,7 @@ def _verify_triple(s, records, checks):
     witnesses = []
     for kk in range(3):
         if kk in found:
-            witnesses.append(found[kk].divisor)
+            witnesses.append(found[kk])
             continue
         i, j = [t for t in range(3) if t != kk]
         twice = G[i] + G[j] - G[kk]

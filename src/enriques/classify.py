@@ -66,8 +66,8 @@ class Decomposition:
 
 
 def _part(cfg, support):
-    """The Part on cfg carried by the fundamental cycle of the curves in
-    support, or None when they do not form a Dynkin diagram."""
+    """The Part on cfg carried by the fundamental cycle of the curves at
+    the indices support, or None when they do not form a Dynkin diagram."""
     try:
         dtype, z = dynkin_divisor(cfg, support)
     except NotDynkin:
@@ -81,7 +81,7 @@ def _decompositions(kind):
     cfg = fiber_graph(kind)
     if cfg.size() < 2:
         return ()  # irreducible fiber: nothing to split
-    null = tuple(null_vector(cfg).values())  # in cfg.names order
+    null = null_vector(cfg)
     out = []
     for subset in connected_subsets(cfg, max_size=cfg.size() - 1):
         first = _part(cfg, subset)
@@ -90,7 +90,7 @@ def _decompositions(kind):
         rest = tuple(g - c for g, c in zip(null, first.coeffs))
         if any(c < 0 for c in rest):
             continue
-        second = _part(cfg, [v for v, c in zip(cfg.names, rest) if c])
+        second = _part(cfg, tuple(i for i, c in enumerate(rest) if c))
         if second is None or second.coeffs != rest:
             continue
         out.append(Decomposition(kind, first, second))
@@ -126,16 +126,15 @@ def decompose_fiber(kind):
 
 
 def _glue_indexed(kinds, decomps, chosen):
-    """Glue three fibers; returns (class lists, weights, coeffs) or None.
+    """Glue three fibers; returns (class count, weights, coeffs) or None.
 
     kinds/decomps are indexed by fiber 1..3 (fiber i omits S_i);
     chosen[k] = ((fiber, order), (fiber, order)) for S_k's two copies.
+    Classes of identified vertices are numbered by first appearance.
     """
-    mats = [None] + [fiber_graph(k).inter for k in kinds]
-    sizes = [0] + [len(m) for m in mats[1:]]
-    offsets = [0, 0, sizes[1], sizes[1] + sizes[2]]
-    total = sizes[1] + sizes[2] + sizes[3]
-    parent = list(range(total))
+    mats = [fiber_graph(k).inter for k in kinds]
+    offsets = [0, len(mats[0]), len(mats[0]) + len(mats[1])]
+    parent = list(range(offsets[2] + len(mats[2])))
 
     def find(x):
         while parent[x] != x:
@@ -145,55 +144,38 @@ def _glue_indexed(kinds, decomps, chosen):
 
     for (ia, oa), (ib, ob) in chosen.values():
         for va, vb in zip(oa, ob):
-            ra, rb = find(offsets[ia] + va), find(offsets[ib] + vb)
+            ra, rb = find(offsets[ia - 1] + va), find(offsets[ib - 1] + vb)
             if ra != rb:
                 parent[ra] = rb
-    classes = {}
-    for x in range(total):
-        classes.setdefault(find(x), []).append(x)
-    groups = sorted(classes.values())
-    cls_of = [0] * total
-    for gi, g in enumerate(groups):
-        for x in g:
-            cls_of[x] = gi
-    n = len(groups)
+    number = {}
+    cls_of = [number.setdefault(find(x), len(number))
+              for x in range(len(parent))]
+    n = len(number)
     # no two vertices of one fiber may collapse, and every weight must be
-    # consistent across the fibers seeing both endpoints
-    weights = [[0] * n for _ in range(n)]
-    known = [[False] * n for _ in range(n)]
-    for i in (1, 2, 3):
-        m = mats[i]
-        off = offsets[i]
-        sz = sizes[i]
-        local_cls = cls_of[off:off + sz]
-        if len(set(local_cls)) != sz:
+    # consistent across the fibers seeing both endpoints (None: unseen)
+    weights = [[None] * n for _ in range(n)]
+    for m, off in zip(mats, offsets):
+        local = cls_of[off:off + len(m)]
+        if len(set(local)) != len(m):
             return None
-        for a in range(sz):
-            ga = local_cls[a]
-            row = m[a]
-            for b in range(a + 1, sz):
-                gb = local_cls[b]
-                w = row[b]
-                if known[ga][gb]:
-                    if weights[ga][gb] != w:
-                        return None
-                else:
-                    known[ga][gb] = known[gb][ga] = True
-                    weights[ga][gb] = weights[gb][ga] = w
-    # coefficients of each S_k on the classes, read off either copy
-    part_sources = {1: (2, 0), 2: (1, 0), 3: (1, 1)}
+        for a, ga in enumerate(local):
+            row, wa = m[a], weights[ga]
+            for b in range(a + 1, len(m)):
+                gb = local[b]
+                if wa[gb] is None:
+                    wa[gb] = weights[gb][ga] = row[b]
+                elif wa[gb] != row[b]:
+                    return None
+    # coefficients of S_1, S_2, S_3 on the classes, read off one copy each
+    d1, d2, _ = decomps
     coeff_rows = []
-    for k in (1, 2, 3):
-        fib, pi = part_sources[k]
-        d = decomps[fib - 1]
-        part = d.first if pi == 0 else d.second
+    for part, off in ((d2.first, offsets[1]), (d1.first, 0), (d1.second, 0)):
         row = [0] * n
-        off = offsets[fib]
-        for v, c in enumerate(part.coeffs):
-            if c:
-                row[cls_of[off + v]] = c
+        for v, c in enumerate(part.coeffs):  # distinct v, distinct classes
+            row[cls_of[off + v]] = c
         coeff_rows.append(tuple(row))
-    return n, tuple(tuple(r) for r in weights), tuple(coeff_rows)
+    return (n, tuple(tuple(w or 0 for w in r) for r in weights),
+            tuple(coeff_rows))
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,15 @@
 A CurveConfig is an intersection matrix over named curves: diagonal -2,
 off-diagonal >= 0, where an entry 2 may mean either a double edge (two
 transversal points) or a tangency; the two are told apart only by the
-optional tangent-edge annotation.  The names are labels only: every
-vertex is its position in ``names``, and the name-to-index map and the
-neighbour-index tuples (``adj``) are computed once, at construction,
-next to the validation; an induced subconfiguration derives them from
-its parent's instead.  A Divisor is a coefficient vector aligned with
-its ambient configuration's vertices, and a NumClass is a Divisor over a
-denominator of 1 or 2, so every pairing is an integer sum.
+optional tangent-edge annotation, index pairs (i, j) with i < j.  Every
+vertex is its position in ``names``, and a set of curves is an ascending
+tuple of these indices: names are read only by from_edges, index, pair
+and Divisor.from_map, and written only by Divisor.coeffs.  The
+neighbour-index tuples (``adj``) are computed once, at construction;
+an induced subconfiguration derives them from its parent's instead.  A
+Divisor is a coefficient vector aligned with its ambient configuration's
+vertices, and a NumClass is a Divisor over a denominator of 1 or 2, so
+every pairing is an integer sum.
 """
 
 from dataclasses import dataclass, field
@@ -26,16 +28,14 @@ class CurveConfig:
     names: tuple
     inter: tuple  # tuple of tuples, symmetric, diagonal -2
     tangent_edges: frozenset = field(default_factory=frozenset)
-    # derived (see _set): name -> index, and neighbour indices per vertex
-    _pos: dict = field(init=False, repr=False, compare=False)
+    # derived (see _set): neighbour indices per vertex
     adj: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.names)
         if len(self.inter) != n or any(len(row) != n for row in self.inter):
             raise ValueError("matrix size does not match curve count")
-        pos = {name: k for k, name in enumerate(self.names)}
-        if len(pos) != n:
+        if len(set(self.names)) != n:
             raise ValueError("curve names must be distinct")
         for i in range(n):
             if self.inter[i][i] != -2:
@@ -45,7 +45,7 @@ class CurveConfig:
                     raise ValueError("intersection matrix must be symmetric")
                 if i != j and self.inter[i][j] < 0:
                     raise ValueError("off-diagonal entries must be >= 0")
-        self._set(_pos=pos, adj=tuple(
+        self._set(adj=tuple(
             tuple(j for j in range(n) if j != i and self.inter[i][j])
             for i in range(n)
         ))
@@ -60,9 +60,9 @@ class CurveConfig:
     def from_edges(names, edges, tangent_edges=()):
         """Build from edges (name_a, name_b, weight) or (name_a, name_b),
         the weight defaulting to 1, and tangent edges given as pairs of
-        curves; an edge or tangent edge that does not name two (distinct)
-        curves, and an edge on a pair an earlier edge named, raise
-        ValueError."""
+        curves, kept as index pairs; an edge or tangent edge that does not
+        name two (distinct) curves, and an edge on a pair an earlier edge
+        named, raise ValueError."""
         idx = {name: k for k, name in enumerate(names)}
         n = len(names)
         m = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -84,7 +84,7 @@ class CurveConfig:
             if len(pair) != 2 or not pair <= idx.keys():
                 raise ValueError(
                     f"tangent edge {list(t)} does not name two distinct curves")
-            tangents.add(pair)
+            tangents.add(tuple(sorted(idx[c] for c in pair)))
         return CurveConfig(tuple(names), tuple(tuple(r) for r in m),
                            frozenset(tangents))
 
@@ -93,30 +93,23 @@ class CurveConfig:
 
     def index(self, name):
         try:
-            return self._pos[name]
-        except KeyError:
+            return self.names.index(name)
+        except ValueError:
             raise ValueError(f"unknown curve {name!r}") from None
 
     def pair(self, a, b):
         return self.inter[self.index(a)][self.index(b)]
 
-    def is_tangent(self, a, b):
-        return frozenset((a, b)) in self.tangent_edges
-
-    def subconfig(self, support):
-        """Induced configuration on a subset of curves, in ambient order.
+    def subconfig(self, idxs):
+        """Induced configuration on the curves at the ascending indices
+        idxs, renumbered 0, 1, ... in that order.
 
         A principal submatrix of a validated matrix is valid, so the
-        result skips __post_init__: its adjacency is the parent's, kept
-        to the subset and renumbered, which keeps each tuple ascending.
+        result skips __post_init__: its adjacency and tangent edges are
+        the parent's, kept to the subset and renumbered, which keeps each
+        tuple ascending.
         """
-        support = set(support)
-        unknown = support.difference(self._pos)
-        if unknown:
-            raise ValueError(f"unknown curves: {sorted(unknown)}")
-        idxs = sorted(self._pos[name] for name in support)
         new = {old: k for k, old in enumerate(idxs)}
-        names = tuple(self.names[i] for i in idxs)
         if len(idxs) > 1:
             pick = itemgetter(*idxs)
             inter = tuple(pick(self.inter[i]) for i in idxs)
@@ -125,11 +118,11 @@ class CurveConfig:
         adj = self.adj
         sub = object.__new__(CurveConfig)
         sub._set(
-            names=names,
+            names=tuple(self.names[i] for i in idxs),
             inter=inter,
             tangent_edges=frozenset(
-                t for t in self.tangent_edges if t <= support),
-            _pos={name: k for k, name in enumerate(names)},
+                (new[a], new[b]) for a, b in self.tangent_edges
+                if a in new and b in new),
             adj=tuple(tuple([new[j] for j in adj[i] if j in new])
                       for i in idxs),
         )
@@ -161,7 +154,7 @@ class Divisor:
 
     @staticmethod
     def from_map(mapping, ambient):
-        unknown = set(mapping).difference(ambient._pos)
+        unknown = set(mapping).difference(ambient.names)
         if unknown:
             raise ValueError(f"unknown curves: {sorted(unknown)}")
         return Divisor(
@@ -175,12 +168,9 @@ class Divisor:
             (name, c) for name, c in zip(self.ambient.names, self.vec) if c
         )
 
-    def coeff(self, name):
-        i = self.ambient._pos.get(name)
-        return 0 if i is None else self.vec[i]
-
     def support(self):
-        return frozenset(name for name, _ in self.coeffs)
+        """The indices of the curves with a nonzero coefficient, ascending."""
+        return tuple(i for i, c in enumerate(self.vec) if c)
 
     def __add__(self, other):
         if other.ambient is not self.ambient and other.ambient != self.ambient:

@@ -21,8 +21,8 @@ class InvariantViolation(ValueError):
 
 
 def connected_subsets(config, min_size=1, max_size=None):
-    """All connected vertex subsets as name tuples, ordered by size and
-    then by ambient index.
+    """All connected vertex subsets as ascending index tuples, ordered by
+    size and then lexicographically.
 
     Every subset is grown exactly once, from its least vertex, over the
     adjacency lists (ESU, after Wernicke, "Efficient detection of network
@@ -51,7 +51,7 @@ def connected_subsets(config, min_size=1, max_size=None):
     for v in range(n):
         grow([v], [u for u in adj[v] if u > v], {v, *adj[v]}, v)
     found.sort(key=lambda s: (len(s), s))
-    return [tuple(config.names[i] for i in s) for s in found]
+    return found
 
 
 def is_c_sequence(classes):
@@ -64,12 +64,6 @@ def is_c_sequence(classes):
             if intersect(a, b) != want:
                 return False
     return True
-
-
-@dataclass(frozen=True)
-class Witness:
-    divisor: Divisor
-    k: int  # [divisor] = F_i + F_j - F_k with {i, j} the other two indices
 
 
 def _twice_pairings(f):
@@ -91,8 +85,8 @@ def _witness_targets(F):
 
 
 def specialness_witness(F, ambient):
-    """A dict k -> Witness for every k such that some effective divisor S
-    has [S] = F_i + F_j - F_k.
+    """A dict k -> S for every k such that some effective divisor S has
+    [S] = F_i + F_j - F_k, with {i, j} the other two indices.
 
     The search ranges over fundamental cycles of connected negative
     definite subconfigurations, which exhausts the possible witnesses.
@@ -107,7 +101,7 @@ def specialness_witness(F, ambient):
         pv = pairings(d.vec, ambient)
         for k in range(3):
             if k not in found and pv == targets[k]:
-                found[k] = Witness(d, k)
+                found[k] = d
     return found
 
 
@@ -126,8 +120,10 @@ def build_triangle(witnesses, ambient, F=None):
     """
     if len(witnesses) != 3:
         raise InvariantViolation("three witnesses are required")
-    glued = ambient.subconfig(set().union(*[d.support() for d in witnesses]))
-    S = tuple(Divisor.from_map(dict(d.coeffs), glued) for d in witnesses)
+    support = sorted(set().union(*[d.support() for d in witnesses]))
+    glued = ambient.subconfig(support)
+    S = tuple(Divisor(tuple(d.vec[i] for i in support), glued)
+              for d in witnesses)
 
     if F is not None:
         targets = _witness_targets(F)
@@ -207,16 +203,13 @@ def extension_obstruction(t):
     another S_l.  Returns the Obstruction that fired, or None when the
     criterion is inconclusive.
     """
-    shapes = [
-        {name for name, c in s.coeffs if c == 1} for s in t.S
-    ]
     for k in range(3):
-        simple = shapes[k]
+        simple = [i for i, c in enumerate(t.S[k].vec) if c == 1]
         if not simple:
             return Obstruction(f"no simple component in S_{k+1}")
         clash = True
-        for name in simple:
-            if all(t.S[l].coeff(name) < 2 for l in range(3) if l != k):
+        for i in simple:
+            if all(t.S[l].vec[i] < 2 for l in range(3) if l != k):
                 clash = False
                 break
         if clash:

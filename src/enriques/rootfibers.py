@@ -5,9 +5,10 @@ lengths, and _diagram_edges, the one hand-written ADE layout) and what
 reads it: recognition of curve configurations, the diagrams and the dual
 graphs of Kodaira fibers derived from that layout, the maps of a diagram
 onto a set of curves, and Artin's fundamental-cycle iteration, which
-gives highest roots and null vectors.  A connected set of curves is
-recognised in one place: dynkin_divisor and fiber_divisor return its
-type and its cycle as a Divisor on the ambient configuration.
+gives highest roots and null vectors.  A set of curves is an ascending
+tuple of vertex indices.  A connected one is recognised in one place:
+dynkin_divisor and fiber_divisor return its type and its cycle as a
+Divisor on the ambient configuration.
 """
 
 from dataclasses import dataclass
@@ -178,10 +179,9 @@ def classify_affine(config):
     """
     n = config.size()
     if n == 2:
-        a, b = config.names
-        if config.pair(a, b) != 2:
+        if config.inter[0][1] != 2:
             raise NotAffine("two vertices must meet with multiplicity 2")
-        return _affine_kind(DynkinType("A", 1), config.is_tangent(a, b))
+        return _affine_kind(DynkinType("A", 1), bool(config.tangent_edges))
     if all(len(nb) == 2 for nb in config.adj):  # cycles, or no vertex
         if not config.is_connected():
             raise NotAffine("configuration is not connected")
@@ -224,9 +224,20 @@ def _artin(config):
     return None
 
 
+def _recognise(config, support, kind_of, cycle_of):
+    """(kind_of, cycle_of) of the curves at the ascending indices support,
+    the cycle as a Divisor on config."""
+    sub = config.subconfig(support)
+    kind = kind_of(sub)
+    vec = [0] * config.size()
+    for i, c in zip(support, cycle_of(sub)):
+        vec[i] = c
+    return kind, Divisor(tuple(vec), config)
+
+
 def dynkin_divisor(config, support):
     """(ADE type, fundamental cycle as a Divisor on config) of the curves
-    in support, or NotDynkin.
+    at the ascending indices support, or NotDynkin.
 
     The fundamental cycle is the least positive Z on the support with
     Z.R <= 0 for every R in it.  A connected configuration (diagonal -2,
@@ -236,19 +247,18 @@ def dynkin_divisor(config, support):
     iteration then stops at Z within the highest-root coefficient total,
     which is at most 29 per component.
     """
-    sub = config.subconfig(support)
-    dtype = classify_dynkin(sub)
-    return dtype, Divisor.from_map(dict(zip(sub.names, _artin(sub))), config)
+    return _recognise(config, support, classify_dynkin, _artin)
 
 
 def fundamental_cycle(config):
     """Fundamental cycle on all of config, or NotDynkin when config is
     not one connected ADE diagram."""
-    return dynkin_divisor(config, config.names)[1]
+    return dynkin_divisor(config, range(config.size()))[1]
 
 
 def null_vector(config):
-    """Primitive positive kernel vector of an affine configuration's Gram.
+    """Primitive positive kernel vector of an affine configuration's Gram,
+    one coefficient per curve in config order.
 
     On an affine graph with null vector d, Artin's iteration never passes
     a z' with z'.C <= 0 for every C (Laufer), and by Zariski's lemma
@@ -265,15 +275,13 @@ def null_vector(config):
         raise NotAffine("Artin iteration exceeded its step bound")
     if any(pairings(z, config)) or gcd(*z) != 1:
         raise NotAffine("Gram matrix has no primitive positive kernel vector")
-    return dict(zip(config.names, z))
+    return tuple(z)
 
 
 def fiber_divisor(config, support):
-    """(Kodaira type, null vector as a Divisor on config) of the curves in
-    support, or NotAffine."""
-    sub = config.subconfig(support)
-    kind = classify_affine(sub)
-    return kind, Divisor.from_map(null_vector(sub), config)
+    """(Kodaira type, null vector as a Divisor on config) of the curves at
+    the ascending indices support, or NotAffine."""
+    return _recognise(config, support, classify_affine, null_vector)
 
 
 def _diagram_edges(dtype):
@@ -315,14 +323,15 @@ def fiber_graph(kind):
     base = diagram(rt)
     meet = [-x for x in pairings(_artin(base), base)]
     inter = [row + (x,) for row, x in zip(base.inter, meet)] + [(*meet, -2)]
-    tangents = [("t0", "t1")] if kind.symbol in ("III", "IV") else []
-    return CurveConfig(base.names + (f"t{len(meet)}",), tuple(inter),
-                       frozenset(map(frozenset, tangents)))
+    tangents = {(0, 1)} if kind.symbol in ("III", "IV") else set()
+    return CurveConfig(tuple(f"t{i}" for i in range(len(inter))),
+                       tuple(inter), frozenset(tangents))
 
 
 def diagram_maps(config, support, dtype):
-    """Every map of diagram(dtype) onto the curves in support, a diagram
-    of type dtype, that sends edges to edges, as tuples of config indices.
+    """Every map of diagram(dtype) onto the curves at the ascending indices
+    support, a diagram of type dtype, that sends edges to edges, as tuples
+    of config indices.
 
     Each vertex of _diagram_edges after the first has one edge back to an
     earlier one, so the backtracking places it next to that one's image.
@@ -331,16 +340,15 @@ def diagram_maps(config, support, dtype):
     """
     n, edges = _diagram_edges(dtype)
     earlier = {b: a for a, b in edges}
-    free = sorted(config.index(v) for v in support)
     out = []
 
     def extend(images):
         if len(images) == n:
             out.append(tuple(images))
             return
-        near = config.adj[images[earlier[len(images)]]] if images else free
+        near = config.adj[images[earlier[len(images)]]] if images else support
         for j in near:
-            if j in free and j not in images:
+            if j in support and j not in images:
                 extend(images + [j])
 
     extend([])

@@ -155,7 +155,7 @@ def test_verify_surface_computes_fibration_records_once(monkeypatch):
 def test_annotated_fiber_divisors_are_computed_at_load_only(monkeypatch, name):
     s = load_surface(name)
     for f in s.fibrations:
-        assert f.divisor.support() == frozenset(f.support)
+        assert f.divisor.support() == f.support
     # fibration_records recognises every connected subset; apart from it,
     # verify_surface recognises no fiber and reads the stored divisors
     records = fibration_records(s)

@@ -119,6 +119,7 @@ def _e8t_fiber(**changes):
     (_e8t_with(fibrations={}), "fibrations must be a list of fibers, not {}"),
     (_e8t_fiber(support="R1"),
      "fibrations[0].support must be a list of strings, not 'R1'"),
+    (_e8t_fiber(support=["R1", "ZZZ"]), "fiber F1: unknown curves: ['ZZZ']"),
     (_e8t_fiber(label=3), "fibrations[0].label must be a string, not 3"),
     (_e8t_fiber(kind=5), "fibrations[0].kind must be a string, not 5"),
     (_e8t_with(char_tag=5), "char_tag must be a string, not 5"),
@@ -128,7 +129,8 @@ def _e8t_fiber(**changes):
         "tangent-three-curves", "tangent-weight-1", "complete-string",
         "additive-default-half", "not-an-object", "nested-too-deep",
         "name-not-a-string",
-        "fibrations-object", "support-string", "label-integer",
+        "fibrations-object", "support-string", "support-unknown-curve",
+        "label-integer",
         "kind-integer", "char-tag-integer", "unknown-key"))
 def test_malformed_catalog_data_fails_cleanly(capsys, tmp_path, text, reason):
     (tmp_path / "bad.json").write_text(text)
@@ -276,6 +278,8 @@ def _a7_claims(**changes):
     (_witness_k(4), "claims.witness.k must be an integer in 1..3, not 4"),
     (_a7_claims(witness={"divisor": {"R6": "x"}, "k": 3}),
      "claims.witness.divisor.R6 must be an integer, not 'x'"),
+    (_claims("BP.json", witness={"divisor": {"R11": 1, "ZZZ": 1}, "k": 3}),
+     "claims.witness.divisor names 'ZZZ', no curve"),
     (_a7_claims(witness=[3]), "claims.witness must be an object, not [3]"),
     (_a7_claims(witness={"k": 3}),
      "claims.witness.divisor must be an object, not missing"),
@@ -301,7 +305,7 @@ def _a7_claims(**changes):
      "claims.fibration_cout must be absent, not 7"),
 ], ids=("triple", "minus-two", "unique-nonspecial", "claims-not-object",
         "witness-k-string", "witness-k-range", "witness-divisor-string",
-        "witness-not-object", "witness-without-divisor",
+        "witness-unknown-curve", "witness-not-object", "witness-without-divisor",
         "special-triple-without-types", "partners-of-one",
         "unique-nonspecial-list", "minus-two-without-value",
         "fibration-count-string", "nd-string", "max-clique-string",
@@ -314,6 +318,16 @@ def test_malformed_claims_fail_cleanly(capsys, tmp_path, data, reason):
     assert code == 1
     assert err == ""
     assert f"[fail] catalog data: s.json: {reason}" in out
+
+
+def test_witness_claim_is_compared_as_a_coefficient_vector(capsys, tmp_path):
+    # a zero coefficient names the same divisor as the found S3 = R11
+    data = _claims("BP.json", witness={"divisor": {"R1": 0, "R11": 1}, "k": 3})
+    (tmp_path / "BP.json").write_text(json.dumps(data))
+    code, out, err = run_main(
+        capsys, ["verify-surface", "BP", "--catalog-dir", str(tmp_path)])
+    assert (code, err) == (0, "")
+    assert "[pass] special witness: S3 = R11\n" in out
 
 
 # the keys a surface file must hold, by path with list indices dropped

@@ -24,11 +24,10 @@ def test_from_edges_symmetric_with_weights():
 
 def test_tangent_annotation():
     cfg = CurveConfig.from_edges(
-        ("p", "q"), [("p", "q", 2)], tangent_edges=[("p", "q")]
+        ("p", "q"), [("p", "q", 2)], tangent_edges=[("q", "p")]
     )
-    assert cfg.is_tangent("p", "q")
-    assert cfg.is_tangent("q", "p")
-    assert not TRIANGLE.is_tangent("a", "b")
+    assert cfg.tangent_edges == {(0, 1)}
+    assert not TRIANGLE.tangent_edges
 
 
 def test_rejects_asymmetric_matrix():
@@ -57,14 +56,9 @@ def test_rejects_wrong_diagonal():
 
 
 def test_subconfig_preserves_ambient_order():
-    sub = TRIANGLE.subconfig(["c", "a"])
+    sub = TRIANGLE.subconfig((0, 2))
     assert sub.names == ("a", "c")
     assert sub.pair("a", "c") == 1
-
-
-def test_subconfig_rejects_unknown_curves():
-    with pytest.raises(ValueError, match="unknown curves"):
-        TRIANGLE.subconfig(["a", "z"])
 
 
 def test_connectivity():
@@ -77,16 +71,14 @@ def test_divisor_arithmetic():
     d1 = Divisor.from_map({"a": 1, "b": 2}, TRIANGLE)
     d2 = Divisor.from_map({"b": 1, "c": 3}, TRIANGLE)
     total = d1 + d2
-    assert total.coeff("a") == 1
-    assert total.coeff("b") == 3
-    assert total.coeff("c") == 3
+    assert total.vec == (1, 3, 3)
     assert (total - d2).coeffs == d1.coeffs
-    assert d1.scale(2).coeff("b") == 4
+    assert d1.scale(2).vec[1] == 4
 
 
 def test_divisor_drops_zero_coefficients():
     d = Divisor.from_map({"a": 1, "b": 0}, TRIANGLE)
-    assert d.support() == frozenset({"a"})
+    assert d.support() == (0,)
 
 
 def test_divisor_rejects_unknown_curves():

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every private top-level name of the package is read somewhere in it."""
+"""Every name a module of the package imports is used in that module,
+every private top-level name of the package is read somewhere in it, and
+the core modules never read a curve name."""
 
 import ast
 from pathlib import Path
@@ -76,3 +77,29 @@ def test_private_orphans_are_found():
 
 def test_package_reads_every_private_name_it_defines():
     assert private_orphans(path.read_text() for path in MODULES) == []
+
+
+# the core modules, which take sets of curves as vertex indices, and the
+# CurveConfig and Divisor attributes that read or write curve names
+CORE = ("rootfibers", "divisors", "classify", "lattice", "exactmat")
+NAME_API = {"names", "index", "pair", "from_map"}
+
+
+def name_reads(source):
+    """The curve-name attributes the source accesses, sorted."""
+    return sorted(node.attr for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in NAME_API)
+
+
+def test_name_reads_are_found():
+    source = ("print(cfg.names[0], cfg.index('a'), cfg.pair('a', 'b'))\n"
+              "d = Divisor.from_map({'a': 1}, cfg).vec\n"
+              "names, pairs = cfg.inter, d.pairs\n")
+    assert name_reads(source) == ["from_map", "index", "names", "pair"]
+
+
+@pytest.mark.parametrize("module", CORE)
+def test_core_modules_read_no_curve_names(module):
+    path = Path(enriques.__file__).parent / f"{module}.py"
+    assert name_reads(path.read_text()) == []
