@@ -9,21 +9,28 @@ load; past it a set of curves is an ascending tuple of vertex indices.
 """
 
 import json
+import reprlib
 from dataclasses import dataclass
 from math import gcd
 from pathlib import Path
 from typing import NamedTuple
 
+from . import divisors as _divisors
 from .config import CurveConfig, Divisor, NumClass, intersect, pairings
 from .divisors import (
     build_triangle,
-    connected_subsets,
     extension_obstruction,
     is_c_sequence,
     specialness_witness,
 )
 from .lattice import GramForm, rank_and_discriminant
-from .rootfibers import NotAffine, fiber_divisor
+from .rootfibers import KodairaType, NotAffine, fiber_divisor, root_subsets
+
+
+# the reference enumerator, unused here: perfbench/selftest.py reads it as
+# catalog.connected_subsets to check that the tracer patches every module
+# binding a function
+connected_subsets = _divisors.connected_subsets
 
 
 class UnknownSurface(KeyError):
@@ -42,6 +49,10 @@ class CatalogDataError(ValueError):
 # fiber of a genus one fibration on Y can have
 NUM_RANK = 10
 MAX_FIBER_COMPONENTS = 9
+# the most curves a surface file may list (the shipped ones list 10 to
+# 12); the load checks the count before it builds the Gram matrix, whose
+# Smith normal form is cubic in it
+MAX_CURVES = 60
 
 CATALOG_NAMES = (
     "E8~", "D8~", "E7~", "A7~", "typeI", "BP", "E7(2)", "2D4~",
@@ -102,7 +113,9 @@ _NAMES = _Shape(list, "a list of strings", _STR)
 # shape of its value, required keys first.  Load checks a parsed file
 # against it once, before anything else reads the data.
 SURFACE_FILE = _object({
-    "name": _STR, "curves": _NAMES,
+    "name": _STR,
+    "curves": _Shape(list, f"a list of at most {MAX_CURVES} strings", _STR,
+                     range(MAX_CURVES + 1)),
     "edges": _Shape(list, "a list of edges", _Shape(
         list, "a list of 2 curves and an optional weight",
         (_STR, _STR, _Shape(int, "an integer >= 0", ok=(0).__le__)), (2, 3))),
@@ -140,8 +153,8 @@ def _check_shape(value, shape, path=""):
     if (type(value) is not shape.type
             or shape.sizes and len(value) not in shape.sizes
             or shape.ok and not shape.ok(value)):
-        raise CatalogDataError(
-            f"{path or 'the file'} must be {shape.text}, not {value!r}")
+        raise CatalogDataError(f"{path or 'the file'} must be {shape.text}, "
+                               f"not {reprlib.repr(value)}")
     items = shape.items
     if type(items) is dict:
         for key in sorted(value.keys() | set(shape.required)):
@@ -283,12 +296,8 @@ def fibration_records(s):
     config = s.config
     annotated = {f.divisor.support(): f for f in s.fibrations}
     rays = {}
-    for subset in connected_subsets(config, min_size=2,
-                                    max_size=MAX_FIBER_COMPONENTS):
-        try:
-            kind, d = fiber_divisor(config, subset)
-        except NotAffine:
-            continue
+    for subset, kind, d in root_subsets(config, KodairaType,
+                                        MAX_FIBER_COMPONENTS):
         pv = pairings(d.vec, config)
         g = gcd(*pv)
         if g == 0:

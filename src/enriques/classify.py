@@ -16,7 +16,6 @@ from .divisors import (
     MAX_COMPONENTS,
     TriangleGraph,
     build_triangle,
-    connected_subsets,
     extension_obstruction,
     fibration_capacity_ok,
     internal_extender,
@@ -25,12 +24,11 @@ from .lattice import GramForm, rank_and_discriminant
 from .rootfibers import (
     DynkinType,
     KodairaType,
-    NotDynkin,
     _affine_kind,
     diagram_maps,
-    dynkin_divisor,
     fiber_graph,
     null_vector,
+    root_subsets,
 )
 
 # fibers that can occur as a simple fiber of a single fibration: at most
@@ -65,35 +63,29 @@ class Decomposition:
     second: Part
 
 
-def _part(cfg, support):
-    """The Part on cfg carried by the fundamental cycle of the curves at
-    the indices support, or None when they do not form a Dynkin diagram."""
-    try:
-        dtype, z = dynkin_divisor(cfg, support)
-    except NotDynkin:
-        return None
-    return Part(dtype, z.vec, diagram_maps(cfg, support, dtype))
-
-
 @lru_cache(maxsize=None)
 def _decompositions(kind):
-    """All ordered splittings G = first + second into fundamental cycles."""
+    """All ordered splittings G = first + second into fundamental cycles,
+    first in root_subsets order."""
     cfg = fiber_graph(kind)
     if cfg.size() < 2:
         return ()  # irreducible fiber: nothing to split
     null = null_vector(cfg)
+    # the proper ADE subsets and their fundamental cycles; the whole
+    # fiber is affine, so no second part covers it
+    cycles = {support: (dtype, z.vec) for support, dtype, z
+              in root_subsets(cfg, DynkinType, cfg.size() - 1)}
+
+    def part(support):
+        dtype, z = cycles[support]
+        return Part(dtype, z, diagram_maps(cfg, support, dtype))
+
     out = []
-    for subset in connected_subsets(cfg, max_size=cfg.size() - 1):
-        first = _part(cfg, subset)
-        if first is None:
-            continue
-        rest = tuple(g - c for g, c in zip(null, first.coeffs))
-        if any(c < 0 for c in rest):
-            continue
-        second = _part(cfg, tuple(i for i, c in enumerate(rest) if c))
-        if second is None or second.coeffs != rest:
-            continue
-        out.append(Decomposition(kind, first, second))
+    for support, (_, z) in cycles.items():
+        rest = tuple(g - c for g, c in zip(null, z))
+        other = tuple(i for i, c in enumerate(rest) if c)
+        if other in cycles and cycles[other][1] == rest:
+            out.append(Decomposition(kind, part(support), part(other)))
     return tuple(out)
 
 

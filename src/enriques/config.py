@@ -129,16 +129,22 @@ class CurveConfig:
         return sub
 
     def is_connected(self):
-        if not self.names:
-            return False
-        seen = {0}
-        stack = [0]
-        while stack:
-            for j in self.adj[stack.pop()]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == len(self.names)
+        return connected(dict(enumerate(self.adj)))
+
+
+def connected(nbrs):
+    """Whether the graph with the neighbour lists nbrs, a dict from each
+    vertex to its neighbours, is connected and not empty."""
+    if not nbrs:
+        return False
+    stack = [next(iter(nbrs))]
+    seen = set(stack)
+    while stack:
+        for j in nbrs[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == len(nbrs)
 
 
 @dataclass(frozen=True)

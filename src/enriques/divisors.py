@@ -9,7 +9,14 @@ drives the whole classification.
 from dataclasses import dataclass
 
 from .config import CurveConfig, Divisor, NumClass, intersect, pairings
-from .rootfibers import NotAffine, NotDynkin, dynkin_divisor, fiber_divisor
+from .rootfibers import (
+    KodairaType,
+    NotAffine,
+    NotDynkin,
+    dynkin_divisor,
+    fiber_divisor,
+    root_subsets,
+)
 
 
 # the most components a triangle graph may have
@@ -22,7 +29,8 @@ class InvariantViolation(ValueError):
 
 def connected_subsets(config, min_size=1, max_size=None):
     """All connected vertex subsets as ascending index tuples, ordered by
-    size and then lexicographically.
+    size and then lexicographically: the reference that
+    rootfibers.root_subsets is checked against.
 
     Every subset is grown exactly once, from its least vertex, over the
     adjacency lists (ESU, after Wernicke, "Efficient detection of network
@@ -84,24 +92,45 @@ def _witness_targets(F):
     return targets
 
 
+def cycle_with_pairings(ambient, t):
+    """The fundamental cycle, on some connected negative definite set of
+    curves, whose pairing vector is t, or None; there is at most one.
+
+    Such a cycle Z pairs <= 0 with each curve of its support S, > 0 with
+    exactly the curves next to S, and Z.Z = -2 < 0.  So S is the connected
+    component, within the curves C with t.C <= 0, of any curve with
+    t.C < 0, and no search over subsets is needed.
+    """
+    low = {c for c, x in enumerate(t) if x <= 0}
+    stack = [c for c in low if t[c] < 0][:1]
+    if not stack:
+        return None
+    seen = set(stack)
+    while stack:
+        for u in ambient.adj[stack.pop()]:
+            if u in low and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    try:
+        _, d = dynkin_divisor(ambient, tuple(sorted(seen)))
+    except NotDynkin:
+        return None
+    return d if pairings(d.vec, ambient) == t else None
+
+
 def specialness_witness(F, ambient):
     """A dict k -> S for every k such that some effective divisor S has
     [S] = F_i + F_j - F_k, with {i, j} the other two indices.
 
-    The search ranges over fundamental cycles of connected negative
-    definite subconfigurations, which exhausts the possible witnesses.
+    The witnesses range over fundamental cycles of connected negative
+    definite subconfigurations, which exhausts the possible ones, and
+    cycle_with_pairings finds the one with the pairings of the class.
     """
-    targets = _witness_targets(F)
     found = {}
-    for subset in connected_subsets(ambient):
-        try:
-            _, d = dynkin_divisor(ambient, subset)
-        except NotDynkin:
-            continue
-        pv = pairings(d.vec, ambient)
-        for k in range(3):
-            if k not in found and pv == targets[k]:
-                found[k] = d
+    for k, t in _witness_targets(F).items():
+        d = None if t is None else cycle_with_pairings(ambient, t)
+        if d is not None:
+            found[k] = d
     return found
 
 
@@ -233,15 +262,11 @@ def half_fiber_classes(t):
 def internal_extender(t):
     """Affine subconfiguration whose class meets every F_i once, or None.
 
-    Returns (NumClass, KodairaType) for the first extender found in the
-    canonical subset order.
+    Returns (NumClass, KodairaType) for the first extender found in
+    root_subsets order.
     """
     twice = [_twice_pairings(f) for f in half_fiber_classes(t)]
-    for subset in connected_subsets(t.glued, min_size=2):
-        try:
-            kind, d = fiber_divisor(t.glued, subset)
-        except NotAffine:
-            continue
+    for _, kind, d in root_subsets(t.glued, KodairaType):
         if all(sum(c * x for c, x in zip(d.vec, tw)) == 2 for tw in twice):
             cls = NumClass.from_divisor(d).flagged(half_fiber=True)
             return cls, kind

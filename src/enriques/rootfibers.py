@@ -6,16 +6,20 @@ reads it: recognition of curve configurations, the diagrams and the dual
 graphs of Kodaira fibers derived from that layout, the maps of a diagram
 onto a set of curves, and Artin's fundamental-cycle iteration, which
 gives highest roots and null vectors.  A set of curves is an ascending
-tuple of vertex indices.  A connected one is recognised in one place:
-dynkin_divisor and fiber_divisor return its type and its cycle as a
-Divisor on the ambient configuration.
+tuple of vertex indices.  One shape reader and one Artin iteration
+recognise a set straight from the ambient configuration's adjacency,
+with no subconfiguration: dynkin_divisor and fiber_divisor return the
+type of one set and its cycle as a Divisor on the ambient configuration,
+classify_dynkin and classify_affine the type of a whole configuration,
+and root_subsets enumerates every ADE or affine connected set, pruned
+to the sets that grow from ADE ones.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .config import CurveConfig, Divisor, pairings
+from .config import CurveConfig, Divisor, connected, pairings
 
 
 class NotDynkin(ValueError):
@@ -122,18 +126,37 @@ _DYNKIN_STARS = {
 }
 
 
-def _arm_length(adj, branch, first):
+def _nbrs(config, support):
+    """The neighbours of each curve at the ascending indices support
+    within the set, keyed and listed by index in ambient order: the set
+    read off config with no subconfiguration.  The shape and Artin code
+    below take it with config, for the weights and tangent edges."""
+    adj = config.adj
+    members = set(support)
+    return {v: [u for u in adj[v] if u in members] for v in support}
+
+
+def _multiple_edge(config, nbrs):
+    inter = config.inter
+    return any(inter[v][u] > 1 for v, near in nbrs.items() for u in near)
+
+
+def _tangent(config, nbrs):
+    return any(a in nbrs and b in nbrs for a, b in config.tangent_edges)
+
+
+def _arm_length(nbrs, branch, first):
     """Length of the arm leaving branch through first, out to a leaf, or
     None when the walk meets another branch vertex."""
     length, prev, cur = 1, branch, first
-    while len(adj[cur]) == 2:
-        x, y = adj[cur]
+    while len(nbrs[cur]) == 2:
+        x, y = nbrs[cur]
         prev, cur = cur, (y if x == prev else x)
         length += 1
-    return length if len(adj[cur]) == 1 else None
+    return length if len(nbrs[cur]) == 1 else None
 
 
-def _tree_shape(config):
+def _tree_shape(config, nbrs):
     """(branch count, arm lengths) of a simply laced tree.
 
     The branch vertices are those of valency above 2; an arm is the path
@@ -141,23 +164,23 @@ def _tree_shape(config):
     short-to-long.  A path has no branch vertex and is its own only arm.
     Raises NotDynkin when the graph is not a simply laced tree.
     """
-    n, adj = config.size(), config.adj
-    if not config.is_connected():
+    n = len(nbrs)
+    if not connected(nbrs):
         raise NotDynkin("configuration is not connected")
-    if max(map(max, config.inter)) > 1:
+    if _multiple_edge(config, nbrs):
         raise NotDynkin("multiple edge")
-    if sum(map(len, adj)) != 2 * (n - 1):
+    if sum(map(len, nbrs.values())) != 2 * (n - 1):
         raise NotDynkin("configuration contains a cycle")
-    branches = [i for i in range(n) if len(adj[i]) > 2]
-    arms = [length for b in branches for first in adj[b]
-            if (length := _arm_length(adj, b, first))]
+    branches = [v for v, near in nbrs.items() if len(near) > 2]
+    arms = [length for b in branches for first in nbrs[b]
+            if (length := _arm_length(nbrs, b, first))]
     return len(branches), tuple(sorted(arms)) or (n,)
 
 
-def classify_dynkin(config):
-    """ADE type of a connected simply laced configuration, or NotDynkin."""
-    branches, lengths = _tree_shape(config)
-    n = config.size()
+def _dynkin_type(config, nbrs):
+    """ADE type of a connected simply laced set, or NotDynkin."""
+    branches, lengths = _tree_shape(config, nbrs)
+    n = len(nbrs)
     if not branches:
         return DynkinType("A", n)
     if branches > 1:
@@ -171,26 +194,27 @@ def classify_dynkin(config):
     raise NotDynkin(f"arm lengths {lengths} match no ADE diagram")
 
 
-def classify_affine(config):
-    """Kodaira type of a connected configuration, or NotAffine.
+def _kodaira_type(config, nbrs):
+    """Kodaira type of a connected set, or NotAffine.
 
-    I_2 vs III and I_3 vs IV are numerically identical; the tangent-edge
-    annotation on the configuration decides the additive reading.
+    I_2 vs III and I_3 vs IV are numerically identical; a tangent edge
+    within the set decides the additive reading.
     """
-    n = config.size()
+    n = len(nbrs)
     if n == 2:
-        if config.inter[0][1] != 2:
+        a, b = nbrs
+        if config.inter[a][b] != 2:
             raise NotAffine("two vertices must meet with multiplicity 2")
-        return _affine_kind(DynkinType("A", 1), bool(config.tangent_edges))
-    if all(len(nb) == 2 for nb in config.adj):  # cycles, or no vertex
-        if not config.is_connected():
+        return _affine_kind(DynkinType("A", 1), _tangent(config, nbrs))
+    if all(len(near) == 2 for near in nbrs.values()):  # cycles, or no vertex
+        if not connected(nbrs):
             raise NotAffine("configuration is not connected")
-        if max(map(max, config.inter)) > 1:
+        if _multiple_edge(config, nbrs):
             raise NotAffine("multiple edge outside the 2-vertex case")
         return _affine_kind(DynkinType("A", n - 1),
-                            n == 3 and bool(config.tangent_edges))
+                            n == 3 and _tangent(config, nbrs))
     try:
-        branches, lengths = _tree_shape(config)
+        branches, lengths = _tree_shape(config, nbrs)
     except NotDynkin as exc:
         raise NotAffine(str(exc)) from None
     # four leaves next to the branch vertices: one of valency 4 (I0*) or
@@ -202,37 +226,43 @@ def classify_affine(config):
     raise NotAffine(f"arm lengths {lengths} match no affine diagram")
 
 
+def _whole(config):
+    return _nbrs(config, range(config.size()))
+
+
+def classify_dynkin(config):
+    """ADE type of a connected simply laced configuration, or NotDynkin."""
+    return _dynkin_type(config, _whole(config))
+
+
+def classify_affine(config):
+    """Kodaira type of a connected configuration, or NotAffine."""
+    return _kodaira_type(config, _whole(config))
+
+
 # bound on Artin steps per component; no ADE or affine graph reaches it
 # (see dynkin_divisor and null_vector)
 ARTIN_STEPS_PER_COMPONENT = 30
 
 
-def _artin(config):
-    """Artin's iteration from the reduced sum of components: add any
-    component that still pairs positively.  The vector it stops at, or
-    None when it runs past its step bound."""
-    inter, adj = config.inter, config.adj
-    n = config.size()
-    z = [1] * n
-    for _ in range(ARTIN_STEPS_PER_COMPONENT * n + 1):
-        for j in range(n):
-            if sum(z[i] * inter[i][j] for i in adj[j]) > 2 * z[j]:
+def _artin(config, nbrs):
+    """Artin's iteration on a set from the reduced sum of its components:
+    add any component that still pairs positively.  The vector it stops
+    at, as a Divisor on config, or None when it runs past its step
+    bound."""
+    z = dict.fromkeys(nbrs, 1)
+    rows = [(j, config.inter[j], near) for j, near in nbrs.items()]
+    for _ in range(ARTIN_STEPS_PER_COMPONENT * len(z) + 1):
+        for j, row, near in rows:
+            if sum(z[i] * row[i] for i in near) > 2 * z[j]:
                 z[j] += 1
                 break
         else:
-            return z
+            vec = [0] * config.size()
+            for i, c in z.items():
+                vec[i] = c
+            return Divisor(tuple(vec), config)
     return None
-
-
-def _recognise(config, support, kind_of, cycle_of):
-    """(kind_of, cycle_of) of the curves at the ascending indices support,
-    the cycle as a Divisor on config."""
-    sub = config.subconfig(support)
-    kind = kind_of(sub)
-    vec = [0] * config.size()
-    for i, c in zip(support, cycle_of(sub)):
-        vec[i] = c
-    return kind, Divisor(tuple(vec), config)
 
 
 def dynkin_divisor(config, support):
@@ -247,7 +277,8 @@ def dynkin_divisor(config, support):
     iteration then stops at Z within the highest-root coefficient total,
     which is at most 29 per component.
     """
-    return _recognise(config, support, classify_dynkin, _artin)
+    nbrs = _nbrs(config, support)
+    return _dynkin_type(config, nbrs), _artin(config, nbrs)
 
 
 def fundamental_cycle(config):
@@ -270,18 +301,61 @@ def null_vector(config):
     """
     if not config.is_connected():
         raise NotAffine("configuration is not connected")
-    z = _artin(config)
+    z = _artin(config, _whole(config))
     if z is None:
         raise NotAffine("Artin iteration exceeded its step bound")
-    if any(pairings(z, config)) or gcd(*z) != 1:
+    if any(pairings(z.vec, config)) or gcd(*z.vec) != 1:
         raise NotAffine("Gram matrix has no primitive positive kernel vector")
-    return tuple(z)
+    return z.vec
 
 
 def fiber_divisor(config, support):
     """(Kodaira type, null vector as a Divisor on config) of the curves at
-    the ascending indices support, or NotAffine."""
-    return _recognise(config, support, classify_affine, null_vector)
+    the ascending indices support, or NotAffine.  Their shape is affine,
+    so Artin's iteration stops at the null vector (see null_vector)."""
+    nbrs = _nbrs(config, support)
+    return _kodaira_type(config, nbrs), _artin(config, nbrs)
+
+
+def root_subsets(config, family, max_size=None):
+    """(support, kind, cycle as a Divisor on config) for every connected
+    set of curves of at most max_size curves whose kind is of family:
+    DynkinType with its fundamental cycle, or KodairaType with its null
+    vector, as dynkin_divisor and fiber_divisor give them.
+
+    The sets come by size, and lexicographically within a size, the
+    order of divisors.connected_subsets, so a caller that stops at its
+    first hit stops early.  Level k + 1 grows from the ADE sets of level
+    k alone, each by one curve next to it.  That misses no ADE or affine
+    set: such a set stays connected without some curve, and what remains
+    is ADE, as every connected part of an ADE diagram is, and every
+    proper connected part of an affine one.  Each set is recognised once,
+    and Artin's iteration runs for the sets of family only.
+    """
+    adj = config.adj
+    limit = config.size() if max_size is None else max_size
+    level = [(v,) for v in range(config.size())]
+    for size in range(1, limit + 1):
+        grown = set()
+        for support in level:
+            nbrs = _nbrs(config, support)
+            try:
+                kind = _dynkin_type(config, nbrs)
+            except NotDynkin:
+                if family is DynkinType:
+                    continue
+                try:
+                    kind = _kodaira_type(config, nbrs)
+                except NotAffine:
+                    continue
+            else:
+                if size < limit:
+                    grown.update(tuple(sorted((*support, u)))
+                                 for v in support for u in adj[v]
+                                 if u not in nbrs)
+            if type(kind) is family:
+                yield support, kind, _artin(config, nbrs)
+        level = sorted(grown)
 
 
 def _diagram_edges(dtype):
@@ -321,7 +395,7 @@ def fiber_graph(kind):
     if rt is None:
         return CurveConfig.from_edges(("t0",), [])
     base = diagram(rt)
-    meet = [-x for x in pairings(_artin(base), base)]
+    meet = [-x for x in pairings(fundamental_cycle(base).vec, base)]
     inter = [row + (x,) for row, x in zip(base.inter, meet)] + [(*meet, -2)]
     tangents = {(0, 1)} if kind.symbol in ("III", "IV") else set()
     return CurveConfig(tuple(f"t{i}" for i in range(len(inter))),

@@ -198,6 +198,48 @@ def test_catalog_surface_of_too_high_rank_fails_at_once(
             "rank 26, above 10") in out
 
 
+def _low_rank_surface(n):
+    # the (-2)-vectors (a, 5040/a, 71) of U + <-2>, for the first n of the
+    # 60 divisors a of 5040 = 71^2 - 1, pair pairwise a d + b c - 2 * 71^2
+    # >= 0: any number of them spans a lattice of rank 3
+    vecs = [(a, 5040 // a) for a in range(1, 5041) if 5040 % a == 0][:n]
+    curves = [f"c{a}" for a, _ in vecs]
+    return {"name": "W", "curves": curves,
+            "edges": [[curves[i], curves[j], a * d + b * c - 2 * 71 ** 2]
+                      for i, (a, b) in enumerate(vecs)
+                      for j, (c, d) in enumerate(vecs) if i < j],
+            "fibrations": []}
+
+
+@pytest.mark.parametrize("n", [20, 60])
+@pytest.mark.parametrize("command", ["fibrations", "verify-surface"])
+def test_many_curves_of_low_rank_are_enumerated_at_once(
+        capsys, tmp_path, command, n):
+    (tmp_path / "W.json").write_text(json.dumps(_low_rank_surface(n)))
+    t0 = time.perf_counter()
+    code, out, err = run_main(
+        capsys, [command, "W", "--catalog-dir", str(tmp_path)])
+    assert time.perf_counter() - t0 < 5
+    assert code == 0
+    assert err == ""
+
+
+@pytest.mark.parametrize("command", ["verify-surface", "fibrations"])
+def test_too_many_curves_fail_before_the_gram_matrix(
+        capsys, tmp_path, command):
+    data = _clique(catalog.MAX_CURVES + 1)
+    data["edges"] = []
+    (tmp_path / "K.json").write_text(json.dumps(data))
+    t0 = time.perf_counter()
+    code, out, err = run_main(
+        capsys, [command, "K", "--catalog-dir", str(tmp_path)])
+    assert time.perf_counter() - t0 < 5
+    assert code == 1
+    assert err == ""
+    assert (f"[fail] catalog data: K.json: curves must be a list of at most "
+            f"{catalog.MAX_CURVES} strings, not ['c0', 'c1',") in out
+
+
 def _three_cycle():
     # the fiber a+b+c meets no other curve, so its fibration has no ray
     return {"name": "C3", "curves": ["a", "b", "c"],

@@ -21,18 +21,27 @@ from enriques.catalog import (
     load_surface,
 )
 from enriques.classify import FIBER_KINDS
-from enriques.config import CurveConfig, Divisor, NumClass, intersect
-from enriques.divisors import connected_subsets, specialness_witness
+from enriques.config import CurveConfig, Divisor, NumClass, intersect, pairings
+from enriques.divisors import (
+    connected_subsets,
+    cycle_with_pairings,
+    specialness_witness,
+)
 from enriques.exactmat import smith_normal_form
 from enriques.rootfibers import (
     DynkinType,
+    KodairaType,
     NotAffine,
     NotDynkin,
     _diagram_edges,
+    classify_affine,
+    classify_dynkin,
     dynkin_divisor,
+    fiber_divisor,
     fiber_graph,
     fundamental_cycle,
     null_vector,
+    root_subsets,
 )
 
 from conftest import highest_root_by_vertex
@@ -416,3 +425,101 @@ def test_null_vector_rejects_dynkin_indefinite_and_disconnected(config):
     assert snf_null_vector(config) is None
     with pytest.raises(NotAffine):
         null_vector(config)
+
+
+@st.composite
+def annotated_configs(draw, max_n=9):
+    """Random graphs with weights 0..3 and tangent edges on meeting pairs."""
+    n = draw(st.integers(0, max_n))
+    inter = [[-2 if a == b else 0 for b in range(n)] for a in range(n)]
+    for a, b in combinations(range(n), 2):
+        inter[a][b] = inter[b][a] = draw(st.sampled_from((0, 0, 1, 1, 2, 3)))
+    meeting = [(a, b) for a, b in combinations(range(n), 2) if inter[a][b]]
+    tangents = draw(st.sets(st.sampled_from(meeting))
+                    if meeting else st.just(set()))
+    return CurveConfig(tuple(f"c{i}" for i in range(n)),
+                       tuple(map(tuple, inter)), frozenset(tangents))
+
+
+def recognised_subsets(config, family):
+    """(support, kind, cycle) for every connected subset of the family's
+    kind, by the reference enumerator and the one-set recognisers, which
+    agree with the recognisers of the subset's own configuration."""
+    recognise, failure, classify, cycle_of = {
+        DynkinType: (dynkin_divisor, NotDynkin, classify_dynkin,
+                     lambda sub: fundamental_cycle(sub).vec),
+        KodairaType: (fiber_divisor, NotAffine, classify_affine, null_vector),
+    }[family]
+    out = []
+    for support in connected_subsets(config):
+        sub = config.subconfig(support)
+        try:
+            kind, cycle = recognise(config, support)
+        except failure:
+            with pytest.raises(failure):
+                classify(sub)
+            continue
+        assert kind == classify(sub)
+        assert tuple(cycle.vec[i] for i in support) == cycle_of(sub)
+        out.append((support, kind, cycle))
+    return out
+
+
+def assert_root_subsets_match(config, family, max_sizes):
+    want = recognised_subsets(config, family)
+    assert list(root_subsets(config, family)) == want
+    for max_size in max_sizes:
+        assert list(root_subsets(config, family, max_size)) == [
+            r for r in want if len(r[0]) <= max_size], max_size
+
+
+@settings(max_examples=150, deadline=None)
+@given(annotated_configs(), st.sampled_from((DynkinType, KodairaType)),
+       st.integers(0, 10))
+def test_root_subsets_match_the_reference_enumeration(config, family, cap):
+    assert_root_subsets_match(config, family, (cap,))
+
+
+@pytest.mark.parametrize("family", (DynkinType, KodairaType))
+@pytest.mark.parametrize("config", [
+    *(load_surface(name).config for name in CATALOG_NAMES),
+    *(fiber_graph(kind) for kind in FIBER_KINDS),
+], ids=[*CATALOG_NAMES, *(str(kind) for kind in FIBER_KINDS)])
+def test_root_subsets_on_surfaces_and_fibers(config, family):
+    assert_root_subsets_match(config, family, range(config.size() + 1))
+
+
+def cycle_table(config):
+    """(cycle, pairing vector) of every ADE set, in root_subsets order."""
+    return [(cycle, pairings(cycle.vec, config))
+            for _, _, cycle in root_subsets(config, DynkinType)]
+
+
+def assert_cycle_search_matches(config, table, t):
+    want = next((cycle for cycle, pv in table if pv == t), None)
+    assert cycle_with_pairings(config, t) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(annotated_configs(), st.data())
+def test_cycle_with_pairings_matches_the_subset_search(config, data):
+    n = config.size()
+    table = cycle_table(config)
+    for cycle, pv in table:
+        assert cycle_with_pairings(config, pv) == cycle
+    base = data.draw(st.sampled_from(table))[1] if table else (0,) * n
+    bumps = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    mask = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    assert_cycle_search_matches(config, table, tuple(
+        x + d * m for x, d, m in zip(base, bumps, mask)))
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_cycle_with_pairings_on_catalog_cycles(name):
+    config = load_surface(name).config
+    table = cycle_table(config)
+    for cycle, t in table:
+        assert cycle_with_pairings(config, t) == cycle
+        for i in range(config.size()):
+            assert_cycle_search_matches(
+                config, table, t[:i] + (t[i] - 1,) + t[i + 1:])
