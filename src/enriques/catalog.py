@@ -320,7 +320,8 @@ def fibration_records(s):
                     tuple(x // 2 for x in pv) if ann.multiplicity == "simple"
                     else pv
                 )
-            elif s.additive_default == "simple" and not _is_multiplicative(kind):
+            elif (s.additive_default == "simple"
+                  and not _is_multiplicative(kind)):
                 forced = tuple(x // 2 for x in pv)
             if forced is None:
                 continue
@@ -422,7 +423,8 @@ def verify_surface(s):
             ok = all(x % 2 == 0 for x in pairings(f.divisor.vec, s.config))
             _check(checks, f"fiber {f.label} simple scale", ok,
                    f"{kind}; pairing vector halves to an integral class"
-                   if ok else f"{kind}; odd pairing contradicts a simple fiber")
+                   if ok
+                   else f"{kind}; odd pairing contradicts a simple fiber")
         else:
             _check(checks, f"fiber {f.label} half-fiber", True, kind)
 

@@ -364,7 +364,8 @@ def enumerate_triangles(max_components=MAX_COMPONENTS):
 
 
 def discriminant_filter(census):
-    """Keep |glued| >= 10, rank 10 and disc in {1, 4, 16}; annotate the rest."""
+    """Keep |glued| >= 10, rank 10 and disc in {1, 4, 16}; annotate the
+    rest."""
     out = []
     for e in census:
         if e.glued.size() < 10:

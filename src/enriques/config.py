@@ -82,8 +82,8 @@ class CurveConfig:
         for t in tangent_edges:
             pair = frozenset(t)
             if len(pair) != 2 or not pair <= idx.keys():
-                raise ValueError(
-                    f"tangent edge {list(t)} does not name two distinct curves")
+                raise ValueError(f"tangent edge {list(t)} does not name"
+                                 " two distinct curves")
             tangents.add(tuple(sorted(idx[c] for c in pair)))
         return CurveConfig(tuple(names), tuple(tuple(r) for r in m),
                            frozenset(tangents))

@@ -184,7 +184,8 @@ def build_triangle(witnesses, ambient, F=None):
         try:
             kind, null = fiber_divisor(glued, g.support())
         except NotAffine as exc:
-            raise InvariantViolation(f"S_{j+1} + S_{k+1} is not a fiber: {exc}")
+            raise InvariantViolation(
+                f"S_{j+1} + S_{k+1} is not a fiber: {exc}")
         if null != g:
             raise InvariantViolation(
                 f"S_{j+1} + S_{k+1} does not carry fiber multiplicities"

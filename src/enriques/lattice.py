@@ -7,8 +7,8 @@ vertex b attached at c3 (negative definite, diagonal -2, adjacent +1).
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import prod
+from operator import mul
 
 from .exactmat import mat_vec, smith_normal_form
 from .rootfibers import DynkinType, diagram, fundamental_cycle
@@ -42,13 +42,13 @@ def gram_product(a, b, g):
     """The bilinear pairing a.b with respect to the Gram form g."""
     if len(a) != g.dim or len(b) != g.dim:
         raise DimensionMismatch("vector length does not match form dimension")
-    return sum(
-        a[i] * g.entries[i][j] * b[j] for i in range(g.dim) for j in range(g.dim)
-    )
+    return sum(a[i] * g.entries[i][j] * b[j]
+               for i in range(g.dim) for j in range(g.dim))
 
 
 def rank_and_discriminant(g):
-    """Rank over Q, and |det| of the form induced on the quotient by the radical.
+    """Rank over Q, and |det| of the form induced on the quotient by the
+    radical.
 
     The integer kernel of the Gram matrix is saturated, so a unimodular
     change of basis splits the form as the induced nondegenerate form plus
@@ -143,20 +143,37 @@ def solve_cossec_vector(tup, i, j):
     return tuple(v)
 
 
-@lru_cache(maxsize=8)
-def _span_snf(tup):
-    """The pairs (d_i, column i of V) with |d_i| != 1, for U*T*V = D and
-    T the square tuple as rows.  A unit factor divides every integer, so
-    only these columns can keep a vector out of the span."""
-    if any(len(f) != len(tup) for f in tup):
-        raise DimensionMismatch("span test needs a square generating set")
-    d, _, v = smith_normal_form([list(f) for f in tup])
-    return tuple((d[i][i], col) for i, col in enumerate(zip(*v))
-                 if abs(d[i][i]) != 1)
+# the last span test's (rows of the tuple, form, G*Sf, non-unit columns)
+_span_entry = None
 
 
-def in_span(v, tup, g):
-    """Whether v lies in the Z-span of the tuple.
+def _span_data(tup, g):
+    """(G*(f_1 + ... + f_n), the pairs (d_i, column i of V) with |d_i| != 1)
+    for U*T*V = D and T the square tuple as rows.
+
+    v.Sf is the dot product of v with the first.  A unit factor divides
+    every integer, so only the listed columns can keep a vector out of the
+    span.  Both are kept for the last tuple and form and reused while the
+    rows and the form are equal; rows that are the same tuples as last
+    time compare by identity, so reuse costs no arithmetic.
+    """
+    global _span_entry
+    rows = tuple(map(tuple, tup))
+    entry = _span_entry
+    if entry is None or entry[0] != rows or not (
+            entry[1] is g or entry[1] == g):
+        if any(len(f) != len(rows) for f in rows):
+            raise DimensionMismatch("span test needs a square generating set")
+        d, _, v = smith_normal_form([list(f) for f in rows])
+        paired = tuple(mat_vec(g.entries, [sum(col) for col in zip(*rows)]))
+        cols = tuple((d[i][i], col) for i, col in enumerate(zip(*v))
+                     if abs(d[i][i]) != 1)
+        entry = _span_entry = rows, g, paired, cols
+    return entry[2], entry[3]
+
+
+def _span_test(v, tup, g):
+    """(v.Sf, whether v lies in the Z-span of the tuple).
 
     v = x*T has an integral solution x exactly when v*V = y*D does, that
     is, when each (v*V)_i is divisible by d_i, and is 0 where d_i = 0.
@@ -165,25 +182,22 @@ def in_span(v, tup, g):
         raise DimensionMismatch("span test needs a square generating set")
     if len(v) != g.dim:
         raise DimensionMismatch("vector length does not match form dimension")
-    for d, col in _span_snf(tuple(tuple(f) for f in tup)):
-        x = sum(a * b for a, b in zip(v, col))
+    paired, cols = _span_data(tup, g)
+    span = True
+    for d, col in cols:
+        x = sum(map(mul, v, col))
         if (x % d if d else x) != 0:
-            return False
-    return True
+            span = False
+            break
+    return sum(map(mul, v, paired)), span
 
 
-@lru_cache(maxsize=8)
-def _paired_sum(tup, g):
-    """G*(f_1 + ... + f_n): v.Sf is the dot product of v with it."""
-    return tuple(mat_vec(g.entries, [sum(col) for col in zip(*tup)]))
+def in_span(v, tup, g):
+    """Whether v lies in the Z-span of the tuple."""
+    return _span_test(v, tup, g)[1]
 
 
 def divisibility_check(v, tup, g=None):
     """(3 | v.Sf, v in Z-span(f), 9 | v.Sf) for the isotropic tuple f."""
-    if g is None:
-        g = e10_gram()
-    tup = tuple(tuple(f) for f in tup)
-    prod = sum(a * b for a, b in zip(v, _paired_sum(tup, g)))
-    # in_span rejects a v or a tuple of the wrong shape before prod is read
-    span = in_span(v, tup, g)
-    return prod % 3 == 0, span, prod % 9 == 0
+    pairing, span = _span_test(v, tup, e10_gram() if g is None else g)
+    return pairing % 3 == 0, span, pairing % 9 == 0

@@ -19,6 +19,7 @@ guard bit: a product with an exponent above MAX_EXPONENT raises
 ExponentError instead of carrying into the next variable's field.
 """
 
+import re
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
@@ -75,17 +76,19 @@ class MultiPoly:
 
     ``terms`` maps monomials (packed exponent ints with no exponent above
     MAX_EXPONENT, see the module docstring) to nonzero integers; the
-    constructor drops zero coefficients and expects its keys in that form.  ``from_names`` and
-    ``named`` convert from and to sorted tuples of variable names, each
-    repeated by its exponent.  Variables outside x0..x3 count as degree 0
-    in the geometric grading.
+    constructor drops zero coefficients and expects its keys in that
+    form.  ``from_names`` and ``named`` convert from and to sorted tuples
+    of variable names, each repeated by its exponent.  Variables outside
+    x0..x3 count as degree 0 in the geometric grading.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        object.__setattr__(
-            self, "terms", {m: c for m, c in (terms or {}).items() if c})
+        terms = dict(terms) if terms else {}
+        if 0 in terms.values():
+            terms = {m: c for m, c in terms.items() if c}
+        object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -143,12 +146,15 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        """Square and multiply from the low bit, with no squaring past the
+        """A single term scales its exponents; any other polynomial is
+        squared and multiplied from the low bit, with no squaring past the
         top bit: p ** 2**k makes exactly k products."""
         if n < 0:
             raise ValueError("negative power")
         if n == 0:
             return MultiPoly.constant(1)
+        if len(self.terms) == 1:
+            return MultiPoly(_power(self.terms, n))
         result = None
         base = self
         while True:
@@ -173,22 +179,39 @@ class MultiPoly:
 
     def substitute(self, mapping):
         """Replace variables by polynomials or ints, all at once; unnamed
-        variables persist."""
-        subs = [(FIELD_BITS * _INDEX[v], _coerce(p))
+        variables persist.  While a term meets only single-term powers,
+        its image is one (monomial, coefficient) pair."""
+        # (shift of the variable, its value's terms, its powers so far)
+        subs = [(FIELD_BITS * _INDEX[v], _coerce(p).terms, {})
                 for v, p in mapping.items() if v in _INDEX]
-        keep = ~sum(_FIELD << shift for shift, _ in subs)
+        keep = ~sum(_FIELD << shift for shift, _, _ in subs)
         out = {}
-        powers = {}
         for mono, c in self.terms.items():
-            term = {mono & keep: c}
-            for shift, poly in subs:
+            m = mono & keep
+            term = None  # the image as a term dict, once it needs one
+            for shift, terms, powers in subs:
                 e = mono >> shift & _FIELD
-                if e:
-                    if (shift, e) not in powers:
-                        powers[shift, e] = (poly ** e).terms
-                    term = _product(term, powers[shift, e])
-            for m, c2 in term.items():
-                out[m] = out.get(m, 0) + c2
+                if not e:
+                    continue
+                power = powers.get(e)
+                if power is None:
+                    power = powers[e] = _power(terms, e)
+                if term is not None:
+                    term = _product(term, power)
+                elif len(power) == 1:
+                    (pm, pc), = power.items()
+                    m += pm  # both fields at most MAX_EXPONENT: no carry
+                    c *= pc
+                    if m & _guard:
+                        raise ExponentError(
+                            f"exponent exceeds {MAX_EXPONENT}")
+                else:
+                    term = _product({m: c}, power)
+            if term is None:
+                out[m] = out.get(m, 0) + c
+            else:
+                for m, c in term.items():
+                    out[m] = out.get(m, 0) + c
         return MultiPoly(out)
 
     def divide_by_monomial(self, mono):
@@ -220,28 +243,24 @@ class MultiPoly:
         order = sorted((i for i in range(len(_NAMES))
                         if used >> FIELD_BITS * i & _FIELD),
                        key=lambda i: (i > 3, _NAMES[i]))
-        shifts = [FIELD_BITS * i for i in order]
-        dense = sorted(
-            ((tuple(m >> s & _FIELD for s in shifts), c)
-             for m, c in self.terms.items()),
-            key=lambda t: (sum(t[0]), t[0]), reverse=True,
-        )
-        names = [_NAMES[i] for i in order]
-        text = ""
-        for exps, c in dense:
-            body = "*".join(v if e == 1 else f"{v}^{e}"
-                            for v, e in zip(names, exps) if e)
+        fields = [(FIELD_BITS * i, _NAMES[i]) for i in order]
+        rows = []
+        for m, c in self.terms.items():
+            exps = [m >> s & _FIELD for s, _ in fields]
+            rows.append((sum(exps), exps, c))
+        rows.sort(reverse=True)  # no two rows share their exponents
+        chunks = []
+        for _, exps, c in rows:
+            body = "*".join([v if e == 1 else f"{v}^{e}"
+                             for (_, v), e in zip(fields, exps) if e])
             if not body:
-                chunk = str(abs(c))
-            elif abs(c) == 1:
-                chunk = body
-            else:
-                chunk = f"{abs(c)}*{body}"
-            if not text:
-                text = chunk if c > 0 else f"-{chunk}"
-            else:
-                text += f" {'-' if c < 0 else '+'} {chunk}"
-        return text
+                body = str(abs(c))
+            elif abs(c) != 1:
+                body = f"{abs(c)}*{body}"
+            chunks.append(f" - {body}" if c < 0 else f" + {body}")
+        head = chunks[0]
+        chunks[0] = f"-{head[3:]}" if head[1] == "-" else head[3:]
+        return "".join(chunks)
 
     __repr__ = __str__
 
@@ -253,15 +272,40 @@ def _product(terms1, terms2):
     input field at most MAX_EXPONENT, a sum reaches at most the guard bit
     and never carries into the next field.
     """
-    out = {}
-    get = out.get
-    for m1, c1 in terms1.items():
-        for m2, c2 in terms2.items():
-            m = m1 + m2
-            out[m] = get(m, 0) + c1 * c2
+    if len(terms1) == 1:
+        terms1, terms2 = terms2, terms1
+    if len(terms2) == 1:
+        # a single term shifts every monomial, in the same order
+        (m2, c2), = terms2.items()
+        out = {m1 + m2: c1 * c2 for m1, c1 in terms1.items()}
+    else:
+        out = {}
+        get = out.get
+        for m1, c1 in terms1.items():
+            for m2, c2 in terms2.items():
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
     if any(map(_guard.__and__, out)):
         raise ExponentError(f"exponent exceeds {MAX_EXPONENT}")
     return out
+
+
+def _power(terms, n):
+    """The term dict of the n-th power of a term dict, n >= 1.
+
+    A single term scales its monomial, n*mono.  Each field is checked
+    before that packed multiply: n times a field above MAX_EXPONENT would
+    carry into the next field with its guard bit clear.
+    """
+    if len(terms) != 1:
+        return (MultiPoly(terms) ** n).terms
+    (mono, c), = terms.items()
+    rest = mono
+    while rest:
+        if (rest & _FIELD) * n > MAX_EXPONENT:
+            raise ExponentError(f"exponent exceeds {MAX_EXPONENT}")
+        rest >>= FIELD_BITS
+    return {n * mono: c ** n}
 
 
 def _coerce(x):
@@ -381,15 +425,30 @@ MAX_PARSE_DIGITS = 100
 MAX_PARSE_NESTING = 50
 
 
+# a token: an int literal, a variable, an operator, or a bad character;
+# \S matches exactly the characters that str.isspace rejects, so the
+# whitespace between tokens is skipped
+_TOKEN = re.compile(r"[0-9]+|x[0-3]|[-+*^()]|\S")
+# the kind of each token other than an int literal or a bad character
+_KINDS = {"x0": "var", "x1": "var", "x2": "var", "x3": "var",
+          **{op: op for op in "+-*^()"}}
+_COEFFICIENT_BOUND = 10 ** MAX_PARSE_DIGITS
+
+
 def _check_parse_degree(degree):
     if degree > MAX_PARSE_DEGREE:
         raise ParseError(f"degree {degree} exceeds {MAX_PARSE_DEGREE}")
 
 
+def _check_parse_coefficient(c):
+    if abs(c) >= _COEFFICIENT_BOUND:
+        raise ParseError(f"coefficient exceeds {MAX_PARSE_DIGITS} digits")
+
+
 def _parsed_terms(terms):
     """terms without its zero coefficients, unless one is too long."""
-    if any(abs(c) >= 10 ** MAX_PARSE_DIGITS for c in terms.values()):
-        raise ParseError(f"coefficient exceeds {MAX_PARSE_DIGITS} digits")
+    for c in terms.values():
+        _check_parse_coefficient(c)
     return {m: c for m, c in terms.items() if c}
 
 
@@ -402,24 +461,23 @@ def parse_poly(text):
     rejected as well, and so are parentheses nested more than
     MAX_PARSE_NESTING deep.  Such input raises ParseError.
     """
-    tokens = _tokenize(text)
-    tokens.append(None)  # the end of the input
-    kinds = [tok and tok[0] for tok in tokens]
+    kinds, values = _tokenize(text)
     pos = 0
 
     def expect(kind):
         nonlocal pos
         if kinds[pos] != kind:
-            raise ParseError(f"unexpected {tokens[pos]!r}, wanted {kind}")
+            token = kinds[pos] and (kinds[pos], values[pos])
+            raise ParseError(f"unexpected {token!r}, wanted {kind}")
         pos += 1
-        return tokens[pos - 1][1]
+        return values[pos - 1]
 
     def atom():
         nonlocal pos
         kind = kinds[pos]
         if kind is None:
             raise ParseError("unexpected end of expression")
-        value = tokens[pos][1]
+        value = values[pos]
         if kind not in ("int", "var", "("):
             raise ParseError(f"unexpected token {value!r}")
         pos += 1
@@ -447,6 +505,26 @@ def parse_poly(text):
     def product():
         nonlocal pos
         value = power()
+        if len(value) == 1:
+            # a run of single nonzero terms folds into one term, with the
+            # checks a product of term dicts would make at each factor
+            (mono, coef), = value.items()
+            degree = _geometric_degree(mono)
+            while kinds[pos] == "*":
+                pos += 1
+                rhs = power()
+                if len(rhs) != 1:
+                    _check_parse_degree(degree + _degree(rhs))
+                    value = _parsed_terms(_product({mono: coef}, rhs))
+                    break
+                (m, c), = rhs.items()
+                degree += _geometric_degree(m)
+                _check_parse_degree(degree)
+                mono += m
+                coef *= c
+                _check_parse_coefficient(coef)
+            else:
+                return {mono: coef}
         while kinds[pos] == "*":
             pos += 1
             rhs = power()
@@ -470,37 +548,34 @@ def parse_poly(text):
 
     result = expr()
     if kinds[pos] is not None:
-        raise ParseError(f"trailing input at {tokens[pos][1]!r}")
+        raise ParseError(f"trailing input at {values[pos]!r}")
     return MultiPoly(result)
 
 
 def _tokenize(text):
-    tokens = []
-    i = 0
+    """The kinds and values of the tokens of text, each list closed by
+    None: ("int", its value), ("var", its name), or an operator as both."""
+    kinds = []
+    values = []
     depth = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif "0" <= ch <= "9":
-            j = i
-            while j < len(text) and "0" <= text[j] <= "9":
-                j += 1
-            if j - i > MAX_PARSE_DIGITS:
+    for token in _TOKEN.findall(text):
+        kind = _KINDS.get(token)
+        if kind is None:
+            if not "0" <= token[0] <= "9":
+                raise ParseError(f"bad character {token!r}")
+            if len(token) > MAX_PARSE_DIGITS:
                 raise ParseError(
                     f"literal exceeds {MAX_PARSE_DIGITS} digits")
-            tokens.append(("int", int(text[i:j])))
-            i = j
-        elif ch == "x" and i + 1 < len(text) and text[i + 1] in "0123":
-            tokens.append(("var", text[i:i + 2]))
-            i += 2
-        elif ch in "+-*^()":
-            depth += (ch == "(") - (ch == ")")
+            kinds.append("int")
+            values.append(int(token))
+            continue
+        if kind in "()":
+            depth += 1 if kind == "(" else -1
             if depth > MAX_PARSE_NESTING:
                 raise ParseError(
                     f"parentheses nested deeper than {MAX_PARSE_NESTING}")
-            tokens.append((ch, ch))
-            i += 1
-        else:
-            raise ParseError(f"bad character {ch!r}")
-    return tokens
+        kinds.append(kind)
+        values.append(token)
+    kinds.append(None)
+    values.append(None)
+    return kinds, values

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module,
-every private top-level name of the package is read somewhere in it, and
-the core modules never read a curve name."""
+every private top-level name of the package is read somewhere in it, the
+core modules never read a curve name, and no line is over 79
+characters."""
 
 import ast
 from pathlib import Path
@@ -32,6 +33,26 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+MAX_LINE = 79
+
+
+def long_lines(source):
+    """The 1-based numbers of the lines of source over MAX_LINE
+    characters."""
+    return [n for n, line in enumerate(source.splitlines(), 1)
+            if len(line) > MAX_LINE]
+
+
+def test_long_lines_are_found():
+    source = "a = 1\n" + "#" * MAX_LINE + "\n" + "b" * (MAX_LINE + 1) + "\n"
+    assert long_lines(source) == [3]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_lines_fit_the_line_length(path):
+    assert long_lines(path.read_text()) == []
 
 
 def _bound(stmt):

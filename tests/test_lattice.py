@@ -229,6 +229,34 @@ def test_span_and_divisibility_match_the_all_columns_formula(case):
                                              prod % 9 == 0)
 
 
+def test_span_tests_read_a_list_basis_like_a_tuple_basis():
+    lists = [list(f) for f in BASIS]
+    tuples = tuple(BASIS)
+    vectors = lists + [list(solve_cossec_vector(BASIS, 8, 9)), [1] * 10,
+                       [3] + [0] * 9, [0] * 9 + [9]]
+    for v in vectors:
+        assert in_span(v, lists, G) == in_span(v, tuples, G)
+        assert (divisibility_check(v, lists, G)
+                == divisibility_check(v, tuples, G))
+
+
+def test_span_tests_see_a_basis_edited_in_place_and_a_new_form():
+    units = [[int(k == i) for k in range(10)] for i in range(10)]
+    v = [0] * 9 + [1]
+    assert in_span(v, units, G)
+    units[9][9] = 2
+    assert not in_span(v, units, G)
+    units[9] = list(v)
+    assert in_span(v, units, G)
+    # the same basis under two forms: v.Sf follows the form
+    identity = GramForm.from_rows(units)
+    w = [1, 0, 2] + [0] * 7
+    assert gram_product(w, [1] * 10, identity) == 3
+    assert divisibility_check(w, units, identity) == (True, True, False)
+    assert gram_product(w, [1] * 10, G) == -1
+    assert divisibility_check(w, units, G) == (False, True, False)
+
+
 def test_divisibility_check_rejects_a_vector_of_the_wrong_length():
     with pytest.raises(DimensionMismatch):
         divisibility_check([1, 2], BASIS, G)

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from math import prod
@@ -30,6 +31,43 @@ def test_parse_expansion():
     assert str(parse_poly("(x0 + x1)^2")) == "x0^2 + 2*x0*x1 + x1^2"
     assert str(parse_poly("x0 - x0")) == "0"
     assert str(parse_poly("3*x2^2 - x1*x3")) == "-x1*x3 + 3*x2^2"
+
+
+# parse_poly's message for each kind of bad input
+PARSE_ERRORS = [
+    ("x4", "bad character 'x'"),
+    ("x0\u00b2", "bad character '\u00b2'"),
+    ("\u0663", "bad character '\u0663'"),
+    ("(x0", "unexpected None, wanted )"),
+    ("x0)", "trailing input at ')'"),
+    ("x0 x1", "trailing input at 'x1'"),
+    ("x0 007", "trailing input at 7"),
+    ("x0 ^ x1", "unexpected ('var', 'x1'), wanted int"),
+    ("2 ** 3", "unexpected token '*'"),
+    ("", "unexpected end of expression"),
+    ("x0 +", "unexpected end of expression"),
+    ("1" * 101, "literal exceeds 100 digits"),
+    ("(" * 51 + "x0" + ")" * 51, "parentheses nested deeper than 50"),
+    ("x0^3*x1^3*x2^3", "degree 9 exceeds 8"),
+    ("x0*x1*x2*x3*x0*x1*x2*x3*x0", "degree 9 exceeds 8"),
+    ("(x0^4 + 1)*x0^5", "degree 9 exceeds 8"),
+    ("10^60", "exponent 60 exceeds 8"),
+    ("1" * 60 + "*" + "1" * 60 + "*x0^9", "coefficient exceeds 100 digits"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_ERRORS)
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_poly(text)
+    assert str(info.value) == message
+
+
+def test_a_chain_of_powers_groups_from_the_left():
+    assert parse_poly("2^3^2") == 64
+    assert parse_poly("x0^2^3") == x(0) ** 6
+    with pytest.raises(ParseError, match="degree 10 exceeds 8"):
+        parse_poly("x0^2^5")
 
 
 def test_parse_errors():
@@ -231,6 +269,17 @@ def test_an_exponent_past_the_bound_never_carries():
         MultiPoly.from_names({("x0",) * (MAX_EXPONENT + 1): 1})
 
 
+def test_substituting_a_power_never_carries():
+    # 3 * 21846 does not fit a field: a packed multiply would turn
+    # x1^65538 into x1^2*x2 with the guard bit clear
+    assert (3 * 21846) << 16 == (2 << 16) + (1 << 32)
+    with pytest.raises(ExponentError):
+        (x(0) ** 21846).substitute({"x0": x(1) ** 3})
+    with pytest.raises(ExponentError):
+        (x(0) ** MAX_EXPONENT).substitute({"x0": x(1) ** 3})
+    assert (x(0) ** 10922).substitute({"x0": x(1) ** 3}) == x(1) ** 32766
+
+
 def test_a_name_registered_late_works_like_any_other():
     p = parse_poly("x0^2*x3 - 2*x1") + 1
     name = f"late{len(polymodels._NAMES)}"  # a name no polynomial has used
@@ -324,6 +373,35 @@ def test_substitute_agrees_with_evaluation(p, mapping, env):
     assert value(p.substitute(mapping), env) == value(p, inner)
 
 
+def single_terms():
+    """One term: a coefficient in -5..5 other than 0, times each name to
+    a power up to 3."""
+    return st.builds(
+        lambda exps, c: MultiPoly.from_names(
+            {tuple(sorted(v for v, e in exps.items() for _ in range(e))): c}),
+        st.dictionaries(st.sampled_from(NAMES), st.integers(0, 3)),
+        st.integers(-5, 5).filter(bool))
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(), st.dictionaries(st.sampled_from(NAMES), single_terms()))
+def test_single_term_substitution_agrees_with_term_products(p, mapping):
+    # each term c * prod(v^e) becomes c * prod(mapping[v] ** e)
+    want = MultiPoly()
+    for names, c in p.named().items():
+        term = MultiPoly.constant(c)
+        for v in set(names):
+            value = mapping.get(v, MultiPoly.variable(v))
+            e = names.count(v)
+            power = MultiPoly.constant(1)
+            for _ in range(e):
+                power = power * value
+            assert value ** e == power
+            term = term * power
+        want = want + term
+    assert p.substitute(mapping) == want
+
+
 @settings(max_examples=100, deadline=None)
 @given(polys(GEOMETRIC, max_len=4))
 def test_printed_text_parses_back(p):
@@ -375,3 +453,59 @@ def test_generic_certificates_against_sympy():
                       x3).all_coeffs()
     disc = sp.expand(b**2 - 4 * a * c)
     assert sp.expand(to_sympy(sp, generic_octic()) - disc) == 0
+
+
+WHITESPACE = "".join(c for c in map(chr, range(sys.maxunicode + 1))
+                     if c.isspace())
+# texts are lists of tokens: any tokens of this alphabet, or the tokens
+# of an expression built from factors, mostly valid
+TOKENS = ["x0", "x1", "x2", "x3", "+", "-", "*", "^", "(", ")", "0", "1",
+          "2", "3", "9", "10", "07", "123456789012"]
+FACTORS = (st.sampled_from(["x0", "x1", "x2", "x3"])
+           | st.integers(0, 10 ** 12).map(str)).map(lambda t: [t])
+
+
+def _parenthesised(tokens):
+    return ["("] + tokens + [")"]
+
+
+def _powered(tokens, n):
+    return _parenthesised(tokens) + ["^", str(n)]
+
+
+EXPRESSIONS = st.recursive(FACTORS, lambda inner: st.one_of(
+    st.tuples(inner, st.sampled_from("+-*"), inner).map(
+        lambda t: t[0] + [t[1]] + t[2]),
+    st.tuples(st.sampled_from("+-"), inner).map(lambda t: [t[0]] + t[1]),
+    inner.map(_parenthesised),
+    st.tuples(inner, st.integers(0, 9)).map(lambda t: _powered(*t)),
+), max_leaves=10)
+
+
+@st.composite
+def parse_texts(draw):
+    """Tokens from a grammar, or any tokens at all, with runs of any
+    whitespace between them."""
+    tokens = draw(EXPRESSIONS | st.lists(st.sampled_from(TOKENS),
+                                         max_size=12))
+    gaps = draw(st.lists(st.text(WHITESPACE, max_size=2),
+                         min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    return "".join(g + t for g, t in zip(gaps, tokens + [""]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(parse_texts())
+def test_parse_agrees_with_sympy(text):
+    sp = pytest.importorskip("sympy")
+    try:
+        p = parse_poly(text)
+    except ParseError:
+        return
+    # Python's grammar takes neither leading zeros nor every whitespace
+    # character, and it groups a chain of powers from the right
+    plain = re.sub(r"[0-9]+", lambda m: str(int(m.group())),
+                   " ".join(text.split()))
+    if re.search(r"\^ ?[0-9]+ ?\^", plain):
+        return
+    want = sp.expand(sp.sympify(plain.replace("^", "**")))
+    assert sp.expand(to_sympy(sp, p) - want) == 0
