@@ -127,6 +127,8 @@ def _glue_indexed(kinds, decomps, chosen):
     mats = [fiber_graph(k).inter for k in kinds]
     offsets = [0, len(mats[0]), len(mats[0]) + len(mats[1])]
     parent = list(range(offsets[2] + len(mats[2])))
+    # the fibers each class holds a vertex of, as a bitmask per root
+    fibers = [1 << f for f, m in enumerate(mats) for _ in m]
 
     def find(x):
         while parent[x] != x:
@@ -138,18 +140,19 @@ def _glue_indexed(kinds, decomps, chosen):
         for va, vb in zip(oa, ob):
             ra, rb = find(offsets[ia - 1] + va), find(offsets[ib - 1] + vb)
             if ra != rb:
+                if fibers[ra] & fibers[rb]:
+                    return None  # two vertices of one fiber would collapse
                 parent[ra] = rb
+                fibers[rb] |= fibers[ra]
     number = {}
     cls_of = [number.setdefault(find(x), len(number))
               for x in range(len(parent))]
     n = len(number)
-    # no two vertices of one fiber may collapse, and every weight must be
-    # consistent across the fibers seeing both endpoints (None: unseen)
+    # every weight must be consistent across the fibers seeing both
+    # endpoints (None: unseen)
     weights = [[None] * n for _ in range(n)]
     for m, off in zip(mats, offsets):
         local = cls_of[off:off + len(m)]
-        if len(set(local)) != len(m):
-            return None
         for a, ga in enumerate(local):
             row, wa = m[a], weights[ga]
             for b in range(a + 1, len(m)):
@@ -200,16 +203,20 @@ class Survivor:
         return f"Survivor({self.surface})"
 
 
-def _raw_triangles(max_components):
+def _raw_triangles(max_components, splittings=_orbit_first, funnel=None):
     """Consistent gluings as (types, n, weights, coeff rows), with
     the role types already in canonical sorted order.  Each fiber takes
-    only its orbit-first splittings: a gluing from any other splitting has
-    an isomorphic twin from the orbit-first one, earlier in this order."""
+    splittings(kind), by default its orbit-first splittings: a gluing from
+    any other splitting has an isomorphic twin from the orbit-first one,
+    earlier in this order (_decompositions gives the uncut loop).  funnel,
+    a Counter, counts the attempts, consistent ones and those in bound."""
+    if funnel is None:
+        funnel = Counter()
     by_first = {}
     by_pair = {}
     all_decomps = []
     for kind in FIBER_KINDS:
-        for d in _orbit_first(kind):
+        for d in splittings(kind):
             all_decomps.append((kind, d))
             by_first.setdefault(d.first.dtype, []).append((kind, d))
             by_pair.setdefault((d.first.dtype, d.second.dtype),
@@ -235,11 +242,14 @@ def _raw_triangles(max_components):
                                 3: ((1, o3), (2, d2.second.orders[0])),
                             }
                             glued = _glue_indexed(kinds, decomps, chosen)
+                            funnel["attempts"] += 1
                             if glued is None:
                                 continue
+                            funnel["consistent"] += 1
                             n, weights, coeffs = glued
                             if n > max_components:
                                 continue
+                            funnel["bounded"] += 1
                             key = ((t1, t2, t3), weights, coeffs)
                             if key not in found:
                                 found[key] = ((t1, t2, t3),
@@ -268,14 +278,15 @@ def _refine(colours, nbrs):
     """Coarsest equitable refinement of a vertex colouring, renumbered
     canonically: a vertex's next colour is its colour together with the
     multiset of (neighbour colour, edge weight) pairs."""
+    cells = len(set(colours))
     while True:
         sigs = [(c, tuple(sorted((colours[u], w) for u, w in nb)))
                 for c, nb in zip(colours, nbrs)]
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
         refined = [rank[s] for s in sigs]
-        if len(rank) == len(set(colours)):
+        if len(rank) == cells:
             return refined
-        colours = refined
+        colours, cells = refined, len(rank)
 
 
 def _leaves(colours, nbrs):
@@ -293,38 +304,45 @@ def _leaves(colours, nbrs):
             yield from _leaves(_refine(split, nbrs), nbrs)
 
 
-def _least_certificate(labels, weights, nbrs):
-    """Least certificate over the leaves reached from the colouring by
-    labels: a leaf's certificate is the vertex labels in leaf order plus
-    the reordered weight matrix.  Two labelled weighted graphs are
-    isomorphic exactly when their least certificates are equal."""
-    best = None
+def _leaf_certificates(gluing, nbrs, perm):
+    """Each leaf's certificate, in _leaves order, with vertices coloured by
+    their S-coefficients in role order perm: the types, and the colours
+    and weight matrix in leaf order.  Equal ones mean isomorphic gluings."""
+    types, n, weights, coeffs = gluing
+    labels = [tuple(coeffs[p][v] for p in perm) for v in range(n)]
     for leaf in _leaves(_refine(labels, nbrs), nbrs):
-        order = sorted(range(len(labels)), key=leaf.__getitem__)
-        cert = (tuple(labels[v] for v in order),
-                tuple(tuple(weights[a][b] for b in order) for a in order))
-        if best is None or cert < best:
-            best = cert
-    return best
+        order = sorted(range(n), key=leaf.__getitem__)
+        yield (types, tuple(labels[v] for v in order),
+               tuple(tuple(weights[a][b] for b in order) for a in order))
 
 
-def _canonical_key(types, n, weights, coeffs):
-    """Isomorphism invariant of a raw gluing that separates non-isomorphic
-    ones: isomorphisms may relabel vertices and permute roles of equal type.
+def _first_of_each_class(gluings):
+    """The first gluing of each isomorphism class, in input order;
+    isomorphisms may relabel vertices and permute roles of equal type.
 
-    Colour refinement plus exhaustive individualisation, after McKay and
-    Piperno, "Practical graph isomorphism II" (2014), with no automorphism
-    pruning.  Vertices are coloured by their S-coefficients in the permuted
-    role order, and the key keeps the least certificate over the role
-    permutations that fix the type triple.
+    Colour refinement plus individualisation, after McKay and Piperno,
+    "Practical graph isomorphism II" (2014).  The index holds every leaf
+    certificate of each class's first gluing in the identity role order.
+    Both steps are equivariant, so a gluing isomorphic to it by a role
+    permutation rho has its first leaf in the role order rho^-1 there.
     """
-    nbrs = [[(u, w) for u, w in enumerate(row) if w] for row in weights]
-    return types, min(
-        _least_certificate(
-            [tuple(coeffs[p][v] for p in perm) for v in range(n)],
-            weights, nbrs)
-        for perm in permutations(range(3))
-        if all(types[p] == t for p, t in zip(perm, types)))
+    index = set()
+    firsts = []
+    for gluing in gluings:
+        types = gluing[0]
+        nbrs = [[(u, w) for u, w in enumerate(r) if w] for r in gluing[2]]
+        # the identity comes first; its leaves go on to fill the index
+        own, *others = (
+            _leaf_certificates(gluing, nbrs, perm)
+            for perm in permutations(range(3))
+            if all(types[p] == t for p, t in zip(perm, types)))
+        first = next(own)
+        if first in index or any(next(c) in index for c in others):
+            continue
+        index.add(first)
+        index.update(own)
+        firsts.append(gluing)
+    return firsts
 
 
 def enumerate_triangles(max_components=MAX_COMPONENTS):
@@ -338,17 +356,16 @@ def enumerate_triangles(max_components=MAX_COMPONENTS):
     partition up to permutation.  Gluing only orbit-first splittings is
     the isomorph-free cut of McKay, "Isomorph-free exhaustive
     generation" (1998): the other splittings give only gluings
-    isomorphic to earlier ones.  Each class is represented by its first
-    gluing in enumeration order; capacity, rank and discriminant are
-    isomorphism invariants, so the entry is built for that gluing only.
+    isomorphic to earlier ones.  The deduplication is a class index of
+    leaf certificates (_first_of_each_class): each class pays one full
+    search and each duplicate one path, its first leaf per role order.
+    Each class is represented by its first gluing in enumeration order;
+    capacity, rank and discriminant are isomorphism invariants, so the
+    entry is built for that gluing only.
     """
-    seen = set()
     kept = []
-    for types, n, weights, coeffs in _raw_triangles(max_components):
-        key = _canonical_key(types, n, weights, coeffs)
-        if key in seen:
-            continue
-        seen.add(key)
+    for _, n, weights, coeffs in _first_of_each_class(
+            _raw_triangles(max_components)):
         entry = _make_entry(n, weights, coeffs)
         if entry is not None:
             kept.append(entry)

@@ -459,7 +459,8 @@ def parse_poly(text):
     expanded, and no exponent may exceed it either; a literal, or a
     coefficient of a power or product, above MAX_PARSE_DIGITS digits is
     rejected as well, and so are parentheses nested more than
-    MAX_PARSE_NESTING deep.  Such input raises ParseError.
+    MAX_PARSE_NESTING deep.  Such input raises ParseError, and so does a
+    chain of powers a^b^c, which must be parenthesised.
     """
     kinds, values = _tokenize(text)
     pos = 0
@@ -492,7 +493,7 @@ def parse_poly(text):
     def power():
         nonlocal pos
         base = atom()
-        while kinds[pos] == "^":
+        if kinds[pos] == "^":
             pos += 1
             exp = expect("int")
             _check_parse_degree(max(_degree(base), 0) * exp)
@@ -500,6 +501,10 @@ def parse_poly(text):
                 raise ParseError(
                     f"exponent {exp} exceeds {MAX_PARSE_DEGREE}")
             base = _parsed_terms((MultiPoly(base) ** exp).terms)
+            if kinds[pos] == "^":
+                # a^b^c groups one way in some conventions and the other
+                # way in others, so it must be written with parentheses
+                raise ParseError("a chain of powers needs parentheses")
         return base
 
     def product():

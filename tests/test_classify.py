@@ -11,8 +11,8 @@ from enriques.classify import (
     FIBER_KINDS,
     Excluded,
     Survivor,
-    _canonical_key,
     _decompositions,
+    _first_of_each_class,
     _glue_indexed,
     _orbit_first,
     _raw_triangles,
@@ -142,83 +142,41 @@ def test_orbit_counts_match_brute_force_automorphisms():
     assert time.perf_counter() - t0 < 5
 
 
-def full_raw_triangles(max_components, funnel):
-    """The gluing loop over every splitting of each fiber, with no orbit cut;
-    otherwise the loop of classify._raw_triangles.  funnel counts the
-    gluing attempts, the consistent ones and those within the bound."""
-    by_first = {}
-    by_pair = {}
-    all_decomps = []
-    for kind in FIBER_KINDS:
-        for d in _decompositions(kind):
-            all_decomps.append((kind, d))
-            by_first.setdefault(d.first.dtype, []).append((kind, d))
-            by_pair.setdefault((d.first.dtype, d.second.dtype),
-                               []).append((kind, d))
-    found = {}
-    for k3, d3 in all_decomps:  # fiber 3 carries (S_1, S_2)
-        t1, t2 = d3.first.dtype, d3.second.dtype
-        if type_sort_key(t1) > type_sort_key(t2):
-            continue
-        for k2, d2 in by_first.get(t1, ()):  # fiber 2 carries (S_1, S_3)
-            t3 = d2.second.dtype
-            if type_sort_key(t2) > type_sort_key(t3):
-                continue
-            for k1, d1 in by_pair.get((t2, t3), ()):  # fiber 1: (S_2, S_3)
-                kinds = (k1, k2, k3)
-                decomps = (d1, d2, d3)
-                for o1 in d2.first.orders:
-                    for o2 in d1.first.orders:
-                        for o3 in d1.second.orders:
-                            chosen = {
-                                1: ((2, o1), (3, d3.first.orders[0])),
-                                2: ((1, o2), (3, d3.second.orders[0])),
-                                3: ((1, o3), (2, d2.second.orders[0])),
-                            }
-                            glued = _glue_indexed(kinds, decomps, chosen)
-                            funnel["attempts"] += 1
-                            if glued is None:
-                                continue
-                            funnel["consistent"] += 1
-                            n, weights, coeffs = glued
-                            if n > max_components:
-                                continue
-                            funnel["bounded"] += 1
-                            key = ((t1, t2, t3), weights, coeffs)
-                            if key not in found:
-                                found[key] = ((t1, t2, t3),
-                                              n, weights, coeffs)
-    return list(found.values())
-
-
-def first_of_each_class(raw):
-    """The first raw gluing of each isomorphism class, in input order."""
-    seen = set()
-    out = []
-    for gluing in raw:
-        key = _canonical_key(*gluing)
-        if key not in seen:
-            seen.add(key)
-            out.append(gluing)
-    return out
+def test_glue_rejects_two_curves_of_one_fiber_in_one_class():
+    # three I2 fibers, each split as A1 + A1 into its curves 0 and 1
+    kind = KodairaType("I2")
+    split = _decompositions(kind)[0]
+    kinds, decomps = (kind,) * 3, (split,) * 3
+    s1 = ((2, (0,)), (3, (0,)))
+    s2 = ((1, (0,)), (3, (0,)))
+    glued = _glue_indexed(kinds, decomps, {1: s1, 2: s2,
+                                           3: ((1, (1,)), (2, (1,)))})
+    assert glued is not None and glued[0] == 3
+    # S_3 now joins curve 1 of fiber 1 to curve 0 of fiber 2, which S_1
+    # and S_2 already join to curve 0 of fiber 1; every weight is still
+    # consistent, but fiber 1 would collapse onto one class
+    assert _glue_indexed(kinds, decomps, {1: s1, 2: s2,
+                                          3: ((1, (1,)), (2, (0,)))}) is None
 
 
 @pytest.fixture(scope="module")
 def full_loop_firsts():
     funnel = Counter()
-    raw = full_raw_triangles(MAX_COMPONENTS, funnel)
+    raw = _raw_triangles(MAX_COMPONENTS, _decompositions, funnel)
     # the funnel counts do not depend on how the fiber graphs are labelled
     assert funnel == {"attempts": 125262, "consistent": 111270,
                       "bounded": 93878}
     # the distinct labelled gluings depend on the fiber graphs' vertex order
     assert len(raw) == 3134
-    return first_of_each_class(raw)
+    return _first_of_each_class(raw)
 
 
 def test_orbit_cut_keeps_the_full_loop_representatives(full_loop_firsts):
-    fast = _raw_triangles(MAX_COMPONENTS)
+    funnel = Counter()
+    fast = _raw_triangles(MAX_COMPONENTS, funnel=funnel)
+    assert funnel == {"attempts": 1291, "consistent": 756, "bounded": 700}
     assert len(fast) == 235
-    assert first_of_each_class(fast) == full_loop_firsts
+    assert _first_of_each_class(fast) == full_loop_firsts
     assert len(full_loop_firsts) == 124
 
 
@@ -227,7 +185,7 @@ def test_orbit_cut_matches_the_full_loop_at_every_bound(
         full_loop_firsts, monkeypatch, max_components):
     # n is an isomorphism invariant, so the bound drops whole classes
     firsts = [g for g in full_loop_firsts if g[1] <= max_components]
-    assert first_of_each_class(_raw_triangles(max_components)) == firsts
+    assert _first_of_each_class(_raw_triangles(max_components)) == firsts
     fast = enumerate_triangles(max_components)
     monkeypatch.setattr(classify, "_raw_triangles", lambda _: firsts)
     assert enumerate_triangles(max_components) == fast
@@ -319,8 +277,9 @@ def isomorphic_by_brute_force(g, h):
 
 
 def test_census_keys_are_distinct(census):
-    keys = {_canonical_key(*raw_gluing(e)) for e in census}
-    assert len(keys) == len(census) == 120
+    gluings = [raw_gluing(e) for e in census]
+    assert _first_of_each_class(gluings) == gluings
+    assert len(census) == 120
 
 
 @settings(max_examples=200, deadline=None)
@@ -329,8 +288,9 @@ def test_canonical_key_is_invariant_under_relabelling(census, data):
     graph = raw_gluing(data.draw(st.sampled_from(census)))
     vertex_perm = data.draw(st.permutations(range(graph[1])))
     role_perm = data.draw(st.sampled_from(role_perms(graph[0])))
-    assert (_canonical_key(*relabel(graph, vertex_perm, role_perm))
-            == _canonical_key(*graph))
+    copy = relabel(graph, vertex_perm, role_perm)
+    assert _first_of_each_class([graph, copy]) == [graph]
+    assert _first_of_each_class([copy, graph]) == [copy]
 
 
 def cycles(*lengths):
@@ -351,9 +311,8 @@ def test_canonical_key_individualises_every_vertex_of_a_cell():
     g = cycles(3, 4)
     for shift in range(7):
         perm = [(v + shift) % 7 for v in range(7)]
-        assert _canonical_key(*relabel(g, perm, (0, 1, 2))) == \
-            _canonical_key(*g)
-    assert _canonical_key(*g) != _canonical_key(*cycles(7))
+        assert _first_of_each_class([g, relabel(g, perm, (0, 1, 2))]) == [g]
+    assert _first_of_each_class([g, cycles(7)]) == [g, cycles(7)]
 
 
 @st.composite
@@ -389,8 +348,36 @@ def test_canonical_key_matches_brute_force_isomorphism(data):
             h = h[:3] + (h[3][:k] + (tuple(row),) + h[3][k + 1:],)
     else:
         h = data.draw(coloured_graphs(n))
-    assert (_canonical_key(*g) == _canonical_key(*h)) == \
+    assert (len(_first_of_each_class([g, h])) == 1) == \
         isomorphic_by_brute_force(g, h)
+
+
+def brute_force_firsts(gluings):
+    """The first gluing of each isomorphism class, in input order."""
+    firsts = []
+    for g in gluings:
+        if not any(isomorphic_by_brute_force(f, g) for f in firsts):
+            firsts.append(g)
+    return firsts
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_class_index_matches_brute_force_on_lists(data):
+    # copies of a few graphs, interleaved, so that the index holds several
+    # classes when a copy under a non-identity role order arrives
+    n = data.draw(st.integers(1, 5))
+    bases = data.draw(st.lists(coloured_graphs(n), min_size=1, max_size=3))
+    if data.draw(st.booleans()):
+        # one type triple for all, often with every type equal
+        types = data.draw(st.sampled_from(["AAA", "AAB", "ABB", "BBB"]))
+        bases = [(tuple(types),) + g[1:] for g in bases]
+    gluings = []
+    for _ in range(data.draw(st.integers(1, 7))):
+        g = data.draw(st.sampled_from(bases))
+        gluings.append(relabel(g, data.draw(st.permutations(range(n))),
+                               data.draw(st.sampled_from(role_perms(g[0])))))
+    assert _first_of_each_class(gluings) == brute_force_firsts(gluings)
 
 
 def classify_family(e):

@@ -535,6 +535,14 @@ def test_sextic_check_rejects_garbage(capsys):
     assert "cannot parse --q" in err
 
 
+def test_sextic_check_rejects_a_chain_of_powers(capsys):
+    code, out, err = run_main(capsys, ["sextic-check", "--q", "x0^1^2"])
+    assert code == 2
+    assert out == ""
+    assert "cannot parse --q" in err
+    assert "a chain of powers needs parentheses" in err
+
+
 def test_sextic_check_rejects_wrong_degree(capsys):
     code, _, err = run_main(capsys, ["sextic-check", "--q", "x0^3"])
     assert code == 2
