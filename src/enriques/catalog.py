@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import divisors as _divisors
-from .config import CurveConfig, Divisor, NumClass, intersect, pairings
+from .config import CurveConfig, Divisor, intersect, pairings
 from .divisors import (
     build_triangle,
     extension_obstruction,
@@ -273,7 +273,7 @@ def _check_claims(claims, labels, curves):
 @dataclass(frozen=True)
 class FibrationClass:
     labels: tuple  # annotation labels of members, possibly empty
-    cls: NumClass  # half-fiber class when determined, else the raw fiber
+    cls: Divisor  # half-fiber class when determined, else the raw fiber
     kinds: tuple  # fiber kinds seen in this class's fibration
     determined: bool
     ray: tuple  # primitive pairing vector, the dedup key
@@ -335,12 +335,11 @@ def fibration_records(s):
         labels = tuple(ann.label for _, _, _, ann in members if ann)
         kinds = tuple(sorted({kind for _, _, kind, _ in members}))
         if half_pv is None:
-            cls = NumClass.from_divisor(members[0][0])
+            cls = members[0][0]
         else:
             d, pv = rep
             # the forced pairing is pv or pv / 2, so the class is d or d/2
-            cls = NumClass.from_divisor(d, 1 if half_pv == pv else 2).flagged(
-                half_fiber=True)
+            cls = Divisor(d.vec, config, 1 if half_pv == pv else 2)
         records.append(
             FibrationClass(labels, cls, kinds, half_pv is not None, ray))
     return records

@@ -75,7 +75,8 @@ def _build_parser():
     p = sub.add_parser("classify", description="Census of triangle graphs")
     p.add_argument("--filter", default="census",
                    choices=("census", "discriminant", "survivors"))
-    p.add_argument("--max-components", type=int, default=11)
+    p.add_argument("--max-components", type=int,
+                   default=classify.MAX_COMPONENTS)
     p.add_argument("--json", action="store_true")
 
     for name in ("verify-surface", "nd", "fibrations"):

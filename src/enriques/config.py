@@ -9,9 +9,9 @@ tuple of these indices: names are read only by from_edges, index, pair
 and Divisor.from_map, and written only by Divisor.coeffs.  The
 neighbour-index tuples (``adj``) are computed once, at construction;
 an induced subconfiguration derives them from its parent's instead.  A
-Divisor is a coefficient vector aligned with its ambient configuration's
-vertices, and a NumClass is a Divisor over a denominator of 1 or 2, so
-every pairing is an integer sum.
+Divisor is an integer coefficient vector aligned with its ambient
+configuration's vertices, over a denominator of 1 or 2, so every pairing
+is an integer sum.
 """
 
 from dataclasses import dataclass, field
@@ -149,14 +149,28 @@ def connected(nbrs):
 
 @dataclass(frozen=True)
 class Divisor:
-    """Integer combination of the ambient curves."""
+    """The class D/den of an integer combination D of the ambient curves,
+    with den 1 or 2.
 
-    vec: tuple  # one coefficient per ambient curve, in ambient order
+    ``vec`` holds the integer coefficients of D in ambient order.  A
+    half-fiber is half its fiber, so 2 is the only denominator a class
+    needs and every pairing stays an integer sum.  The class is kept
+    reduced: den is 2 only when some coefficient is odd, so equal classes
+    compare equal.
+    """
+
+    vec: tuple  # ints, one per ambient curve, in ambient order
     ambient: CurveConfig
+    den: int = 1
 
     def __post_init__(self):
         if len(self.vec) != self.ambient.size():
             raise ValueError("coefficient vector does not match curve count")
+        if self.den not in (1, 2):
+            raise ValueError(f"denominator {self.den!r} is not 1 or 2")
+        if self.den == 2 and not any(c % 2 for c in self.vec):
+            object.__setattr__(self, "vec", tuple(c // 2 for c in self.vec))
+            object.__setattr__(self, "den", 1)
 
     @staticmethod
     def from_map(mapping, ambient):
@@ -169,7 +183,7 @@ class Divisor:
 
     @property
     def coeffs(self):
-        """The nonzero (name, coeff) pairs, in ambient order."""
+        """The nonzero (name, coeff) pairs of vec, in ambient order."""
         return tuple(
             (name, c) for name, c in zip(self.ambient.names, self.vec) if c
         )
@@ -179,47 +193,19 @@ class Divisor:
         return tuple(i for i, c in enumerate(self.vec) if c)
 
     def __add__(self, other):
+        """The exact sum, over the larger of the two denominators."""
         if other.ambient is not self.ambient and other.ambient != self.ambient:
             raise AmbientMismatch("divisors live on different configurations")
-        return Divisor(
-            tuple(a + b for a, b in zip(self.vec, other.vec)), self.ambient
-        )
+        den = max(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        vec = tuple(a * x + b * y for x, y in zip(self.vec, other.vec))
+        return Divisor(vec, self.ambient, den)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, k):
-        return Divisor(tuple(k * c for c in self.vec), self.ambient)
-
-
-@dataclass(frozen=True)
-class NumClass:
-    """The class D/den of an integral divisor D, with den 1 or 2.
-
-    ``vec`` holds the integer coefficients of D in ambient order.  Every
-    class the package builds is a divisor or half of one (a half-fiber is
-    half its fiber), so the form is exact, and it is kept reduced: den is
-    2 only when some coefficient is odd.
-    """
-
-    vec: tuple  # ints, one per ambient curve, in ambient order
-    ambient: CurveConfig
-    den: int = 1
-    half_fiber_flag: bool = False
-
-    def __post_init__(self):
-        if self.den not in (1, 2):
-            raise ValueError(f"denominator {self.den!r} is not 1 or 2")
-        if self.den == 2 and not any(c % 2 for c in self.vec):
-            object.__setattr__(self, "vec", tuple(c // 2 for c in self.vec))
-            object.__setattr__(self, "den", 1)
-
-    @staticmethod
-    def from_divisor(d, den=1):
-        return NumClass(d.vec, d.ambient, den)
-
-    def flagged(self, half_fiber):
-        return NumClass(self.vec, self.ambient, self.den, half_fiber)
+        return Divisor(tuple(k * c for c in self.vec), self.ambient, self.den)
 
     def pairing_vector(self):
         """Products against every ambient curve, in ambient order: ints,
@@ -244,28 +230,16 @@ def pairings(vec, ambient):
     return tuple(out)
 
 
-def _as_vec(x, ambient):
-    if isinstance(x, Divisor):
-        den = 1
-    elif isinstance(x, NumClass):
-        den = x.den
-    else:
-        raise TypeError(f"cannot pair object of type {type(x)!r}")
-    if x.ambient is not ambient and x.ambient != ambient:
-        raise AmbientMismatch("mixed ambients in pairing")
-    return x.vec, den
-
-
 def intersect(a, b):
-    """Bilinear pairing of divisors / numerical classes on one configuration.
+    """Bilinear pairing of two classes on one configuration.
 
     An int when the value is integral, else an exact Fraction.
     """
     ambient = a.ambient
-    va, da = _as_vec(a, ambient)
-    vb, db = _as_vec(b, ambient)
-    total = sum(x * y for x, y in zip(va, pairings(vb, ambient)) if x)
-    den = da * db
+    if b.ambient is not ambient and b.ambient != ambient:
+        raise AmbientMismatch("mixed ambients in pairing")
+    total = sum(x * y for x, y in zip(a.vec, pairings(b.vec, ambient)) if x)
+    den = a.den * b.den
     if total % den == 0:
         return total // den
     return Fraction(total, den)

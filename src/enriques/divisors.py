@@ -8,7 +8,7 @@ drives the whole classification.
 
 from dataclasses import dataclass
 
-from .config import CurveConfig, Divisor, NumClass, intersect, pairings
+from .config import CurveConfig, Divisor, intersect, pairings
 from .rootfibers import (
     KodairaType,
     NotAffine,
@@ -63,9 +63,8 @@ def connected_subsets(config, min_size=1, max_size=None):
 
 
 def is_c_sequence(classes):
-    """Pairwise product 1, self product 0, all flagged as half-fibers."""
-    if not all(c.half_fiber_flag for c in classes):
-        return False
+    """Pairwise product 1, self product 0; that the classes are
+    half-fibers is the caller's guarantee."""
     for i, a in enumerate(classes):
         for j, b in enumerate(classes):
             want = 0 if i == j else 1
@@ -74,21 +73,16 @@ def is_c_sequence(classes):
     return True
 
 
-def _twice_pairings(f):
-    """2 (F . C) for every ambient curve C, as integers."""
-    return tuple((2 // f.den) * x for x in pairings(f.vec, f.ambient))
-
-
 def _witness_targets(F):
     """k -> the pairing vector of F_i + F_j - F_k, or None where it is not
     integral, so that no divisor has it."""
-    twice = [_twice_pairings(f) for f in F]
     targets = {}
     for k in range(3):
         i, j = [t for t in range(3) if t != k]
-        t2 = [a + b - c for a, b, c in zip(twice[i], twice[j], twice[k])]
-        targets[k] = (None if any(x % 2 for x in t2)
-                      else tuple(x // 2 for x in t2))
+        d = F[i] + F[j] - F[k]
+        pv = pairings(d.vec, d.ambient)
+        targets[k] = (None if any(x % d.den for x in pv)
+                      else tuple(x // d.den for x in pv))
     return targets
 
 
@@ -256,19 +250,19 @@ def half_fiber_classes(t):
     for i in range(3):
         j, k = [x for x in range(3) if x != i]
         g = t.S[j] + t.S[k]
-        out.append(NumClass(g.vec, t.glued, 2, half_fiber_flag=True))
+        out.append(Divisor(g.vec, t.glued, 2))
     return out
 
 
 def internal_extender(t):
     """Affine subconfiguration whose class meets every F_i once, or None.
 
-    Returns (NumClass, KodairaType) for the first extender found in
+    Returns (Divisor, KodairaType) for the first extender found in
     root_subsets order.
     """
-    twice = [_twice_pairings(f) for f in half_fiber_classes(t)]
+    twice = [pairings(f.scale(2).vec, t.glued)
+             for f in half_fiber_classes(t)]
     for _, kind, d in root_subsets(t.glued, KodairaType):
         if all(sum(c * x for c, x in zip(d.vec, tw)) == 2 for tw in twice):
-            cls = NumClass.from_divisor(d).flagged(half_fiber=True)
-            return cls, kind
+            return d, kind
     return None

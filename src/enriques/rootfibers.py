@@ -10,9 +10,8 @@ tuple of vertex indices.  One shape reader and one Artin iteration
 recognise a set straight from the ambient configuration's adjacency,
 with no subconfiguration: dynkin_divisor and fiber_divisor return the
 type of one set and its cycle as a Divisor on the ambient configuration,
-classify_dynkin and classify_affine the type of a whole configuration,
-and root_subsets enumerates every ADE or affine connected set, pruned
-to the sets that grow from ADE ones.
+and root_subsets enumerates every ADE or affine connected set, pruned to
+the sets that grow from ADE ones.
 """
 
 from dataclasses import dataclass
@@ -228,16 +227,6 @@ def _kodaira_type(config, nbrs):
 
 def _whole(config):
     return _nbrs(config, range(config.size()))
-
-
-def classify_dynkin(config):
-    """ADE type of a connected simply laced configuration, or NotDynkin."""
-    return _dynkin_type(config, _whole(config))
-
-
-def classify_affine(config):
-    """Kodaira type of a connected configuration, or NotAffine."""
-    return _kodaira_type(config, _whole(config))
 
 
 # bound on Artin steps per component; no ADE or affine graph reaches it

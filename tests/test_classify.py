@@ -24,7 +24,7 @@ from enriques.divisors import MAX_COMPONENTS
 from enriques.rootfibers import (
     DynkinType,
     KodairaType,
-    classify_affine,
+    fiber_divisor,
     fiber_graph,
 )
 
@@ -82,7 +82,7 @@ def test_fiber_kinds_have_at_most_nine_components():
 def test_fiber_graph_round_trips_through_recognition(kind):
     cfg = fiber_graph(kind)
     assert cfg.size() == kind.root_type().n + 1
-    assert classify_affine(cfg) == kind
+    assert fiber_divisor(cfg, range(cfg.size()))[0] == kind
 
 
 # Aut(G)-orbits of the ordered splittings of each fiber kind
@@ -270,10 +270,16 @@ def relabel(graph, vertex_perm, role_perm):
 
 
 def isomorphic_by_brute_force(g, h):
+    """Whether some vertex and role permutation relabels g into h; the
+    role permutations are tried only where the weights already match."""
     if g[:2] != h[:2]:
         return False
+    n, wg, wh = g[1], g[2], h[2]
     return any(relabel(g, p, r) == h
-               for p in permutations(range(g[1])) for r in role_perms(g[0]))
+               for p in permutations(range(n))
+               if all(wg[p[a]][p[b]] == wh[a][b]
+                      for a in range(n) for b in range(a))
+               for r in role_perms(g[0]))
 
 
 def test_census_keys_are_distinct(census):
@@ -366,8 +372,14 @@ def brute_force_firsts(gluings):
 def test_class_index_matches_brute_force_on_lists(data):
     # copies of a few graphs, interleaved, so that the index holds several
     # classes when a copy under a non-identity role order arrives
-    n = data.draw(st.integers(1, 5))
-    bases = data.draw(st.lists(coloured_graphs(n), min_size=1, max_size=3))
+    if data.draw(st.integers(0, 3)) == 0:
+        # refinement leaves one cell of non-automorphic vertices, so the
+        # copies of C3+C4 need not share a first leaf
+        n, bases = 7, [cycles(3, 4), cycles(7)]
+    else:
+        n = data.draw(st.integers(1, 5))
+        bases = data.draw(st.lists(coloured_graphs(n), min_size=1,
+                                   max_size=3))
     if data.draw(st.booleans()):
         # one type triple for all, often with every type equal
         types = data.draw(st.sampled_from(["AAA", "AAB", "ABB", "BBB"]))

@@ -6,7 +6,6 @@ from enriques.config import (
     AmbientMismatch,
     CurveConfig,
     Divisor,
-    NumClass,
     intersect,
 )
 
@@ -104,27 +103,28 @@ def test_intersect_rejects_mixed_ambients():
 
 
 def test_numclass_integer_result_is_int():
-    d = Divisor.from_map({"a": 1, "b": 1, "c": 1}, TRIANGLE)
-    cls = NumClass.from_divisor(d, den=2)
+    cls = Divisor((1, 1, 1), TRIANGLE, 2)
     value = intersect(cls, cls)
     assert value == 0
     assert isinstance(value, int)
 
 
 def test_numclass_fractional_result_stays_exact():
-    d = Divisor.from_map({"a": 1}, TRIANGLE)
-    cls = NumClass.from_divisor(d, den=2)
+    cls = Divisor((1, 0, 0), TRIANGLE, 2)
     assert intersect(cls, cls) == Fraction(-1, 2)
 
 
-def test_numclass_flags_and_nef():
-    d = Divisor.from_map({"a": 1, "b": 1, "c": 1}, TRIANGLE)
-    cls = NumClass.from_divisor(d).flagged(half_fiber=True)
-    assert cls.half_fiber_flag
-    single = NumClass.from_divisor(Divisor.from_map({"a": 1}, TRIANGLE))
-    assert not single.half_fiber_flag
+def test_half_class_is_reduced_and_den_is_1_or_2():
+    # equality of classes (build_triangle, _verify_triple) relies on this
+    assert Divisor((2, 2, 2), TRIANGLE, 2) == Divisor((1, 1, 1), TRIANGLE)
+    assert Divisor((2, 0, 2), TRIANGLE, 2).den == 1
+    assert Divisor((2, 1, 0), TRIANGLE, 2).den == 2
+    with pytest.raises(ValueError):
+        Divisor((1, 1, 1), TRIANGLE, 3)
 
 
 def test_pairing_vector_of_cycle_class():
     d = Divisor.from_map({"a": 1, "b": 1, "c": 1}, TRIANGLE)
-    assert NumClass.from_divisor(d).pairing_vector() == (0, 0, 0)
+    assert d.pairing_vector() == (0, 0, 0)
+    assert Divisor((1, 0, 0), TRIANGLE, 2).pairing_vector() == (
+        -1, Fraction(1, 2), Fraction(1, 2))

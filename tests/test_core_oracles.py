@@ -21,7 +21,7 @@ from enriques.catalog import (
     load_surface,
 )
 from enriques.classify import FIBER_KINDS
-from enriques.config import CurveConfig, Divisor, NumClass, intersect, pairings
+from enriques.config import CurveConfig, Divisor, intersect, pairings
 from enriques.divisors import (
     connected_subsets,
     cycle_with_pairings,
@@ -34,8 +34,6 @@ from enriques.rootfibers import (
     NotAffine,
     NotDynkin,
     _diagram_edges,
-    classify_affine,
-    classify_dynkin,
     dynkin_divisor,
     fiber_divisor,
     fiber_graph,
@@ -253,16 +251,22 @@ def class_forms(draw, config):
 def test_integer_pairing_matches_the_fraction_formula(config, data):
     form_a = data.draw(class_forms(config))
     form_b = data.draw(class_forms(config))
-    a = NumClass(form_a[0], config, form_a[1])
-    b = NumClass(form_b[0], config, form_b[1])
+    a = Divisor(form_a[0], config, form_a[1])
+    b = Divisor(form_b[0], config, form_b[1])
     fa, fb = fraction_vec(*form_a), fraction_vec(*form_b)
-    pv = a.pairing_vector()
-    assert pv == fraction_pairing_vector(fa, config)
-    assert all(_exact(x) for x in pv)
-    value = intersect(a, b)
-    assert value == sum(x * y for x, y in
-                        zip(fa, fraction_pairing_vector(fb, config)))
-    assert _exact(value)
+    k = data.draw(st.integers(-3, 3))
+    # sums, differences and multiples, against their Fraction vectors
+    for cls, frac in ((a, fa), (a + b, [x + y for x, y in zip(fa, fb)]),
+                      (a - b, [x - y for x, y in zip(fa, fb)]),
+                      (a.scale(k), [k * x for x in fa])):
+        assert fraction_vec(cls.vec, cls.den) == tuple(frac)
+        pv = cls.pairing_vector()
+        assert pv == fraction_pairing_vector(frac, config)
+        assert all(_exact(x) for x in pv)
+        value = intersect(cls, b)
+        assert value == sum(x * y for x, y in
+                            zip(frac, fraction_pairing_vector(fb, config)))
+        assert _exact(value)
     d = Divisor(form_b[0], config)
     assert intersect(a, d) == intersect(d, a) == sum(
         x * y for x, y in zip(fa, fraction_pairing_vector(d.vec, config)))
@@ -445,21 +449,22 @@ def recognised_subsets(config, family):
     """(support, kind, cycle) for every connected subset of the family's
     kind, by the reference enumerator and the one-set recognisers, which
     agree with the recognisers of the subset's own configuration."""
-    recognise, failure, classify, cycle_of = {
-        DynkinType: (dynkin_divisor, NotDynkin, classify_dynkin,
+    recognise, failure, cycle_of = {
+        DynkinType: (dynkin_divisor, NotDynkin,
                      lambda sub: fundamental_cycle(sub).vec),
-        KodairaType: (fiber_divisor, NotAffine, classify_affine, null_vector),
+        KodairaType: (fiber_divisor, NotAffine, null_vector),
     }[family]
     out = []
     for support in connected_subsets(config):
         sub = config.subconfig(support)
+        whole = range(sub.size())
         try:
             kind, cycle = recognise(config, support)
         except failure:
             with pytest.raises(failure):
-                classify(sub)
+                recognise(sub, whole)
             continue
-        assert kind == classify(sub)
+        assert kind == recognise(sub, whole)[0]
         assert tuple(cycle.vec[i] for i in support) == cycle_of(sub)
         out.append((support, kind, cycle))
     return out

@@ -47,8 +47,8 @@ def test_half_fiber_classes_form_c_sequence():
     t = small_triangle()
     fibers = half_fiber_classes(t)
     assert is_c_sequence(fibers)
-    unflagged = [f.flagged(half_fiber=False) for f in fibers]
-    assert not is_c_sequence(unflagged)
+    # the whole fibers pair to 4, not 1
+    assert not is_c_sequence([f.scale(2) for f in fibers])
 
 
 def test_specialness_witness_recovers_all_three():
