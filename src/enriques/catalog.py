@@ -18,6 +18,7 @@ from typing import NamedTuple
 from . import divisors as _divisors
 from .config import CurveConfig, Divisor, intersect, pairings
 from .divisors import (
+    OTHER_TWO,
     build_triangle,
     extension_obstruction,
     is_c_sequence,
@@ -62,7 +63,6 @@ CATALOG_NAMES = (
 @dataclass(frozen=True)
 class FiberAnnotation:
     label: str
-    support: tuple  # ascending curve indices
     multiplicity: str  # "half" or "simple"
     kind: str
     divisor: Divisor  # fundamental (null-vector) divisor on the surface
@@ -235,7 +235,7 @@ def _model_from_json(data):
                 f"fiber {entry['label']} has {len(divisor.support())} "
                 f"components, above {MAX_FIBER_COMPONENTS}")
         fibrations.append(FiberAnnotation(
-            entry["label"], support, entry["multiplicity"], kind, divisor))
+            entry["label"], entry["multiplicity"], kind, divisor))
     claims = data.get("claims", {})
     _check_claims(claims, {f.label for f in fibrations}, config.names)
     return SurfaceModel(
@@ -245,7 +245,7 @@ def _model_from_json(data):
 
 def _check_claims(claims, labels, curves):
     """Reject claims that name a fiber label or a curve the surface does
-    not list, and a special triple without its three fiber types."""
+    not list, or that lack a claim they are checked with."""
     minus_two = claims.get("minus_two", {})
     unique = claims.get("unique_nonspecial", {})
     named = {
@@ -264,7 +264,12 @@ def _check_claims(claims, labels, curves):
         if name not in curves:
             raise CatalogDataError(
                 f"claims.witness.divisor names {name!r}, no curve")
-    if "witness" in claims and "triple" in claims and "types" not in claims:
+    for key, needs in (("witness", "triple"), ("types", "witness"),
+                       ("non_extendable", "witness")):
+        if key in claims and needs not in claims:
+            raise CatalogDataError(
+                f"claims.{key} needs claims.{needs}, which is missing")
+    if "witness" in claims and "types" not in claims:
         raise CatalogDataError(
             "claims.types must list the 3 fiber types of a special "
             "triple, not None")
@@ -273,7 +278,7 @@ def _check_claims(claims, labels, curves):
 @dataclass(frozen=True)
 class FibrationClass:
     labels: tuple  # annotation labels of members, possibly empty
-    cls: Divisor  # half-fiber class when determined, else the raw fiber
+    cls: Divisor  # the half-fiber F when determined, else a member's cycle
     kinds: tuple  # fiber kinds seen in this class's fibration
     determined: bool
     ray: tuple  # primitive pairing vector, the dedup key
@@ -306,42 +311,35 @@ def fibration_records(s):
                 " has no horizontal curve")
         ray = tuple(x // g for x in pv)
         rays.setdefault(ray, []).append(
-            (d, pv, str(kind), annotated.get(subset))
+            (d, g, str(kind), annotated.get(subset))
         )
     records = []
     for ray, members in sorted(rays.items()):
-        half_pv = rep = None
-        for d, pv, kind, ann in members:
-            forced = None
-            if any(x % 2 for x in pv):
-                forced = pv
+        cls = step = None
+        for d, g, kind, ann in members:
+            # d pairs as g * ray, oddly with some curve when g is odd (a
+            # primitive ray has an odd entry): then d is the half-fiber
+            if g % 2:
+                den = 1
             elif ann is not None:
-                forced = (
-                    tuple(x // 2 for x in pv) if ann.multiplicity == "simple"
-                    else pv
-                )
+                den = 2 if ann.multiplicity == "simple" else 1
             elif (s.additive_default == "simple"
                   and not _is_multiplicative(kind)):
-                forced = tuple(x // 2 for x in pv)
-            if forced is None:
+                den = 2
+            else:
                 continue
-            if half_pv is None:
-                half_pv = forced
-                rep = (d, pv)
-            elif half_pv != forced:
+            # the half-fiber d / den pairs as (g // den) * ray
+            if cls is None:
+                cls, step = Divisor(d.vec, config, den), g // den
+            elif g // den != step:
                 raise CatalogDataError(
                     f"{s.name}: inconsistent half-fiber scale on ray {ray}"
                 )
         labels = tuple(ann.label for _, _, _, ann in members if ann)
         kinds = tuple(sorted({kind for _, _, kind, _ in members}))
-        if half_pv is None:
-            cls = members[0][0]
-        else:
-            d, pv = rep
-            # the forced pairing is pv or pv / 2, so the class is d or d/2
-            cls = Divisor(d.vec, config, 1 if half_pv == pv else 2)
-        records.append(
-            FibrationClass(labels, cls, kinds, half_pv is not None, ray))
+        records.append(FibrationClass(
+            labels, members[0][0] if cls is None else cls, kinds,
+            cls is not None, ray))
     return records
 
 
@@ -419,7 +417,7 @@ def verify_surface(s):
     for f in s.fibrations:
         kind = f.kind
         if f.multiplicity == "simple":
-            ok = all(x % 2 == 0 for x in pairings(f.divisor.vec, s.config))
+            ok = gcd(*pairings(f.divisor.vec, s.config)) % 2 == 0
             _check(checks, f"fiber {f.label} simple scale", ok,
                    f"{kind}; pairing vector halves to an integral class"
                    if ok
@@ -497,23 +495,21 @@ def _verify_triple(s, records, checks):
     if not ok:
         return
 
-    # G_i: the whole fiber of F_i, twice its divisor for a half-fiber
-    G = [f.divisor.scale(2 if f.multiplicity == "half" else 1)
-         for label in claims["triple"] for f in s.fibrations
-         if f.label == label]
+    # half of the whole fiber G of each F: the annotated cycle for a
+    # half-fiber, over 2 for a simple fiber
+    half = [Divisor(f.divisor.vec, s.config,
+                    2 if f.multiplicity == "simple" else 1)
+            for label in claims["triple"] for f in s.fibrations
+            if f.label == label]
     witnesses = []
-    for kk in range(3):
-        if kk in found:
-            witnesses.append(found[kk])
-            continue
-        i, j = [t for t in range(3) if t != kk]
-        twice = G[i] + G[j] - G[kk]
-        odd = [name for name, c in twice.coeffs if c % 2]
-        if odd:
+    for k, (i, j) in enumerate(OTHER_TWO):
+        w = found[k] if k in found else half[i] + half[j] - half[k]
+        if w.den == 2:
+            odd = next(name for name, c in w.coeffs if c % 2)
             _check(checks, "triangle graph", False,
-                   f"G_i + G_j - G_k odd at {odd[0]}")
+                   f"G_i + G_j - G_k odd at {odd}")
             return
-        witnesses.append(Divisor(tuple(c // 2 for c in twice.vec), s.config))
+        witnesses.append(w)
     tri = build_triangle(F=F, witnesses=witnesses, ambient=s.config)
     got_types = sorted(str(t) for t in tri.types)
     want_types = sorted(claims["types"])
@@ -538,9 +534,8 @@ def _verify_unique_nonspecial(s, records, checks):
         f = classes[label]
         partners = [g for g in determined if intersect(f, g) == 1]
         want = [classes[p] for p in claims[label]]
-        ok = sorted(tuple(p.pairing_vector()) for p in partners) == sorted(
-            tuple(q.pairing_vector()) for q in want
-        )
+        ok = (sorted(p.pairing_vector() for p in partners)
+              == sorted(q.pairing_vector() for q in want))
         _check(checks, f"unique sequence through {label}", ok,
                f"partners {', '.join(claims[label])}")
         triple = want + [f]

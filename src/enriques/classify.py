@@ -271,7 +271,7 @@ def _make_entry(n, weights, coeffs):
     if not fibration_capacity_ok(tri):
         return None
     r, disc = rank_and_discriminant(GramForm.from_rows(glued.inter))
-    return CensusEntry(tri.S, tri.types, tri.G_types, tri.glued, r, disc)
+    return CensusEntry(**vars(tri), rank=r, disc=disc)
 
 
 def _refine(colours, nbrs):

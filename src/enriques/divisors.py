@@ -21,6 +21,8 @@ from .rootfibers import (
 
 # the most components a triangle graph may have
 MAX_COMPONENTS = 11
+# the other two indices (i, j) of each index k = 0, 1, 2 of a triple
+OTHER_TWO = ((1, 2), (0, 2), (0, 1))
 
 
 class InvariantViolation(ValueError):
@@ -74,16 +76,10 @@ def is_c_sequence(classes):
 
 
 def _witness_targets(F):
-    """k -> the pairing vector of F_i + F_j - F_k, or None where it is not
-    integral, so that no divisor has it."""
-    targets = {}
-    for k in range(3):
-        i, j = [t for t in range(3) if t != k]
-        d = F[i] + F[j] - F[k]
-        pv = pairings(d.vec, d.ambient)
-        targets[k] = (None if any(x % d.den for x in pv)
-                      else tuple(x // d.den for x in pv))
-    return targets
+    """The pairing vectors of F_i + F_j - F_k, k = 0, 1, 2; an entry that
+    is not integral is an exact Fraction, which no divisor's pairing is."""
+    return [(F[i] + F[j] - F[k]).pairing_vector()
+            for k, (i, j) in enumerate(OTHER_TWO)]
 
 
 def cycle_with_pairings(ambient, t):
@@ -120,19 +116,16 @@ def specialness_witness(F, ambient):
     definite subconfigurations, which exhausts the possible ones, and
     cycle_with_pairings finds the one with the pairings of the class.
     """
-    found = {}
-    for k, t in _witness_targets(F).items():
-        d = None if t is None else cycle_with_pairings(ambient, t)
-        if d is not None:
-            found[k] = d
-    return found
+    cycles = [cycle_with_pairings(ambient, t) for t in _witness_targets(F)]
+    return {k: d for k, d in enumerate(cycles) if d is not None}
 
 
 @dataclass(frozen=True)
 class TriangleGraph:
     S: tuple  # three Divisors on the glued configuration
     types: tuple  # three DynkinType
-    G_types: tuple  # three KodairaType; G_i = S_j + S_k
+    G: tuple  # the three fibers G_i = S_j + S_k = 2F_i
+    G_types: tuple  # three KodairaType, of the G_i
     glued: CurveConfig
 
 
@@ -149,14 +142,11 @@ def build_triangle(witnesses, ambient, F=None):
               for d in witnesses)
 
     if F is not None:
-        targets = _witness_targets(F)
-        for k in range(3):
-            i, j = [t for t in range(3) if t != k]
-            d = witnesses[k]
-            if pairings(d.vec, d.ambient) != targets[k]:
+        for k, (d, t) in enumerate(zip(witnesses, _witness_targets(F))):
+            if pairings(d.vec, d.ambient) != t:
+                i, j = OTHER_TWO[k]
                 raise InvariantViolation(
-                    f"[S_{k+1}] != F_{i+1} + F_{j+1} - F_{k+1}"
-                )
+                    f"[S_{k+1}] != F_{i+1} + F_{j+1} - F_{k+1}")
     types = []
     for k, s in enumerate(S):
         if intersect(s, s) != -2:
@@ -171,10 +161,9 @@ def build_triangle(witnesses, ambient, F=None):
         for b in range(a + 1, 3):
             if intersect(S[a], S[b]) != 2:
                 raise InvariantViolation(f"S_{a+1}.S_{b+1} != 2")
+    G = tuple(S[j] + S[k] for j, k in OTHER_TWO)
     g_types = []
-    for i in range(3):
-        j, k = [t for t in range(3) if t != i]
-        g = S[j] + S[k]
+    for (j, k), g in zip(OTHER_TWO, G):
         try:
             kind, null = fiber_divisor(glued, g.support())
         except NotAffine as exc:
@@ -188,7 +177,7 @@ def build_triangle(witnesses, ambient, F=None):
     if glued.size() > MAX_COMPONENTS:
         raise InvariantViolation(
             f"triangle graph has more than {MAX_COMPONENTS} components")
-    return TriangleGraph(S, tuple(types), tuple(g_types), glued)
+    return TriangleGraph(S, tuple(types), G, tuple(g_types), glued)
 
 
 def fibration_capacity_ok(t):
@@ -199,9 +188,7 @@ def fibration_capacity_ok(t):
     G_i accounts for one whole fiber, so the rank of its root type plus
     the number of further orthogonal components can be at most 8.
     """
-    for i in range(3):
-        j, k = [x for x in range(3) if x != i]
-        g = t.S[j] + t.S[k]
+    for g in t.G:
         pv = pairings(g.vec, t.glued)
         extra = sum(1 for c, x in zip(g.vec, pv) if not c and not x)
         if (len(g.support()) - 1) + extra > 8:
@@ -231,12 +218,8 @@ def extension_obstruction(t):
         simple = [i for i, c in enumerate(t.S[k].vec) if c == 1]
         if not simple:
             return Obstruction(f"no simple component in S_{k+1}")
-        clash = True
-        for i in simple:
-            if all(t.S[l].vec[i] < 2 for l in range(3) if l != k):
-                clash = False
-                break
-        if clash:
+        if all(any(t.S[l].vec[i] >= 2 for l in OTHER_TWO[k])
+               for i in simple):
             return Obstruction(
                 f"every simple component of S_{k+1} has multiplicity >= 2 "
                 "in another S"
@@ -244,25 +227,15 @@ def extension_obstruction(t):
     return None
 
 
-def half_fiber_classes(t):
-    """The classes F_i = (S_j + S_k)/2 on the glued configuration."""
-    out = []
-    for i in range(3):
-        j, k = [x for x in range(3) if x != i]
-        g = t.S[j] + t.S[k]
-        out.append(Divisor(g.vec, t.glued, 2))
-    return out
-
-
 def internal_extender(t):
-    """Affine subconfiguration whose class meets every F_i once, or None.
+    """Affine subconfiguration whose class meets every F_i once, that is
+    every G_i = 2F_i twice, or None.
 
     Returns (Divisor, KodairaType) for the first extender found in
     root_subsets order.
     """
-    twice = [pairings(f.scale(2).vec, t.glued)
-             for f in half_fiber_classes(t)]
+    fibers = [pairings(g.vec, t.glued) for g in t.G]
     for _, kind, d in root_subsets(t.glued, KodairaType):
-        if all(sum(c * x for c, x in zip(d.vec, tw)) == 2 for tw in twice):
+        if all(sum(c * x for c, x in zip(d.vec, pv)) == 2 for pv in fibers):
             return d, kind
     return None

@@ -343,6 +343,12 @@ def _a7_claims(**changes):
      "claims.max_clique must be an integer, not '1'"),
     (_a7_claims(non_extendable="no"),
      "claims.non_extendable must be true or false, not 'no'"),
+    (_a7_claims(triple=None),
+     "claims.witness needs claims.triple, which is missing"),
+    (_claims("BP.json", witness=None),
+     "claims.types needs claims.witness, which is missing"),
+    (_claims("BP.json", witness=None, types=None),
+     "claims.non_extendable needs claims.witness, which is missing"),
     (_claims("E8t.json", fibration_cout=7),
      "claims.fibration_cout must be absent, not 7"),
 ], ids=("triple", "minus-two", "unique-nonspecial", "claims-not-object",
@@ -351,7 +357,9 @@ def _a7_claims(**changes):
         "special-triple-without-types", "partners-of-one",
         "unique-nonspecial-list", "minus-two-without-value",
         "fibration-count-string", "nd-string", "max-clique-string",
-        "non-extendable-string", "unknown-claim"))
+        "non-extendable-string", "witness-without-triple",
+        "types-without-witness", "non-extendable-without-witness",
+        "unknown-claim"))
 def test_malformed_claims_fail_cleanly(capsys, tmp_path, data, reason):
     (tmp_path / "s.json").write_text(json.dumps(data))
     code, out, err = run_main(
@@ -370,6 +378,19 @@ def test_witness_claim_is_compared_as_a_coefficient_vector(capsys, tmp_path):
         capsys, ["verify-surface", "BP", "--catalog-dir", str(tmp_path)])
     assert (code, err) == (0, "")
     assert "[pass] special witness: S3 = R11\n" in out
+
+
+def test_annotation_against_the_forced_scale_fails_cleanly(capsys, tmp_path):
+    # G1 = R10 + R11 shares its ray with a III* fiber, which the additive
+    # default makes simple; marking G1 a half-fiber contradicts that scale
+    data = _surface_data("BP.json")
+    data["fibrations"][1]["multiplicity"] = "half"
+    (tmp_path / "BP.json").write_text(json.dumps(data))
+    code, out, err = run_main(
+        capsys, ["verify-surface", "BP", "--catalog-dir", str(tmp_path)])
+    assert (code, err) == (1, "")
+    assert ("[fail] catalog data: BP: inconsistent half-fiber scale on ray "
+            "(0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0)\n") in out
 
 
 # the keys a surface file must hold, by path with list indices dropped

@@ -102,14 +102,14 @@ def test_intersect_rejects_mixed_ambients():
         )
 
 
-def test_numclass_integer_result_is_int():
+def test_half_divisor_integer_pairing_is_int():
     cls = Divisor((1, 1, 1), TRIANGLE, 2)
     value = intersect(cls, cls)
     assert value == 0
     assert isinstance(value, int)
 
 
-def test_numclass_fractional_result_stays_exact():
+def test_half_divisor_fractional_pairing_stays_exact():
     cls = Divisor((1, 0, 0), TRIANGLE, 2)
     assert intersect(cls, cls) == Fraction(-1, 2)
 

@@ -8,11 +8,10 @@ from enriques.divisors import (
     connected_subsets,
     extension_obstruction,
     fibration_capacity_ok,
-    half_fiber_classes,
     is_c_sequence,
     specialness_witness,
 )
-from enriques.rootfibers import DynkinType, KodairaType
+from enriques.rootfibers import DynkinType, KodairaType, fiber_divisor
 
 # smallest triangle graph: three curves meeting pairwise twice, so each
 # S_k is a single curve and each G_i = S_j + S_k is a fiber of type I2
@@ -29,6 +28,11 @@ def small_triangle():
     return build_triangle(witnesses=WITNESSES, ambient=SMALL)
 
 
+def half_fibers(t):
+    """The classes F_i = G_i / 2 on the glued configuration."""
+    return [Divisor(g.vec, t.glued, 2) for g in t.G]
+
+
 def test_connected_subsets_ordering_and_count():
     chain = CurveConfig.from_edges(("a", "b", "c"), [("a", "b"), ("b", "c")])
     subsets = connected_subsets(chain)
@@ -41,11 +45,15 @@ def test_small_triangle_assembles():
     assert t.types == (DynkinType("A", 1),) * 3
     assert t.G_types == (KodairaType("I2"),) * 3
     assert t.glued.size() == 3
+    for i, (j, k) in enumerate(((1, 2), (0, 2), (0, 1))):
+        assert t.G[i] == t.S[j] + t.S[k]
+        assert fiber_divisor(t.glued, t.G[i].support()) == (
+            t.G_types[i], t.G[i])
 
 
 def test_half_fiber_classes_form_c_sequence():
     t = small_triangle()
-    fibers = half_fiber_classes(t)
+    fibers = half_fibers(t)
     assert is_c_sequence(fibers)
     # the whole fibers pair to 4, not 1
     assert not is_c_sequence([f.scale(2) for f in fibers])
@@ -53,7 +61,7 @@ def test_half_fiber_classes_form_c_sequence():
 
 def test_specialness_witness_recovers_all_three():
     t = small_triangle()
-    fibers = half_fiber_classes(t)
+    fibers = half_fibers(t)
     found = specialness_witness(fibers, t.glued)
     assert set(found) == {0, 1, 2}
     for k, w in found.items():
@@ -62,7 +70,7 @@ def test_specialness_witness_recovers_all_three():
 
 def test_build_triangle_checks_class_identity():
     t = small_triangle()
-    fibers = half_fiber_classes(t)
+    fibers = half_fibers(t)
     rebuilt = build_triangle(F=fibers, witnesses=WITNESSES, ambient=SMALL)
     assert rebuilt.types == t.types
     # witnesses in the wrong order no longer match F_i + F_j - F_k

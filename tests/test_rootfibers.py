@@ -141,7 +141,7 @@ def test_cycle_graph_is_not_dynkin():
         fundamental_cycle(cycle)
 
 
-def test_classify_affine_cycle_and_star():
+def test_fiber_divisor_cycle_and_star():
     cycle = CurveConfig.from_edges(
         tuple(f"t{i}" for i in range(5)),
         [(f"t{i}", f"t{(i + 1) % 5}") for i in range(5)],
@@ -156,7 +156,7 @@ def test_classify_affine_cycle_and_star():
     assert mult == (2, 1, 1, 1, 1)
 
 
-def test_classify_affine_two_vertex_double_edge():
+def test_fiber_divisor_two_vertex_double_edge():
     plain = CurveConfig.from_edges(("a", "b"), [("a", "b", 2)])
     assert fiber_divisor(plain, range(plain.size()))[0] == KodairaType("I2")
     tangent = CurveConfig.from_edges(
