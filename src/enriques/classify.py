@@ -117,14 +117,14 @@ def decompose_fiber(kind):
     return DecompositionRow(kind, frozenset(pairs))
 
 
-def _glue_indexed(kinds, decomps, chosen):
-    """Glue three fibers; returns (class count, weights, coeffs) or None.
+def _glue_indexed(decomps, chosen):
+    """Glue three fibers; returns (intersection matrix, coeffs) or None.
 
-    kinds/decomps are indexed by fiber 1..3 (fiber i omits S_i);
+    decomps are the splittings of fibers 1..3 (fiber i omits S_i);
     chosen[k] = ((fiber, order), (fiber, order)) for S_k's two copies.
     Classes of identified vertices are numbered by first appearance.
     """
-    mats = [fiber_graph(k).inter for k in kinds]
+    mats = [fiber_graph(d.kind).inter for d in decomps]
     offsets = [0, len(mats[0]), len(mats[0]) + len(mats[1])]
     parent = list(range(offsets[2] + len(mats[2])))
     # the fibers each class holds a vertex of, as a bitmask per root
@@ -148,17 +148,18 @@ def _glue_indexed(kinds, decomps, chosen):
     cls_of = [number.setdefault(find(x), len(number))
               for x in range(len(parent))]
     n = len(number)
-    # every weight must be consistent across the fibers seeing both
-    # endpoints (None: unseen)
-    weights = [[None] * n for _ in range(n)]
+    # every entry must be consistent across the fibers seeing both
+    # classes (None: unseen); each class is one curve, so a fiber writes
+    # its -2 on the diagonal
+    inter = [[None] * n for _ in range(n)]
     for m, off in zip(mats, offsets):
         local = cls_of[off:off + len(m)]
         for a, ga in enumerate(local):
-            row, wa = m[a], weights[ga]
-            for b in range(a + 1, len(m)):
+            row, wa = m[a], inter[ga]
+            for b in range(a, len(m)):
                 gb = local[b]
                 if wa[gb] is None:
-                    wa[gb] = weights[gb][ga] = row[b]
+                    wa[gb] = inter[gb][ga] = row[b]
                 elif wa[gb] != row[b]:
                     return None
     # coefficients of S_1, S_2, S_3 on the classes, read off one copy each
@@ -169,7 +170,7 @@ def _glue_indexed(kinds, decomps, chosen):
         for v, c in enumerate(part.coeffs):  # distinct v, distinct classes
             row[cls_of[off + v]] = c
         coeff_rows.append(tuple(row))
-    return (n, tuple(tuple(w or 0 for w in r) for r in weights),
+    return (tuple(tuple(w or 0 for w in r) for r in inter),
             tuple(coeff_rows))
 
 
@@ -204,12 +205,13 @@ class Survivor:
 
 
 def _raw_triangles(max_components, splittings=_orbit_first, funnel=None):
-    """Consistent gluings as (types, n, weights, coeff rows), with
-    the role types already in canonical sorted order.  Each fiber takes
-    splittings(kind), by default its orbit-first splittings: a gluing from
-    any other splitting has an isomorphic twin from the orbit-first one,
-    earlier in this order (_decompositions gives the uncut loop).  funnel,
-    a Counter, counts the attempts, consistent ones and those in bound."""
+    """Consistent gluings as (types, intersection matrix, coeff rows),
+    with the role types already in canonical sorted order.  Each fiber
+    takes splittings(kind), by default its orbit-first splittings: a
+    gluing from any other splitting has an isomorphic twin from the
+    orbit-first one, earlier in this order (_decompositions gives the
+    uncut loop).  funnel, a Counter, counts the attempts, consistent ones
+    and those in bound."""
     if funnel is None:
         funnel = Counter()
     by_first = {}
@@ -217,21 +219,20 @@ def _raw_triangles(max_components, splittings=_orbit_first, funnel=None):
     all_decomps = []
     for kind in FIBER_KINDS:
         for d in splittings(kind):
-            all_decomps.append((kind, d))
-            by_first.setdefault(d.first.dtype, []).append((kind, d))
+            all_decomps.append(d)
+            by_first.setdefault(d.first.dtype, []).append(d)
             by_pair.setdefault((d.first.dtype, d.second.dtype),
-                               []).append((kind, d))
-    found = {}
-    for k3, d3 in all_decomps:  # fiber 3 carries (S_1, S_2)
+                               []).append(d)
+    found = {}  # the distinct gluings, in order of appearance
+    for d3 in all_decomps:  # fiber 3 carries (S_1, S_2)
         t1, t2 = d3.first.dtype, d3.second.dtype
         if type_sort_key(t1) > type_sort_key(t2):
             continue
-        for k2, d2 in by_first.get(t1, ()):  # fiber 2 carries (S_1, S_3)
+        for d2 in by_first.get(t1, ()):  # fiber 2 carries (S_1, S_3)
             t3 = d2.second.dtype
             if type_sort_key(t2) > type_sort_key(t3):
                 continue
-            for k1, d1 in by_pair.get((t2, t3), ()):  # fiber 1: (S_2, S_3)
-                kinds = (k1, k2, k3)
+            for d1 in by_pair.get((t2, t3), ()):  # fiber 1: (S_2, S_3)
                 decomps = (d1, d2, d3)
                 for o1 in d2.first.orders:
                     for o2 in d1.first.orders:
@@ -241,31 +242,23 @@ def _raw_triangles(max_components, splittings=_orbit_first, funnel=None):
                                 2: ((1, o2), (3, d3.second.orders[0])),
                                 3: ((1, o3), (2, d2.second.orders[0])),
                             }
-                            glued = _glue_indexed(kinds, decomps, chosen)
+                            glued = _glue_indexed(decomps, chosen)
                             funnel["attempts"] += 1
                             if glued is None:
                                 continue
                             funnel["consistent"] += 1
-                            n, weights, coeffs = glued
-                            if n > max_components:
+                            inter, coeffs = glued
+                            if len(inter) > max_components:
                                 continue
                             funnel["bounded"] += 1
-                            key = ((t1, t2, t3), weights, coeffs)
-                            if key not in found:
-                                found[key] = ((t1, t2, t3),
-                                              n, weights, coeffs)
-    return list(found.values())
+                            found[(t1, t2, t3), inter, coeffs] = None
+    return list(found)
 
 
-def _make_entry(n, weights, coeffs):
+def _make_entry(inter, coeffs):
     """The census entry of a raw gluing, or None when it fails the
     capacity check.  The gluing's roles come in type_sort_key order."""
-    names = tuple(f"v{i}" for i in range(n))
-    inter = tuple(
-        tuple(-2 if i == j else weights[i][j] for j in range(n))
-        for i in range(n)
-    )
-    glued = CurveConfig(names, inter)
+    glued = CurveConfig(tuple(f"v{i}" for i in range(len(inter))), inter)
     divisors = tuple(Divisor(row, glued) for row in coeffs)
     tri = build_triangle(witnesses=divisors, ambient=glued)
     if not fibration_capacity_ok(tri):
@@ -307,13 +300,14 @@ def _leaves(colours, nbrs):
 def _leaf_certificates(gluing, nbrs, perm):
     """Each leaf's certificate, in _leaves order, with vertices coloured by
     their S-coefficients in role order perm: the types, and the colours
-    and weight matrix in leaf order.  Equal ones mean isomorphic gluings."""
-    types, n, weights, coeffs = gluing
-    labels = [tuple(coeffs[p][v] for p in perm) for v in range(n)]
+    and intersection matrix in leaf order.  Equal ones mean isomorphic
+    gluings."""
+    types, inter, coeffs = gluing
+    labels = [tuple(coeffs[p][v] for p in perm) for v in range(len(inter))]
     for leaf in _leaves(_refine(labels, nbrs), nbrs):
-        order = sorted(range(n), key=leaf.__getitem__)
+        order = sorted(range(len(inter)), key=leaf.__getitem__)
         yield (types, tuple(labels[v] for v in order),
-               tuple(tuple(weights[a][b] for b in order) for a in order))
+               tuple(tuple(inter[a][b] for b in order) for a in order))
 
 
 def _first_of_each_class(gluings):
@@ -330,7 +324,7 @@ def _first_of_each_class(gluings):
     firsts = []
     for gluing in gluings:
         types = gluing[0]
-        nbrs = [[(u, w) for u, w in enumerate(r) if w] for r in gluing[2]]
+        nbrs = [[(u, w) for u, w in enumerate(r) if w > 0] for r in gluing[1]]
         # the identity comes first; its leaves go on to fill the index
         own, *others = (
             _leaf_certificates(gluing, nbrs, perm)
@@ -364,9 +358,9 @@ def enumerate_triangles(max_components=MAX_COMPONENTS):
     entry is built for that gluing only.
     """
     kept = []
-    for _, n, weights, coeffs in _first_of_each_class(
+    for _, inter, coeffs in _first_of_each_class(
             _raw_triangles(max_components)):
-        entry = _make_entry(n, weights, coeffs)
+        entry = _make_entry(inter, coeffs)
         if entry is not None:
             kept.append(entry)
     kept.sort(key=lambda e: (

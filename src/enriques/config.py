@@ -7,8 +7,7 @@ optional tangent-edge annotation, index pairs (i, j) with i < j.  Every
 vertex is its position in ``names``, and a set of curves is an ascending
 tuple of these indices: names are read only by from_edges, index, pair
 and Divisor.from_map, and written only by Divisor.coeffs.  The
-neighbour-index tuples (``adj``) are computed once, at construction;
-an induced subconfiguration derives them from its parent's instead.  A
+neighbour-index tuples (``adj``) are computed once, at construction.  A
 Divisor is an integer coefficient vector aligned with its ambient
 configuration's vertices, over a denominator of 1 or 2, so every pairing
 is an integer sum.
@@ -16,7 +15,6 @@ is an integer sum.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
 
 
 class AmbientMismatch(ValueError):
@@ -28,7 +26,7 @@ class CurveConfig:
     names: tuple
     inter: tuple  # tuple of tuples, symmetric, diagonal -2
     tangent_edges: frozenset = field(default_factory=frozenset)
-    # derived (see _set): neighbour indices per vertex
+    # derived: neighbour indices per vertex
     adj: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -45,16 +43,10 @@ class CurveConfig:
                     raise ValueError("intersection matrix must be symmetric")
                 if i != j and self.inter[i][j] < 0:
                     raise ValueError("off-diagonal entries must be >= 0")
-        self._set(adj=tuple(
+        object.__setattr__(self, "adj", tuple(
             tuple(j for j in range(n) if j != i and self.inter[i][j])
             for i in range(n)
         ))
-
-    def _set(self, **fields):
-        """Set fields of this frozen instance: the derived ones after
-        validation, or all of them for an unchecked induced subset."""
-        for key, value in fields.items():
-            object.__setattr__(self, key, value)
 
     @staticmethod
     def from_edges(names, edges, tangent_edges=()):
@@ -102,31 +94,13 @@ class CurveConfig:
 
     def subconfig(self, idxs):
         """Induced configuration on the curves at the ascending indices
-        idxs, renumbered 0, 1, ... in that order.
-
-        A principal submatrix of a validated matrix is valid, so the
-        result skips __post_init__: its adjacency and tangent edges are
-        the parent's, kept to the subset and renumbered, which keeps each
-        tuple ascending.
-        """
+        idxs, renumbered 0, 1, ... in that order."""
         new = {old: k for k, old in enumerate(idxs)}
-        if len(idxs) > 1:
-            pick = itemgetter(*idxs)
-            inter = tuple(pick(self.inter[i]) for i in idxs)
-        else:  # itemgetter of a single index returns no tuple
-            inter = ((-2,),) * len(idxs)
-        adj = self.adj
-        sub = object.__new__(CurveConfig)
-        sub._set(
-            names=tuple(self.names[i] for i in idxs),
-            inter=inter,
-            tangent_edges=frozenset(
-                (new[a], new[b]) for a, b in self.tangent_edges
-                if a in new and b in new),
-            adj=tuple(tuple([new[j] for j in adj[i] if j in new])
-                      for i in idxs),
-        )
-        return sub
+        return CurveConfig(
+            tuple(self.names[i] for i in idxs),
+            tuple(tuple(self.inter[i][j] for j in idxs) for i in idxs),
+            frozenset((new[a], new[b]) for a, b in self.tangent_edges
+                      if a in new and b in new))
 
     def is_connected(self):
         return connected(dict(enumerate(self.adj)))

@@ -192,11 +192,6 @@ def _span_test(v, tup, g):
     return sum(map(mul, v, paired)), span
 
 
-def in_span(v, tup, g):
-    """Whether v lies in the Z-span of the tuple."""
-    return _span_test(v, tup, g)[1]
-
-
 def divisibility_check(v, tup, g=None):
     """(3 | v.Sf, v in Z-span(f), 9 | v.Sf) for the isotropic tuple f."""
     pairing, span = _span_test(v, tup, e10_gram() if g is None else g)

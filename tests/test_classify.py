@@ -14,6 +14,7 @@ from enriques.classify import (
     _decompositions,
     _first_of_each_class,
     _glue_indexed,
+    _make_entry,
     _orbit_first,
     _raw_triangles,
     decompose_fiber,
@@ -146,17 +147,16 @@ def test_glue_rejects_two_curves_of_one_fiber_in_one_class():
     # three I2 fibers, each split as A1 + A1 into its curves 0 and 1
     kind = KodairaType("I2")
     split = _decompositions(kind)[0]
-    kinds, decomps = (kind,) * 3, (split,) * 3
+    decomps = (split,) * 3
     s1 = ((2, (0,)), (3, (0,)))
     s2 = ((1, (0,)), (3, (0,)))
-    glued = _glue_indexed(kinds, decomps, {1: s1, 2: s2,
-                                           3: ((1, (1,)), (2, (1,)))})
-    assert glued is not None and glued[0] == 3
+    glued = _glue_indexed(decomps, {1: s1, 2: s2, 3: ((1, (1,)), (2, (1,)))})
+    assert glued is not None and len(glued[0]) == 3
     # S_3 now joins curve 1 of fiber 1 to curve 0 of fiber 2, which S_1
     # and S_2 already join to curve 0 of fiber 1; every weight is still
     # consistent, but fiber 1 would collapse onto one class
-    assert _glue_indexed(kinds, decomps, {1: s1, 2: s2,
-                                          3: ((1, (1,)), (2, (0,)))}) is None
+    assert _glue_indexed(decomps, {1: s1, 2: s2,
+                                   3: ((1, (1,)), (2, (0,)))}) is None
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +184,7 @@ def test_orbit_cut_keeps_the_full_loop_representatives(full_loop_firsts):
 def test_orbit_cut_matches_the_full_loop_at_every_bound(
         full_loop_firsts, monkeypatch, max_components):
     # n is an isomorphism invariant, so the bound drops whole classes
-    firsts = [g for g in full_loop_firsts if g[1] <= max_components]
+    firsts = [g for g in full_loop_firsts if len(g[1]) <= max_components]
     assert _first_of_each_class(_raw_triangles(max_components)) == firsts
     fast = enumerate_triangles(max_components)
     monkeypatch.setattr(classify, "_raw_triangles", lambda _: firsts)
@@ -244,13 +244,8 @@ def test_survivor_lattices(survivors):
 
 
 def raw_gluing(e):
-    """A census entry as the raw (types, n, weights, coeffs) gluing."""
-    n = e.glued.size()
-    weights = tuple(
-        tuple(0 if i == j else e.glued.inter[i][j] for j in range(n))
-        for i in range(n)
-    )
-    return e.triple, n, weights, tuple(s.vec for s in e.S)
+    """A census entry as the raw (types, inter, coeffs) gluing."""
+    return e.types, e.glued.inter, tuple(s.vec for s in e.S)
 
 
 def role_perms(types):
@@ -260,11 +255,10 @@ def role_perms(types):
 
 
 def relabel(graph, vertex_perm, role_perm):
-    types, n, weights, coeffs = graph
+    types, inter, coeffs = graph
     return (
         types,
-        n,
-        tuple(tuple(weights[a][b] for b in vertex_perm) for a in vertex_perm),
+        tuple(tuple(inter[a][b] for b in vertex_perm) for a in vertex_perm),
         tuple(tuple(coeffs[k][v] for v in vertex_perm) for k in role_perm),
     )
 
@@ -272,9 +266,10 @@ def relabel(graph, vertex_perm, role_perm):
 def isomorphic_by_brute_force(g, h):
     """Whether some vertex and role permutation relabels g into h; the
     role permutations are tried only where the weights already match."""
-    if g[:2] != h[:2]:
+    wg, wh = g[1], h[1]
+    if g[0] != h[0] or len(wg) != len(wh):
         return False
-    n, wg, wh = g[1], g[2], h[2]
+    n = len(wg)
     return any(relabel(g, p, r) == h
                for p in permutations(range(n))
                if all(wg[p[a]][p[b]] == wh[a][b]
@@ -288,11 +283,22 @@ def test_census_keys_are_distinct(census):
     assert len(census) == 120
 
 
+def test_census_entries_are_their_representative_gluings(census):
+    # _make_entry keeps the gluing's matrix and coefficient rows unchanged
+    firsts = _first_of_each_class(_raw_triangles(MAX_COMPONENTS))
+    gluings = {raw_gluing(e) for e in census}
+    assert gluings <= set(firsts)
+    # the rest are exactly the capacity failures
+    left = [g for g in firsts if g not in gluings]
+    assert len(left) == 4
+    assert [g for g in firsts if _make_entry(*g[1:]) is None] == left
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_canonical_key_is_invariant_under_relabelling(census, data):
+def test_class_index_is_invariant_under_relabelling(census, data):
     graph = raw_gluing(data.draw(st.sampled_from(census)))
-    vertex_perm = data.draw(st.permutations(range(graph[1])))
+    vertex_perm = data.draw(st.permutations(range(len(graph[1]))))
     role_perm = data.draw(st.sampled_from(role_perms(graph[0])))
     copy = relabel(graph, vertex_perm, role_perm)
     assert _first_of_each_class([graph, copy]) == [graph]
@@ -302,17 +308,17 @@ def test_canonical_key_is_invariant_under_relabelling(census, data):
 def cycles(*lengths):
     """Disjoint cycles with unit weights and no coefficients."""
     n = sum(lengths)
-    weights = [[0] * n for _ in range(n)]
+    inter = [[-2 if a == b else 0 for b in range(n)] for a in range(n)]
     start = 0
     for length in lengths:
         for i in range(length):
             a, b = start + i, start + (i + 1) % length
-            weights[a][b] = weights[b][a] = 1
+            inter[a][b] = inter[b][a] = 1
         start += length
-    return ("A", "A", "A"), n, tuple(map(tuple, weights)), ((0,) * n,) * 3
+    return ("A", "A", "A"), tuple(map(tuple, inter)), ((0,) * n,) * 3
 
 
-def test_canonical_key_individualises_every_vertex_of_a_cell():
+def test_class_index_individualises_every_vertex_of_a_cell():
     # refinement leaves one cell, whose vertices are not all automorphic
     g = cycles(3, 4)
     for shift in range(7):
@@ -328,18 +334,18 @@ def coloured_graphs(draw, n):
     types = tuple(sorted(draw(st.lists(st.sampled_from("AB"),
                                        min_size=3, max_size=3))))
     entry = st.integers(0, 2)
-    weights = [[0] * n for _ in range(n)]
+    inter = [[-2 if a == b else 0 for b in range(n)] for a in range(n)]
     for a in range(n):
         for b in range(a + 1, n):
-            weights[a][b] = weights[b][a] = draw(entry)
+            inter[a][b] = inter[b][a] = draw(entry)
     coeffs = tuple(tuple(draw(st.lists(entry, min_size=n, max_size=n)))
                    for _ in range(3))
-    return types, n, tuple(map(tuple, weights)), coeffs
+    return types, tuple(map(tuple, inter)), coeffs
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_canonical_key_matches_brute_force_isomorphism(data):
+def test_class_index_matches_brute_force_isomorphism(data):
     n = data.draw(st.integers(1, 6))
     g = data.draw(coloured_graphs(n))
     if data.draw(st.booleans()):
@@ -349,9 +355,9 @@ def test_canonical_key_matches_brute_force_isomorphism(data):
         if data.draw(st.booleans()):
             k = data.draw(st.integers(0, 2))
             v = data.draw(st.integers(0, n - 1))
-            row = list(h[3][k])
+            row = list(h[2][k])
             row[v] = (row[v] + 1) % 3
-            h = h[:3] + (h[3][:k] + (tuple(row),) + h[3][k + 1:],)
+            h = h[:2] + (h[2][:k] + (tuple(row),) + h[2][k + 1:],)
     else:
         h = data.draw(coloured_graphs(n))
     assert (len(_first_of_each_class([g, h])) == 1) == \

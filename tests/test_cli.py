@@ -507,6 +507,17 @@ def test_verify_surface_bp(capsys):
     assert "surface: BP" in out
 
 
+def test_a_special_triple_needs_all_three_witnesses(capsys, monkeypatch):
+    # only the claimed S3 is found: the other two witnesses are not
+    # rebuilt from the annotated fibers, so the claim fails
+    find = catalog.specialness_witness
+    monkeypatch.setattr(catalog, "specialness_witness",
+                        lambda F, ambient: {2: find(F, ambient)[2]})
+    code, out, _ = run_main(capsys, ["verify-surface", "E7(2)"])
+    assert code == 1
+    assert "[fail] special witness: S3 = R10" in out
+
+
 def test_json_schema_and_shape(capsys):
     code, out, _ = run_main(capsys, ["nd", "E7(2)", "--json"])
     assert code == 0

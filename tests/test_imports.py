@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module,
 every private top-level name of the package is read somewhere in it, a
 public one too unless it is listed with its reason, the core modules
-never read a curve name, and no line is over 79 characters."""
+never read a curve name, no module makes an instance around its
+constructor, and no line is over 79 characters."""
 
 import ast
 from pathlib import Path
@@ -33,6 +34,26 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def object_new_reads(source):
+    """The 1-based lines of source that read object.__new__, which makes
+    an instance without running its __init__ or __post_init__; sorted."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "__new__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object")
+
+
+def test_object_new_reads_are_found():
+    source = ("a = object.__new__(C)\nb = C.__new__(C)\n"
+              "new = object.__new__\n")
+    assert object_new_reads(source) == [1, 3]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_builds_instances_through_their_constructors(path):
+    assert object_new_reads(path.read_text()) == []
 
 
 MAX_LINE = 79
@@ -109,8 +130,6 @@ UNREAD_PUBLIC = {
     "CATALOG_NAMES": "the catalog's surfaces in file order, for the tests",
     "connected_subsets": "the reference enumerator root_subsets is checked "
                          "against",
-    "in_span": "the span test of divisibility_check on its own, for the "
-               "lattice tests",
     "decompose_fiber": "read by the acceptance tests",
     "generic_form": "read by the benchmark workloads",
     "double_plane_octic": "read by the benchmark workloads",
