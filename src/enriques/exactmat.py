@@ -75,16 +75,19 @@ def smith_normal_form(m):
         for j in range(t + 1, cols):
             if a[t][j]:
                 add_col(j, t, -(a[t][j] // p))
-        if any(a[i][t] for i in range(t + 1, rows)) or any(
-                a[t][j] for j in range(t + 1, cols)):
-            continue  # a smaller remainder is the next pivot
-        # enforce divisibility a[t][t] | a[i][j]: a row holding an entry
-        # the pivot does not divide is added to row t, and reduced again
-        bad = next((i for i in range(t + 1, rows)
-                    for j in range(t + 1, cols) if a[i][j] % p), None)
-        if bad is not None:
-            add_row(t, bad, 1)
-            continue
+        # a unit pivot leaves no remainder and divides every entry
+        if p not in (1, -1):
+            if any(a[i][t] for i in range(t + 1, rows)) or any(
+                    a[t][j] for j in range(t + 1, cols)):
+                continue  # a smaller remainder is the next pivot
+            # enforce divisibility a[t][t] | a[i][j]: a row holding an
+            # entry the pivot does not divide is added to row t, and
+            # reduced again
+            bad = next((i for i in range(t + 1, rows)
+                        for j in range(t + 1, cols) if a[i][j] % p), None)
+            if bad is not None:
+                add_row(t, bad, 1)
+                continue
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]

@@ -74,12 +74,10 @@ def _degree(terms):
 class MultiPoly:
     """Immutable polynomial with integer coefficients.
 
-    ``terms`` maps monomials (packed exponent ints with no exponent above
-    MAX_EXPONENT, see the module docstring) to nonzero integers; the
-    constructor drops zero coefficients and expects its keys in that
-    form.  ``from_names`` and ``named`` convert from and to sorted tuples
-    of variable names, each repeated by its exponent.  Variables outside
-    x0..x3 count as degree 0 in the geometric grading.
+    ``terms`` maps packed monomials with no exponent above MAX_EXPONENT
+    (see the module docstring) to nonzero integers; the constructor drops
+    zero coefficients and expects its keys in that form.  Variables
+    outside x0..x3 count as degree 0 in the geometric grading.
     """
 
     __slots__ = ("terms",)
@@ -100,28 +98,6 @@ class MultiPoly:
     @staticmethod
     def variable(name):
         return MultiPoly({1 << FIELD_BITS * _index(name): 1})
-
-    @staticmethod
-    def from_names(terms):
-        """The polynomial whose terms map sorted name tuples, each name
-        repeated by its exponent, to integers; the inverse of named()."""
-        out = {}
-        for names, c in terms.items():
-            mono = 0
-            for v in set(names):
-                e = names.count(v)
-                if e > MAX_EXPONENT:
-                    raise ExponentError(f"exponent exceeds {MAX_EXPONENT}")
-                mono += e << FIELD_BITS * _index(v)
-            out[mono] = out.get(mono, 0) + c
-        return MultiPoly(out)
-
-    def named(self):
-        """The terms keyed by sorted tuples of variable names, each name
-        repeated by its exponent: x0^2*q01 is ("q01", "x0", "x0")."""
-        return {tuple(sorted(v for i, v in enumerate(_NAMES)
-                             for _ in range(m >> FIELD_BITS * i & _FIELD))): c
-                for m, c in self.terms.items()}
 
     def __add__(self, other):
         out = dict(self.terms)

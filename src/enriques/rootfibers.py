@@ -127,9 +127,10 @@ _DYNKIN_STARS = {
 
 def _nbrs(config, support):
     """The neighbours of each curve at the ascending indices support
-    within the set, keyed and listed by index in ambient order: the set
-    read off config with no subconfiguration.  The shape and Artin code
-    below take it with config, for the weights and tangent edges."""
+    within the set: the set read off config with no subconfiguration.
+    The shape and Artin code below take it with config, for the weights
+    and tangent edges, and none of it depends on the order of the keys
+    or of the lists."""
     adj = config.adj
     members = set(support)
     return {v: [u for u in adj[v] if u in members] for v in support}
@@ -144,6 +145,16 @@ def _tangent(config, nbrs):
     return any(a in nbrs and b in nbrs for a, b in config.tangent_edges)
 
 
+def _check_tree(config, nbrs):
+    """NotDynkin unless the set is a simply laced tree."""
+    if not connected(nbrs):
+        raise NotDynkin("configuration is not connected")
+    if _multiple_edge(config, nbrs):
+        raise NotDynkin("multiple edge")
+    if sum(map(len, nbrs.values())) != 2 * (len(nbrs) - 1):
+        raise NotDynkin("configuration contains a cycle")
+
+
 def _arm_length(nbrs, branch, first):
     """Length of the arm leaving branch through first, out to a leaf, or
     None when the walk meets another branch vertex."""
@@ -155,30 +166,25 @@ def _arm_length(nbrs, branch, first):
     return length if len(nbrs[cur]) == 1 else None
 
 
-def _tree_shape(config, nbrs):
-    """(branch count, arm lengths) of a simply laced tree.
+def _tree_shape(nbrs):
+    """(branch count, arm lengths) of a tree.
 
     The branch vertices are those of valency above 2; an arm is the path
     from a branch vertex out to a leaf, and the lengths come sorted
     short-to-long.  A path has no branch vertex and is its own only arm.
-    Raises NotDynkin when the graph is not a simply laced tree.
     """
-    n = len(nbrs)
-    if not connected(nbrs):
-        raise NotDynkin("configuration is not connected")
-    if _multiple_edge(config, nbrs):
-        raise NotDynkin("multiple edge")
-    if sum(map(len, nbrs.values())) != 2 * (n - 1):
-        raise NotDynkin("configuration contains a cycle")
     branches = [v for v, near in nbrs.items() if len(near) > 2]
+    if not branches:
+        return 0, (len(nbrs),)
     arms = [length for b in branches for first in nbrs[b]
             if (length := _arm_length(nbrs, b, first))]
-    return len(branches), tuple(sorted(arms)) or (n,)
+    return len(branches), tuple(sorted(arms))
 
 
-def _dynkin_type(config, nbrs):
-    """ADE type of a connected simply laced set, or NotDynkin."""
-    branches, lengths = _tree_shape(config, nbrs)
+def _tree_dynkin(nbrs):
+    """ADE type of a simply laced tree, read off its shape, or NotDynkin:
+    the one ADE shape classifier."""
+    branches, lengths = _tree_shape(nbrs)
     n = len(nbrs)
     if not branches:
         return DynkinType("A", n)
@@ -191,6 +197,19 @@ def _dynkin_type(config, nbrs):
     if lengths in _DYNKIN_STARS:
         return _DYNKIN_STARS[lengths]
     raise NotDynkin(f"arm lengths {lengths} match no ADE diagram")
+
+
+def _tree_kodaira(nbrs):
+    """Kodaira type of a simply laced tree, read off its shape, or
+    NotAffine."""
+    branches, lengths = _tree_shape(nbrs)
+    # four leaves next to the branch vertices: one of valency 4 (I0*) or
+    # two of valency 3 at the ends of a chain
+    if lengths == (1, 1, 1, 1):
+        return _affine_kind(DynkinType("D", len(nbrs) - 1))
+    if branches == 1 and lengths in _AFFINE_STARS:
+        return _AFFINE_STARS[lengths]
+    raise NotAffine(f"arm lengths {lengths} match no affine diagram")
 
 
 def _kodaira_type(config, nbrs):
@@ -213,16 +232,10 @@ def _kodaira_type(config, nbrs):
         return _affine_kind(DynkinType("A", n - 1),
                             n == 3 and _tangent(config, nbrs))
     try:
-        branches, lengths = _tree_shape(config, nbrs)
+        _check_tree(config, nbrs)
     except NotDynkin as exc:
         raise NotAffine(str(exc)) from None
-    # four leaves next to the branch vertices: one of valency 4 (I0*) or
-    # two of valency 3 at the ends of a chain
-    if lengths == (1, 1, 1, 1):
-        return _affine_kind(DynkinType("D", n - 1))
-    if branches == 1 and lengths in _AFFINE_STARS:
-        return _AFFINE_STARS[lengths]
-    raise NotAffine(f"arm lengths {lengths} match no affine diagram")
+    return _tree_kodaira(nbrs)
 
 
 def _whole(config):
@@ -235,23 +248,42 @@ ARTIN_STEPS_PER_COMPONENT = 30
 
 
 def _artin(config, nbrs):
-    """Artin's iteration on a set from the reduced sum of its components:
-    add any component that still pairs positively.  The vector it stops
-    at, as a Divisor on config, or None when it runs past its step
-    bound."""
+    """Artin's iteration on a set from the reduced sum Z of its
+    components: add any component that still pairs positively with Z.
+    The vector it stops at, as a Divisor on config, or None when it needs
+    more steps than its bound.
+
+    A step changes only the pairings of the bumped component and its
+    neighbours, so only those are tested again.  Where the iteration
+    stops, it stops at the least Z' >= Z with Z'.C <= 0 for every C, in
+    sum(Z') - |S| steps whatever their order (Laufer), so the order of
+    the steps decides neither the vector nor None.
+    """
+    inter = config.inter
     z = dict.fromkeys(nbrs, 1)
-    rows = [(j, config.inter[j], near) for j, near in nbrs.items()]
-    for _ in range(ARTIN_STEPS_PER_COMPONENT * len(z) + 1):
-        for j, row, near in rows:
-            if sum(z[i] * row[i] for i in near) > 2 * z[j]:
-                z[j] += 1
-                break
-        else:
-            vec = [0] * config.size()
-            for i, c in z.items():
-                vec[i] = c
-            return Divisor(tuple(vec), config)
-    return None
+    pair = {j: sum(map(inter[j].__getitem__, near)) - 2
+            for j, near in nbrs.items()}
+    todo = [j for j, p in pair.items() if p > 0]  # each positive one once
+    steps = ARTIN_STEPS_PER_COMPONENT * len(z)
+    while todo:
+        if not steps:
+            return None
+        steps -= 1
+        j = todo.pop()
+        z[j] += 1
+        pair[j] -= 2
+        if pair[j] > 0:
+            todo.append(j)
+        row = inter[j]
+        for i in nbrs[j]:
+            was = pair[i]
+            pair[i] = was + row[i]
+            if was <= 0 < pair[i]:
+                todo.append(i)
+    vec = [0] * config.size()
+    for i, c in z.items():
+        vec[i] = c
+    return Divisor(tuple(vec), config)
 
 
 def dynkin_divisor(config, support):
@@ -267,7 +299,8 @@ def dynkin_divisor(config, support):
     which is at most 29 per component.
     """
     nbrs = _nbrs(config, support)
-    return _dynkin_type(config, nbrs), _artin(config, nbrs)
+    _check_tree(config, nbrs)
+    return _tree_dynkin(nbrs), _artin(config, nbrs)
 
 
 def fundamental_cycle(config):
@@ -318,33 +351,61 @@ def root_subsets(config, family, max_size=None):
     k alone, each by one curve next to it.  That misses no ADE or affine
     set: such a set stays connected without some curve, and what remains
     is ADE, as every connected part of an ADE diagram is, and every
-    proper connected part of an affine one.  Each set is recognised once,
-    and Artin's iteration runs for the sets of family only.
+    proper connected part of an affine one.
+
+    A level maps each set to its neighbour lists, or to None when it is
+    no simply laced tree.  A set grown from an ADE tree by a curve u is
+    one exactly when u meets the tree in one curve, with weight 1, and
+    then its lists are the parent's plus u and only its shape is read.
+    Any other grown set is no ADE set, and only KodairaType reads it.
+    Each set is recognised once, and Artin's iteration runs for the sets
+    of family only.
     """
-    adj = config.adj
     limit = config.size() if max_size is None else max_size
-    level = [(v,) for v in range(config.size())]
+    level = {(v,): {v: []} for v in range(config.size())}
     for size in range(1, limit + 1):
-        grown = set()
-        for support in level:
-            nbrs = _nbrs(config, support)
+        grown = {}
+        for support in sorted(level):
+            nbrs = level[support]
             try:
-                kind = _dynkin_type(config, nbrs)
-            except NotDynkin:
-                if family is DynkinType:
-                    continue
-                try:
+                if nbrs is None:  # no simply laced tree, so no ADE set
+                    nbrs = _nbrs(config, support)
                     kind = _kodaira_type(config, nbrs)
-                except NotAffine:
-                    continue
-            else:
-                if size < limit:
-                    grown.update(tuple(sorted((*support, u)))
-                                 for v in support for u in adj[v]
-                                 if u not in nbrs)
+                else:
+                    try:
+                        kind = _tree_dynkin(nbrs)
+                    except NotDynkin:
+                        if family is DynkinType:
+                            continue
+                        kind = _tree_kodaira(nbrs)
+                    else:
+                        if size < limit:
+                            _grow(config, support, nbrs, grown,
+                                  family is DynkinType)
+            except NotAffine:
+                continue
             if type(kind) is family:
                 yield support, kind, _artin(config, nbrs)
-        level = sorted(grown)
+        level = grown
+
+
+def _grow(config, support, nbrs, grown, trees_only):
+    """Add to grown each set of the ADE tree support (with lists nbrs)
+    plus one curve next to it, mapped to its lists when it is a simply
+    laced tree and to None otherwise; trees_only leaves out the others."""
+    adj, inter = config.adj, config.inter
+    meets = {}  # each curve next to the tree: the one curve it meets, or -1
+    for v in support:
+        for u in adj[v]:
+            if u not in nbrs:
+                meets[u] = -1 if u in meets else v
+    for u, v in meets.items():
+        tree = v >= 0 and inter[u][v] == 1
+        if tree or not trees_only:
+            child = tuple(sorted((*support, u)))
+            if child not in grown:
+                grown[child] = ({**nbrs, v: nbrs[v] + [u], u: [v]}
+                                if tree else None)
 
 
 def _diagram_edges(dtype):

@@ -9,11 +9,13 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from enriques import rootfibers
 from enriques.catalog import (
     CATALOG_NAMES,
     _record_class,
@@ -33,7 +35,9 @@ from enriques.rootfibers import (
     KodairaType,
     NotAffine,
     NotDynkin,
+    _artin,
     _diagram_edges,
+    _nbrs,
     dynkin_divisor,
     fiber_divisor,
     fiber_graph,
@@ -492,6 +496,81 @@ def test_root_subsets_match_the_reference_enumeration(config, family, cap):
 ], ids=[*CATALOG_NAMES, *(str(kind) for kind in FIBER_KINDS)])
 def test_root_subsets_on_surfaces_and_fibers(config, family):
     assert_root_subsets_match(config, family, range(config.size() + 1))
+
+
+@st.composite
+def trees_and_unicyclic(draw):
+    """Random trees of 10 or 11 curves, with one more edge half the time,
+    so that long chains and D and E shapes grow deep: each curve hangs
+    off its predecessor or off any earlier curve.  An occasional edge has
+    weight 2, and an occasional meeting pair is tangent."""
+    n = draw(st.integers(10, 11))
+    weight = st.sampled_from((1,) * 7 + (2,))
+    edges = {(draw(st.one_of(st.just(v - 1), st.integers(0, v - 1))), v):
+             draw(weight) for v in range(1, n)}
+    if draw(st.booleans()):
+        extra = [p for p in combinations(range(n), 2) if p not in edges]
+        edges[draw(st.sampled_from(extra))] = draw(weight)
+    inter = [[-2 if a == b else 0 for b in range(n)] for a in range(n)]
+    for (a, b), w in edges.items():
+        inter[a][b] = inter[b][a] = w
+    tangents = draw(st.sets(st.sampled_from(sorted(edges)), max_size=1))
+    return CurveConfig(tuple(f"c{i}" for i in range(n)),
+                       tuple(map(tuple, inter)), frozenset(tangents))
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees_and_unicyclic(), st.sampled_from((DynkinType, KodairaType)),
+       st.integers(0, 11))
+def test_root_subsets_grow_trees_from_their_parents(config, family, cap):
+    assert_root_subsets_match(config, family, (cap,))
+
+
+def artin_by_first_row(config, nbrs, per_component):
+    """Artin's iteration as a loop over the rows: each step bumps the
+    first component, in the order of nbrs, that pairs positively with Z.
+    The vector it stops at in config order, or None when it needs more
+    than per_component steps per component."""
+    z = dict.fromkeys(nbrs, 1)
+    rows = [(j, config.inter[j], near) for j, near in nbrs.items()]
+    for _ in range(per_component * len(z) + 1):
+        for j, row, near in rows:
+            if sum(z[i] * row[i] for i in near) > 2 * z[j]:
+                z[j] += 1
+                break
+        else:
+            return tuple(z.get(i, 0) for i in range(config.size()))
+    return None
+
+
+def assert_artin_matches(config, supports):
+    """_artin against the row loop on each support, at the step bound in
+    force and at bounds of 0, 1 and 2 steps per component, where ADE and
+    affine sets run past it."""
+    for bound in (rootfibers.ARTIN_STEPS_PER_COMPONENT, 0, 1, 2):
+        with patch.object(rootfibers, "ARTIN_STEPS_PER_COMPONENT", bound):
+            for support in supports:
+                nbrs = _nbrs(config, support)
+                got = _artin(config, nbrs)
+                want = artin_by_first_row(config, nbrs, bound)
+                assert (None if got is None else got.vec) == want, (
+                    support, bound)
+
+
+@settings(max_examples=150, deadline=None)
+@given(annotated_configs(), st.data())
+def test_artin_matches_the_row_loop(config, data):
+    support = data.draw(st.sets(st.integers(0, config.size() - 1))
+                        if config.size() else st.just(set()))
+    assert_artin_matches(config, [sorted(support), range(config.size())])
+
+
+@pytest.mark.parametrize("config", [
+    *(load_surface(name).config for name in CATALOG_NAMES),
+    *(fiber_graph(kind) for kind in FIBER_KINDS),
+], ids=[*CATALOG_NAMES, *(str(kind) for kind in FIBER_KINDS)])
+def test_artin_matches_the_row_loop_on_surfaces_and_fibers(config):
+    assert_artin_matches(config, connected_subsets(config))
 
 
 def cycle_table(config):
