@@ -54,10 +54,6 @@ MAX_FIBER_COMPONENTS = 9
 # Smith normal form is cubic in it
 MAX_CURVES = 60
 
-CATALOG_NAMES = (
-    "E8~", "D8~", "E7~", "A7~", "typeI", "BP", "E7(2)", "2D4~",
-)
-
 
 @dataclass(frozen=True)
 class FiberAnnotation:
@@ -277,14 +273,9 @@ def _check_claims(claims, labels, curves):
 @dataclass(frozen=True)
 class FibrationClass:
     labels: tuple  # annotation labels of members, possibly empty
-    cls: Divisor  # the half-fiber F when determined, else a member's cycle
+    cls: Divisor  # the half-fiber F, or None when the scale is undetermined
     kinds: tuple  # fiber kinds seen in this class's fibration
-    determined: bool
     ray: tuple  # primitive pairing vector, the dedup key
-
-
-def _is_multiplicative(kind):
-    return kind.startswith("I") and not kind.endswith("*")
 
 
 def fibration_records(s):
@@ -293,9 +284,10 @@ def fibration_records(s):
     Connected affine subconfigurations are grouped into fibrations by
     the primitive ray of their pairing vector.  The half-fiber scale of
     a ray is fixed by a member with an odd pairing, by an annotation,
-    or (where the surface's characteristic permits no additive
-    half-fibers) by the additive default; remaining rays are returned
-    undetermined at the fiber scale.
+    or, for an additive member, by the additive default (in
+    characteristic other than 2 a half-fiber is multiplicative,
+    Cossec-Dolgachev).  An annotated member always fixes it; a ray that
+    no member fixes has cls None.
     """
     config = s.config
     annotated = {f.divisor.support(): f for f in s.fibrations}
@@ -309,9 +301,7 @@ def fibration_records(s):
                 f"{s.name}: fiber {'+'.join(config.names[i] for i in subset)}"
                 " has no horizontal curve")
         ray = tuple(x // g for x in pv)
-        rays.setdefault(ray, []).append(
-            (d, g, str(kind), annotated.get(subset))
-        )
+        rays.setdefault(ray, []).append((d, g, kind, annotated.get(subset)))
     records = []
     for ray, members in sorted(rays.items()):
         cls = step = None
@@ -323,7 +313,7 @@ def fibration_records(s):
             elif ann is not None:
                 den = 2 if ann.multiplicity == "simple" else 1
             elif (s.additive_default == "simple"
-                  and not _is_multiplicative(kind)):
+                  and not kind.is_multiplicative()):
                 den = 2
             else:
                 continue
@@ -335,21 +325,9 @@ def fibration_records(s):
                     f"{s.name}: inconsistent half-fiber scale on ray {ray}"
                 )
         labels = tuple(ann.label for _, _, _, ann in members if ann)
-        kinds = tuple(sorted({kind for _, _, kind, _ in members}))
-        records.append(FibrationClass(
-            labels, members[0][0] if cls is None else cls, kinds,
-            cls is not None, ray))
+        kinds = tuple(sorted({str(kind) for _, _, kind, _ in members}))
+        records.append(FibrationClass(labels, cls, kinds, ray))
     return records
-
-
-def _record_class(records, label):
-    """Half-fiber class of the record holding the labelled fiber."""
-    for rec in records:
-        if label in rec.labels:
-            if not rec.determined:
-                raise CatalogDataError(f"fiber {label} has undetermined scale")
-            return rec.cls
-    raise KeyError(f"no annotated fiber labelled {label!r}")
 
 
 def _clique_sizes(adj):
@@ -391,7 +369,7 @@ def nd_bounds(s, records=None):
         )
     if records is None:
         records = fibration_records(s)
-    undetermined = [r.ray for r in records if not r.determined]
+    undetermined = [r.ray for r in records if r.cls is None]
     if undetermined:
         raise CatalogDataError(
             f"undetermined fibration scale on rays {undetermined}"
@@ -425,10 +403,12 @@ def verify_surface(s):
             _check(checks, f"fiber {f.label} half-fiber", True, kind)
 
     records = fibration_records(s)
+    # the half-fiber classes, and the one of each annotated fiber
+    found = [r.cls for r in records if r.cls is not None]
+    classes = {label: r.cls for r in records for label in r.labels}
     if s.complete:
-        ok = all(r.determined for r in records)
-        _check(checks, "fibration scales determined", ok,
-               f"{len(records)} fibration classes")
+        _check(checks, "fibration scales determined",
+               len(found) == len(records), f"{len(records)} fibration classes")
 
     if "fibration_count" in claims:
         got = len(records)
@@ -436,20 +416,20 @@ def verify_surface(s):
                f"found {got}, expected {claims['fibration_count']}")
 
     if "triple" in claims:
-        _verify_triple(s, records, checks)
+        _verify_triple(s, classes, checks)
 
     if "four_sequence" in claims:
-        seq = [_record_class(records, lab) for lab in claims["four_sequence"]]
+        seq = [classes[lab] for lab in claims["four_sequence"]]
         _check(checks, "four-sequence", is_c_sequence(seq),
                " ".join(claims["four_sequence"]))
 
     if "unique_nonspecial" in claims:
-        _verify_unique_nonspecial(s, records, checks)
+        _verify_unique_nonspecial(s, classes, found, checks)
 
     if "minus_two" in claims:
         claim = claims["minus_two"]
-        f1, f2, f4 = (_record_class(records, lab) for lab in claim["triple"])
-        f5 = _record_class(records, claim["other"])
+        f1, f2, f4 = (classes[lab] for lab in claim["triple"])
+        f5 = classes[claim["other"]]
         val = intersect(f1, f5) + intersect(f2, f5) - intersect(f4, f5)
         _check(checks, "degenerating product", val == claim["value"],
                f"({'+'.join(claim['triple'][:2])}-{claim['triple'][2]})"
@@ -465,18 +445,16 @@ def verify_surface(s):
                    f"min {got[0]}, max {got[1]}")
 
     if "max_clique" in claims:
-        classes = [r.cls for r in records if r.determined]
-        adj = _clique_matrix(classes)
-        got = max(_clique_sizes(adj))
+        got = max(_clique_sizes(_clique_matrix(found)))
         _check(checks, "max sequence length", got == claims["max_clique"],
                f"{got}")
 
     return checks
 
 
-def _verify_triple(s, records, checks):
+def _verify_triple(s, classes, checks):
     claims = s.claims
-    F = [_record_class(records, lab) for lab in claims["triple"]]
+    F = [classes[lab] for lab in claims["triple"]]
     _check(checks, "three-sequence", is_c_sequence(F),
            " ".join(claims["triple"]))
 
@@ -507,16 +485,11 @@ def _verify_triple(s, records, checks):
                str(obstruction) if ok else "criterion inconclusive")
 
 
-def _verify_unique_nonspecial(s, records, checks):
+def _verify_unique_nonspecial(s, classes, found, checks):
     claims = s.claims["unique_nonspecial"]
-    classes = {
-        lab: _record_class(records, lab)
-        for rec in records for lab in rec.labels
-    }
-    determined = [r.cls for r in records if r.determined]
     for label in sorted(claims):
         f = classes[label]
-        partners = [g for g in determined if intersect(f, g) == 1]
+        partners = [g for g in found if intersect(f, g) == 1]
         want = [classes[p] for p in claims[label]]
         ok = (sorted(p.pairing_vector() for p in partners)
               == sorted(q.pairing_vector() for q in want))

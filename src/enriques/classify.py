@@ -51,9 +51,6 @@ def type_sort_key(t):
 class Part:
     dtype: DynkinType
     coeffs: tuple  # coefficient per fiber vertex, 0 outside the support
-    # the maps of diagram(dtype) onto the support, as tuples of cfg
-    # indices; gluing two copies of a part identifies them position-wise
-    orders: tuple
 
 
 @dataclass(frozen=True)
@@ -73,19 +70,14 @@ def _decompositions(kind):
     null = null_vector(cfg)
     # the proper ADE subsets and their fundamental cycles; the whole
     # fiber is affine, so no second part covers it
-    cycles = {support: (dtype, z.vec) for support, dtype, z
+    cycles = {support: Part(dtype, z.vec) for support, dtype, z
               in root_subsets(cfg, DynkinType, cfg.size() - 1)}
-
-    def part(support):
-        dtype, z = cycles[support]
-        return Part(dtype, z, diagram_maps(cfg, support, dtype))
-
     out = []
-    for support, (_, z) in cycles.items():
-        rest = tuple(g - c for g, c in zip(null, z))
+    for part in cycles.values():
+        rest = tuple(g - c for g, c in zip(null, part.coeffs))
         other = tuple(i for i, c in enumerate(rest) if c)
-        if other in cycles and cycles[other][1] == rest:
-            out.append(Decomposition(kind, part(support), part(other)))
+        if other in cycles and cycles[other].coeffs == rest:
+            out.append(Decomposition(kind, part, cycles[other]))
     return tuple(out)
 
 
@@ -183,10 +175,6 @@ class CensusEntry(TriangleGraph):
     variant: int = 0
     verdict: object = None  # Excluded(...) / Survivor(...) once derived
 
-    @property
-    def triple(self):
-        return self.types
-
 
 @dataclass(frozen=True)
 class Excluded:
@@ -216,31 +204,39 @@ def _raw_triangles(max_components, splittings=_orbit_first, funnel=None):
         funnel = Counter()
     by_first = {}
     by_pair = {}
+    # each splitting with the maps of diagram(dtype) onto its first and
+    # its second part, as tuples of fiber vertices; gluing two copies of
+    # a part identifies them position-wise
     all_decomps = []
     for kind in FIBER_KINDS:
+        cfg = fiber_graph(kind)
         for d in splittings(kind):
-            all_decomps.append(d)
-            by_first.setdefault(d.first.dtype, []).append(d)
+            item = (d, *(diagram_maps(cfg, Divisor(p.coeffs, cfg).support(),
+                                      p.dtype) for p in (d.first, d.second)))
+            all_decomps.append(item)
+            by_first.setdefault(d.first.dtype, []).append(item)
             by_pair.setdefault((d.first.dtype, d.second.dtype),
-                               []).append(d)
+                               []).append(item)
     found = {}  # the distinct gluings, in order of appearance
-    for d3 in all_decomps:  # fiber 3 carries (S_1, S_2)
+    for d3, first3, second3 in all_decomps:  # fiber 3 carries (S_1, S_2)
         t1, t2 = d3.first.dtype, d3.second.dtype
         if type_sort_key(t1) > type_sort_key(t2):
             continue
-        for d2 in by_first.get(t1, ()):  # fiber 2 carries (S_1, S_3)
+        # fiber 2 carries (S_1, S_3)
+        for d2, first2, second2 in by_first.get(t1, ()):
             t3 = d2.second.dtype
             if type_sort_key(t2) > type_sort_key(t3):
                 continue
-            for d1 in by_pair.get((t2, t3), ()):  # fiber 1: (S_2, S_3)
+            # fiber 1 carries (S_2, S_3)
+            for d1, first1, second1 in by_pair.get((t2, t3), ()):
                 decomps = (d1, d2, d3)
-                for o1 in d2.first.orders:
-                    for o2 in d1.first.orders:
-                        for o3 in d1.second.orders:
+                for o1 in first2:
+                    for o2 in first1:
+                        for o3 in second1:
                             chosen = {
-                                1: ((2, o1), (3, d3.first.orders[0])),
-                                2: ((1, o2), (3, d3.second.orders[0])),
-                                3: ((1, o3), (2, d2.second.orders[0])),
+                                1: ((2, o1), (3, first3[0])),
+                                2: ((1, o2), (3, second3[0])),
+                                3: ((1, o3), (2, second2[0])),
                             }
                             glued = _glue_indexed(decomps, chosen)
                             funnel["attempts"] += 1
@@ -364,12 +360,12 @@ def enumerate_triangles(max_components=MAX_COMPONENTS):
         if entry is not None:
             kept.append(entry)
     kept.sort(key=lambda e: (
-        tuple(type_sort_key(t) for t in e.triple), e.glued.size(), e.disc))
+        tuple(type_sort_key(t) for t in e.types), e.glued.size(), e.disc))
     counts = {}
     final = []
     for e in kept:
-        idx = counts.get(e.triple, 0)
-        counts[e.triple] = idx + 1
+        idx = counts.get(e.types, 0)
+        counts[e.types] = idx + 1
         final.append(replace(e, variant=idx))
     return final
 
@@ -414,7 +410,7 @@ def derive_survivors(filtered):
             out.append(replace(e, verdict=Excluded(
                 "no extender found but obstruction inconclusive")))
             continue
-        key = tuple(str(t) for t in e.triple)
+        key = tuple(str(t) for t in e.types)
         completions = _COMPLETIONS.get(key)
         if completions is None:
             out.append(replace(e, verdict=Excluded(

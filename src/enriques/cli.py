@@ -97,8 +97,8 @@ def _build_parser():
 
 
 def _entry_row(e):
-    triple = ",".join(str(t) for t in e.triple)
-    row = (f"({triple}) variant {e.variant}: n={e.glued.size()} "
+    types = ",".join(str(t) for t in e.types)
+    row = (f"({types}) variant {e.variant}: n={e.glued.size()} "
            f"rank={e.rank} disc={e.disc}")
     if e.verdict is not None:
         row += f" {e.verdict}"
@@ -174,7 +174,7 @@ def _cmd_fibrations(args, report):
     rows = []
     for r in records:
         labels = ",".join(r.labels) if r.labels else "-"
-        scale = "half-fiber" if r.determined else "undetermined scale"
+        scale = "half-fiber" if r.cls is not None else "undetermined scale"
         rows.append(f"ray {r.ray}: kinds {','.join(r.kinds)} "
                     f"labels {labels} ({scale})")
     report.artifacts["classes"] = rows

@@ -98,6 +98,14 @@ class KodairaType:
         """Dynkin type spanned by the fiber components minus one."""
         return _root_of(self.symbol)
 
+    def is_multiplicative(self):
+        """Whether the fiber is I_n, n >= 1: a nodal curve or a cycle of
+        curves.  Every other singular kind is additive, III and IV too,
+        although their root types are those of I2 and I3."""
+        root = self.root_type()
+        return self.symbol not in _FIXED_ROOTS and (
+            root.family == "A" if root else self.symbol == "I1")
+
 
 def _affine_kind(dtype, additive=False):
     """The Kodaira type whose components minus one span dtype; additive

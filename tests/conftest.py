@@ -3,14 +3,16 @@ from pathlib import Path
 
 import pytest
 
-from enriques import classify
+from enriques import catalog, classify
 
 GOLDEN = Path(__file__).parent / "golden"
+# the names of the catalog's surfaces, one per data file, in file order
+SURFACES = tuple(name for _, name, _ in catalog._surfaces())
 
 
 def format_entry(e):
-    triple = ",".join(str(t) for t in e.triple)
-    row = (f"({triple}) variant {e.variant}: n={e.glued.size()} "
+    types = ",".join(str(t) for t in e.types)
+    row = (f"({types}) variant {e.variant}: n={e.glued.size()} "
            f"rank={e.rank} disc={e.disc}")
     if e.verdict is not None:
         row += f" {e.verdict}"

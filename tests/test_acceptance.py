@@ -56,7 +56,7 @@ def test_criterion_2_census_and_filter(filtered, timings):
     families = {classify_family(e) for e in filtered} - {None}
     assert families == set(read_golden("families_ge10.txt"))
     for e in filtered:
-        ts = tuple(str(t) for t in e.triple)
+        ts = tuple(str(t) for t in e.types)
         if ts == ("A7", "A7", "A1"):
             assert e.disc == 64
         if (all(t[0] == "A" for t in ts) and ts[2] == "A1"
@@ -69,7 +69,7 @@ def test_criterion_3_exactly_three_survivors(resolved):
     survivors = [e for e in resolved if isinstance(e.verdict, Survivor)]
     assert [format_entry(e) for e in survivors] == read_golden("survivors.txt")
     outcomes = sorted(
-        (tuple(str(t) for t in e.triple), e.verdict.surface) for e in survivors
+        (tuple(str(t) for t in e.types), e.verdict.surface) for e in survivors
     )
     assert outcomes == [
         (("E7", "D8", "A1"), "A7~"),

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from enriques import catalog
 from enriques.catalog import (
-    CATALOG_NAMES,
     CatalogDataError,
     IncompleteCatalog,
     UnknownSurface,
@@ -18,6 +17,8 @@ from enriques.catalog import (
 )
 from enriques.config import intersect
 from enriques.divisors import is_c_sequence
+
+from conftest import SURFACES
 
 ND_TABLE = {
     "E8~": (1, 1),
@@ -45,7 +46,7 @@ def test_unknown_surface():
         load_surface("K3")
 
 
-@pytest.mark.parametrize("name", CATALOG_NAMES, ids=str)
+@pytest.mark.parametrize("name", SURFACES, ids=str)
 def test_verify_surface_all_checks_pass(name):
     s = load_surface(name)
     results = verify_surface(s)
@@ -76,7 +77,7 @@ def test_extra_special_max_cliques():
     cliques = {}
     for name in ("E8~", "D8~", "E7~"):
         records = fibration_records(load_surface(name))
-        classes = [r.cls for r in records if r.determined]
+        classes = [r.cls for r in records if r.cls is not None]
         adj = catalog._clique_matrix(classes)
         cliques[name] = max(catalog._clique_sizes(adj))
     assert cliques == {"E8~": 1, "D8~": 2, "E7~": 2}
@@ -124,13 +125,13 @@ def test_shortest_maximal_sequence_need_not_pass_a_longest():
     assert (min(sizes), max(sizes)) == (3, 4)
 
 
-@pytest.mark.parametrize("name", CATALOG_NAMES, ids=str)
+@pytest.mark.parametrize("name", SURFACES, ids=str)
 def test_determined_classes_are_isotropic_nef_and_integral(name):
     s = load_surface(name)
     for rec in fibration_records(s):
-        if not rec.determined:
-            continue
         cls = rec.cls
+        if cls is None:
+            continue
         assert intersect(cls, cls) == 0
         pv = cls.pairing_vector()
         assert all(x >= 0 for x in pv)
@@ -150,7 +151,7 @@ def test_verify_surface_computes_fibration_records_once(monkeypatch):
     assert calls == ["2D4~"]
 
 
-@pytest.mark.parametrize("name", CATALOG_NAMES)
+@pytest.mark.parametrize("name", SURFACES)
 def test_annotated_fiber_divisors_are_computed_at_load_only(monkeypatch, name):
     s = load_surface(name)
     data = next(d for _, n, d in catalog._surfaces() if n == name)
@@ -173,7 +174,8 @@ def test_annotated_fiber_divisors_are_computed_at_load_only(monkeypatch, name):
 
 
 def record_class(s, label):
-    return catalog._record_class(fibration_records(s), label)
+    classes = {lab: r.cls for r in fibration_records(s) for lab in r.labels}
+    return classes[label]
 
 
 def test_half_fiber_class_lookup():
@@ -217,7 +219,7 @@ def test_e7_2_has_exactly_three_fibrations_all_determined():
     s = load_surface("E7(2)")
     records = fibration_records(s)
     assert len(records) == 3
-    assert all(r.determined for r in records)
+    assert all(r.cls is not None for r in records)
 
 
 def test_catalog_dir_override(tmp_path):
@@ -292,3 +294,13 @@ def test_fibers_no_record_can_hold_are_rejected(tmp_path, n, fibrations,
         json.dumps(_cycle_surface(n, fibrations)))
     with pytest.raises(CatalogDataError, match=reason):
         load_surface("cycle", catalog_dir=tmp_path)
+
+
+def test_every_data_file_is_in_the_parametrised_oracles():
+    # read apart from catalog._surfaces, which SURFACES comes from
+    names = [json.loads(path.read_text())["name"]
+             for path in sorted(catalog._data_dir().glob("*.json"))]
+    assert list(SURFACES) == names
+    assert len(set(names)) == len(names) == 8
+    assert sorted(CLASS_COUNTS) == sorted(names)
+    assert sorted([*ND_TABLE, "A7~", "BP"]) == sorted(names)

@@ -180,6 +180,26 @@ def test_orbit_cut_keeps_the_full_loop_representatives(full_loop_firsts):
     assert len(full_loop_firsts) == 124
 
 
+def test_the_census_maps_only_the_splittings_it_glues(monkeypatch):
+    # both parts of each of the 78 orbit-first splittings, and no part of
+    # the other 276
+    calls = []
+
+    def counting(config, support, dtype):
+        calls.append(dtype)
+        return diagram_maps(config, support, dtype)
+
+    diagram_maps = classify.diagram_maps
+    _decompositions.cache_clear()
+    _orbit_first.cache_clear()
+    monkeypatch.setattr(classify, "diagram_maps", counting)
+    funnel = Counter()
+    assert len(_raw_triangles(MAX_COMPONENTS, funnel=funnel)) == 235
+    assert funnel == {"attempts": 1291, "consistent": 756, "bounded": 700}
+    assert sum(len(_orbit_first(kind)) for kind in FIBER_KINDS) == 78
+    assert len(calls) == 156
+
+
 @pytest.mark.parametrize("max_components", range(1, MAX_COMPONENTS + 1))
 def test_orbit_cut_matches_the_full_loop_at_every_bound(
         full_loop_firsts, monkeypatch, max_components):
@@ -201,11 +221,11 @@ def test_census_size(census):
 
 def test_census_entries_are_sorted_and_deduplicated(census):
     keys = [
-        (tuple(type_sort_key(t) for t in e.triple), e.glued.size(), e.disc)
+        (tuple(type_sort_key(t) for t in e.types), e.glued.size(), e.disc)
         for e in census
     ]
     assert keys == sorted(keys)
-    seen = Counter((e.triple, e.variant) for e in census)
+    seen = Counter((e.types, e.variant) for e in census)
     assert all(v == 1 for v in seen.values())
 
 
@@ -226,7 +246,7 @@ def test_survivors_match_golden(survivors):
 def test_exactly_three_survivors_with_expected_surfaces(survivors):
     assert len(survivors) == 3
     outcomes = sorted(
-        (tuple(str(t) for t in e.triple), e.verdict.surface) for e in survivors
+        (tuple(str(t) for t in e.types), e.verdict.surface) for e in survivors
     )
     assert outcomes == [
         (("E7", "D8", "A1"), "A7~"),
@@ -400,7 +420,7 @@ def test_class_index_matches_brute_force_on_lists(data):
 
 def classify_family(e):
     """Parametrized family of a census entry's type triple."""
-    ts = tuple(str(t) for t in e.triple)
+    ts = tuple(str(t) for t in e.types)
     exact = {
         ("E8", "A1", "A1"): "(E8,A1,A1)",
         ("E7", "D8", "A1"): "(E7,D8,A1)",
@@ -443,7 +463,7 @@ def test_family_list_matches_published_fifteen(filtered):
     for e in filtered:
         fam = classify_family(e)
         if fam is None:
-            extras.add(tuple(str(t) for t in e.triple))
+            extras.add(tuple(str(t) for t in e.types))
         else:
             got.add(fam)
     assert got == wanted
@@ -458,7 +478,7 @@ def test_two_types_families_have_two_realizations(filtered):
         "2 types of (Am,An,Al) with 10 <= m+n+l <= 11",
     ]
     per_triple = Counter(
-        (classify_family(e), tuple(str(t) for t in e.triple)) for e in filtered
+        (classify_family(e), tuple(str(t) for t in e.types)) for e in filtered
     )
     for fam in two_type:
         assert any(count >= 2 for (f, _), count in per_triple.items()
@@ -480,7 +500,7 @@ DISCRIMINANT_EXCLUSIONS = {
 def test_discriminant_bookkeeping(filtered):
     seen = set()
     for e in filtered:
-        ts = tuple(str(t) for t in e.triple)
+        ts = tuple(str(t) for t in e.types)
         if ts == ("A7", "A7", "A1"):
             assert (e.rank, e.disc) == (10, 64)
         ns = sorted((int(t[1:]) for t in ts), reverse=True)
@@ -508,7 +528,7 @@ def test_extension_exclusions_match_proof_arguments(resolved):
     extenders = {}
     for e in resolved:
         if isinstance(e.verdict, Excluded) and "extends" in e.verdict.reason:
-            key = tuple(str(t) for t in e.triple)
+            key = tuple(str(t) for t in e.types)
             extenders.setdefault(key, set()).add(
                 e.verdict.reason.split(": ")[1]
             )

@@ -261,6 +261,42 @@ def test_fiber_without_horizontal_curve_fails_cleanly(
             "curve") in out
 
 
+def _double_edge(tangent):
+    # the fiber a + b meets h twice: its ray (0, 0, 1) has g = 2, and no
+    # annotation fixes its scale; tangent curves make it III, else I2
+    return {"name": "H", "curves": ["a", "b", "h"],
+            "edges": [["a", "b", 2], ["a", "h"], ["b", "h"]],
+            "tangent_edges": [["a", "b"]] if tangent else [],
+            "fibrations": [], "additive_default": "simple", "complete": True}
+
+
+def test_the_additive_default_makes_a_iii_fiber_simple(capsys, tmp_path):
+    # a half-fiber is multiplicative, so (a + b) / 2 is the half-fiber
+    (tmp_path / "H.json").write_text(json.dumps(_double_edge(True)))
+    code, out, err = run_main(
+        capsys, ["fibrations", "H", "--catalog-dir", str(tmp_path)])
+    assert (code, err) == (0, "")
+    assert "  ray (0, 0, 1): kinds III labels - (half-fiber)\n" in out
+    code, out, err = run_main(
+        capsys, ["nd", "H", "--catalog-dir", str(tmp_path)])
+    assert (code, err) == (0, "")
+    assert "[pass] nd bounds: min 1, max 1\n" in out
+
+
+def test_the_additive_default_leaves_an_i2_fiber_undetermined(
+        capsys, tmp_path):
+    (tmp_path / "H.json").write_text(json.dumps(_double_edge(False)))
+    code, out, err = run_main(
+        capsys, ["fibrations", "H", "--catalog-dir", str(tmp_path)])
+    assert (code, err) == (0, "")
+    assert "  ray (0, 0, 1): kinds I2 labels - (undetermined scale)\n" in out
+    code, out, err = run_main(
+        capsys, ["nd", "H", "--catalog-dir", str(tmp_path)])
+    assert (code, err) == (1, "")
+    assert ("[fail] catalog data: undetermined fibration scale on rays "
+            "[(0, 0, 1)]\n") in out
+
+
 def _surface_data(name):
     return json.loads((catalog._data_dir() / name).read_text())
 

@@ -16,12 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from enriques import rootfibers
-from enriques.catalog import (
-    CATALOG_NAMES,
-    _record_class,
-    fibration_records,
-    load_surface,
-)
+from enriques.catalog import fibration_records, load_surface
 from enriques.classify import FIBER_KINDS
 from enriques.config import CurveConfig, Divisor, intersect, pairings
 from enriques.divisors import (
@@ -46,7 +41,7 @@ from enriques.rootfibers import (
     root_subsets,
 )
 
-from conftest import highest_root_by_vertex
+from conftest import SURFACES, highest_root_by_vertex
 
 
 def det_bareiss(m):
@@ -323,12 +318,13 @@ def claimed_triples(claims):
     return triples
 
 
-@pytest.mark.parametrize("name", CATALOG_NAMES)
+@pytest.mark.parametrize("name", SURFACES)
 def test_specialness_witness_matches_the_fraction_search(name):
     s = load_surface(name)
-    records = fibration_records(s)
+    classes = {label: r.cls for r in fibration_records(s)
+               for label in r.labels}
     for labels in claimed_triples(s.claims):
-        F = [_record_class(records, label) for label in labels]
+        F = [classes[label] for label in labels]
         assert specialness_witness(F, s.config) == (
             fraction_specialness_witness(F, name)), labels
 
@@ -375,7 +371,7 @@ def test_null_vector_of_reordered_fiber_graphs_matches_snf(kind, rnd):
     assert_null_vector_matches_snf(cfg)
 
 
-@pytest.mark.parametrize("name", CATALOG_NAMES)
+@pytest.mark.parametrize("name", SURFACES)
 def test_null_vector_on_catalog_subsets_matches_snf(name):
     config = load_surface(name).config
     affine = 0
@@ -491,9 +487,9 @@ def test_root_subsets_match_the_reference_enumeration(config, family, cap):
 
 @pytest.mark.parametrize("family", (DynkinType, KodairaType))
 @pytest.mark.parametrize("config", [
-    *(load_surface(name).config for name in CATALOG_NAMES),
+    *(load_surface(name).config for name in SURFACES),
     *(fiber_graph(kind) for kind in FIBER_KINDS),
-], ids=[*CATALOG_NAMES, *(str(kind) for kind in FIBER_KINDS)])
+], ids=[*SURFACES, *(str(kind) for kind in FIBER_KINDS)])
 def test_root_subsets_on_surfaces_and_fibers(config, family):
     assert_root_subsets_match(config, family, range(config.size() + 1))
 
@@ -566,9 +562,9 @@ def test_artin_matches_the_row_loop(config, data):
 
 
 @pytest.mark.parametrize("config", [
-    *(load_surface(name).config for name in CATALOG_NAMES),
+    *(load_surface(name).config for name in SURFACES),
     *(fiber_graph(kind) for kind in FIBER_KINDS),
-], ids=[*CATALOG_NAMES, *(str(kind) for kind in FIBER_KINDS)])
+], ids=[*SURFACES, *(str(kind) for kind in FIBER_KINDS)])
 def test_artin_matches_the_row_loop_on_surfaces_and_fibers(config):
     assert_artin_matches(config, connected_subsets(config))
 
@@ -598,7 +594,7 @@ def test_cycle_with_pairings_matches_the_subset_search(config, data):
         x + d * m for x, d, m in zip(base, bumps, mask)))
 
 
-@pytest.mark.parametrize("name", CATALOG_NAMES)
+@pytest.mark.parametrize("name", SURFACES)
 def test_cycle_with_pairings_on_catalog_cycles(name):
     config = load_surface(name).config
     table = cycle_table(config)

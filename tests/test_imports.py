@@ -127,7 +127,6 @@ def test_package_reads_every_private_name_it_defines():
 
 # public names that no module of the package reads, each with its reason
 UNREAD_PUBLIC = {
-    "CATALOG_NAMES": "the catalog's surfaces in file order, for the tests",
     "connected_subsets": "the reference enumerator root_subsets is checked "
                          "against",
     "decompose_fiber": "read by the acceptance tests",

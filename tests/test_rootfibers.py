@@ -217,6 +217,20 @@ def test_kodaira_root_types_and_component_counts():
         assert fiber_graph(k).size() == count
 
 
+# I_n is multiplicative; every other singular fiber is additive, III and
+# IV too, though they share their dual graphs' numerics with I2 and I3
+MULTIPLICATIVE = {
+    **{f"I{n}": True for n in range(1, 10)},
+    **{symbol: False for symbol in ("II", "III", "IV", "IV*", "III*", "II*")},
+    **{f"I{n}*": False for n in range(5)},
+}
+
+
+@pytest.mark.parametrize("symbol", MULTIPLICATIVE)
+def test_multiplicative_kinds_are_the_i_n(symbol):
+    assert KodairaType(symbol).is_multiplicative() is MULTIPLICATIVE[symbol]
+
+
 def test_kodaira_rejects_bad_symbols():
     for bad in ("I0", "V", "I-1*", "X3"):
         with pytest.raises(ValueError):
