@@ -18,6 +18,7 @@ from typing import NamedTuple
 from . import divisors as _divisors
 from .config import CurveConfig, Divisor, intersect, pairings
 from .divisors import (
+    MAX_FIBER_COMPONENTS,
     build_triangle,
     extension_obstruction,
     is_c_sequence,
@@ -45,10 +46,8 @@ class CatalogDataError(ValueError):
     pass
 
 
-# the rank of Num(Y) for an Enriques surface Y, and the most components a
-# fiber of a genus one fibration on Y can have
+# the rank of Num(Y) for an Enriques surface Y
 NUM_RANK = 10
-MAX_FIBER_COMPONENTS = 9
 # the most curves a surface file may list (the shipped ones list 10 to
 # 12); the load checks the count before it builds the Gram matrix, whose
 # Smith normal form is cubic in it
@@ -163,30 +162,45 @@ def _check_shape(value, shape, path=""):
 
 
 def _surfaces(catalog_dir=None):
-    """(path, surface name, parsed JSON) for every surface file; a file
-    that cannot be read, or is not an object with a string name, raises
-    CatalogDataError."""
+    """(path, surface name, parsed JSON) for every surface file, in file
+    order; a file that cannot be read, is not an object with a string
+    name, or names the surface of an earlier file raises CatalogDataError."""
     base = Path(catalog_dir) if catalog_dir is not None else _data_dir()
+    out, paths = [], {}
     for path in sorted(base.glob("*.json")):
         try:
-            with open(path) as fh:
-                data = json.load(fh)
+            data = json.loads(path.read_bytes())
             _check_shape(data, SURFACE_FILE._replace(items=None, required=()))
             _check_shape(data.get("name", _MISSING), _STR, "name")
         except (OSError, RecursionError, ValueError) as exc:
             raise CatalogDataError(f"{path.name}: {exc}") from None
-        yield path, data["name"], data
+        name = data["name"]
+        if name in paths:
+            raise CatalogDataError(
+                f"{paths[name].name} and {path.name} both name {name!r}")
+        paths[name] = path
+        out.append((path, name, data))
+    return out
+
+
+def _load(path, data):
+    try:
+        return _model_from_json(data)
+    except ValueError as exc:
+        raise CatalogDataError(f"{path.name}: {exc}") from None
 
 
 def load_surface(name, catalog_dir=None):
     """The named surface; malformed data raises CatalogDataError."""
     for path, surface, data in _surfaces(catalog_dir):
         if surface == name:
-            try:
-                return _model_from_json(data)
-            except ValueError as exc:
-                raise CatalogDataError(f"{path.name}: {exc}") from None
+            return _load(path, data)
     raise UnknownSurface(f"{name!r} is not in the catalog")
+
+
+def surfaces():
+    """Every surface of the catalog data directory, loaded, in file order."""
+    return [_load(path, data) for path, _, data in _surfaces()]
 
 
 def _model_from_json(data):

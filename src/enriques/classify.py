@@ -11,9 +11,11 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import permutations
 
+from . import catalog
 from .config import CurveConfig, Divisor
 from .divisors import (
     MAX_COMPONENTS,
+    MAX_FIBER_COMPONENTS,
     TriangleGraph,
     build_triangle,
     extension_obstruction,
@@ -31,13 +33,13 @@ from .rootfibers import (
     root_subsets,
 )
 
-# fibers that can occur as a simple fiber of a single fibration: at most
-# nine components, so root rank at most 8 (every such lattice embeds in
-# E8), and one kind per dual graph (III and IV repeat those of I2 and I3)
+# the simple fibers of one fibration: at most MAX_FIBER_COMPONENTS
+# components, so root rank at most 8 (every such lattice embeds in E8),
+# and one kind per dual graph (III and IV repeat those of I2 and I3)
 FIBER_KINDS = tuple(
     _affine_kind(DynkinType(family, n))
     for family, least in (("A", 1), ("D", 4), ("E", 6))
-    for n in range(least, 9)
+    for n in range(least, MAX_FIBER_COMPONENTS)
 )
 
 _FAMILY_ORDER = {"E": 0, "D": 1, "A": 2}
@@ -50,6 +52,7 @@ def type_sort_key(t):
 @dataclass(frozen=True)
 class Part:
     dtype: DynkinType
+    support: tuple  # ascending fiber vertices
     coeffs: tuple  # coefficient per fiber vertex, 0 outside the support
 
 
@@ -70,7 +73,7 @@ def _decompositions(kind):
     null = null_vector(cfg)
     # the proper ADE subsets and their fundamental cycles; the whole
     # fiber is affine, so no second part covers it
-    cycles = {support: Part(dtype, z.vec) for support, dtype, z
+    cycles = {support: Part(dtype, support, z.vec) for support, dtype, z
               in root_subsets(cfg, DynkinType, cfg.size() - 1)}
     out = []
     for part in cycles.values():
@@ -94,19 +97,12 @@ def _orbit_first(kind):
     return tuple(out.values())
 
 
-@dataclass(frozen=True)
-class DecompositionRow:
-    G: KodairaType
-    pairs: frozenset  # of sorted (DynkinType, DynkinType) tuples
-
-
 def decompose_fiber(kind):
-    """Unordered type pairs (S_j, S_k) splitting the fiber G."""
-    pairs = set()
-    for d in _decompositions(kind):
-        pairs.add(tuple(sorted((d.first.dtype, d.second.dtype),
-                               key=type_sort_key)))
-    return DecompositionRow(kind, frozenset(pairs))
+    """The unordered type pairs (S_j, S_k) splitting the fiber G, as a
+    frozenset of (DynkinType, DynkinType) in type_sort_key order."""
+    return frozenset(
+        tuple(sorted((d.first.dtype, d.second.dtype), key=type_sort_key))
+        for d in _decompositions(kind))
 
 
 def _glue_indexed(decomps, chosen):
@@ -211,8 +207,8 @@ def _raw_triangles(max_components, splittings=_orbit_first, funnel=None):
     for kind in FIBER_KINDS:
         cfg = fiber_graph(kind)
         for d in splittings(kind):
-            item = (d, *(diagram_maps(cfg, Divisor(p.coeffs, cfg).support(),
-                                      p.dtype) for p in (d.first, d.second)))
+            item = (d, *(diagram_maps(cfg, p.support, p.dtype)
+                         for p in (d.first, d.second)))
             all_decomps.append(item)
             by_first.setdefault(d.first.dtype, []).append(item)
             by_pair.setdefault((d.first.dtype, d.second.dtype),
@@ -385,37 +381,30 @@ def discriminant_filter(census):
     return out
 
 
-# completions of the lattice-level survivors into full dual graphs: the
-# (E8,A1,A1) triangle completes in two ways depending on whether the
-# III* fiber through the two-component fibration is simple or a half
-_COMPLETIONS = {
-    ("E8", "A1", "A1"): ("E7(2)", "BP"),
-    ("E7", "D8", "A1"): ("A7~",),
-}
+def _verdicts(e, completing):
+    """The verdict of each row a filtered entry resolves into."""
+    if isinstance(e.verdict, Excluded):
+        return [e.verdict]
+    ext = internal_extender(e)
+    if ext is not None:
+        return [Excluded(f"extends: {ext[1]}")]
+    obs = extension_obstruction(e)
+    if obs is None:
+        return [Excluded("no extender found but obstruction inconclusive")]
+    types = sorted(str(t) for t in e.types)
+    names = [s.name for s in completing if sorted(s.claims["types"]) == types]
+    if not names:
+        return [Excluded(f"non-extendable but no completion known: {obs}")]
+    return [Survivor(name) for name in names]
 
 
 def derive_survivors(filtered):
-    """Resolve every filtered entry into Excluded(...) or Survivor(...)."""
-    out = []
-    for e in filtered:
-        if isinstance(e.verdict, Excluded):
-            out.append(e)
-            continue
-        ext = internal_extender(e)
-        if ext is not None:
-            out.append(replace(e, verdict=Excluded(f"extends: {ext[1]}")))
-            continue
-        obs = extension_obstruction(e)
-        if obs is None:
-            out.append(replace(e, verdict=Excluded(
-                "no extender found but obstruction inconclusive")))
-            continue
-        key = tuple(str(t) for t in e.types)
-        completions = _COMPLETIONS.get(key)
-        if completions is None:
-            out.append(replace(e, verdict=Excluded(
-                f"non-extendable but no completion known: {obs}")))
-            continue
-        for surface in completions:
-            out.append(replace(e, verdict=Survivor(surface)))
-    return out
+    """Resolve every filtered entry into Excluded(...) or Survivor(...):
+    a non-extendable entry survives once for each catalog surface that
+    claims a non-extendable triangle of its types, complete listings
+    first, then in file order."""
+    completing = sorted((s for s in catalog.surfaces()
+                         if s.claims.get("non_extendable")),
+                        key=lambda s: not s.complete)
+    return [replace(e, verdict=v)
+            for e in filtered for v in _verdicts(e, completing)]

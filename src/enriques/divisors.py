@@ -19,8 +19,9 @@ from .rootfibers import (
 )
 
 
-# the most components a triangle graph may have
+# the most components of a triangle graph, and of a fiber
 MAX_COMPONENTS = 11
+MAX_FIBER_COMPONENTS = 9
 # the other two indices (i, j) of each index k = 0, 1, 2 of a triple
 OTHER_TWO = ((1, 2), (0, 2), (0, 1))
 
@@ -185,13 +186,13 @@ def fibration_capacity_ok(t):
 
     Every component orthogonal to F_i lies in a fiber of |2F_i|, and a
     genus one pencil carries at most 8 + s components within s fibers.
-    G_i accounts for one whole fiber, so the rank of its root type plus
-    the number of further orthogonal components can be at most 8.
+    G_i accounts for one whole fiber, so its components plus the further
+    orthogonal ones can be at most MAX_FIBER_COMPONENTS.
     """
     for g in t.G:
         pv = pairings(g.vec, t.glued)
         extra = sum(1 for c, x in zip(g.vec, pv) if not c and not x)
-        if (len(g.support()) - 1) + extra > 8:
+        if len(g.support()) + extra > MAX_FIBER_COMPONENTS:
             return False
     return True
 

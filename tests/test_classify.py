@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enriques import classify
+from enriques import catalog, classify
 from enriques.classify import (
     FIBER_KINDS,
     Excluded,
@@ -21,7 +21,11 @@ from enriques.classify import (
     enumerate_triangles,
     type_sort_key,
 )
-from enriques.divisors import MAX_COMPONENTS
+from enriques.divisors import (
+    MAX_COMPONENTS,
+    build_triangle,
+    specialness_witness,
+)
 from enriques.rootfibers import (
     DynkinType,
     KodairaType,
@@ -58,8 +62,8 @@ SPLITTING_TABLE = {
 
 @pytest.mark.parametrize("symbol", sorted(SPLITTING_TABLE), ids=str)
 def test_decomposition_row(symbol):
-    row = decompose_fiber(KodairaType(symbol))
-    got = {tuple(str(t) for t in pair) for pair in row.pairs}
+    pairs = decompose_fiber(KodairaType(symbol))
+    got = {tuple(str(t) for t in pair) for pair in pairs}
     assert got == SPLITTING_TABLE[symbol]
 
 
@@ -266,6 +270,107 @@ def test_survivor_lattices(survivors):
 def raw_gluing(e):
     """A census entry as the raw (types, inter, coeffs) gluing."""
     return e.types, e.glued.inter, tuple(s.vec for s in e.S)
+
+
+@pytest.fixture
+def catalog_copy(tmp_path, monkeypatch):
+    """A copy of the catalog data directory, which the package reads."""
+    for path in catalog._data_dir().glob("*.json"):
+        (tmp_path / path.name).write_text(path.read_text())
+    monkeypatch.setattr(catalog, "_data_dir", lambda: tmp_path)
+    return tmp_path
+
+
+def resolved_golden_with(verdict):
+    """The resolved golden with each survivor entry's rows folded into one
+    row, whose verdict is verdict(row head)."""
+    out = []
+    for row in read_golden("resolved_ge10.txt"):
+        head, last = row.rsplit(" ", 1)
+        if last.startswith("Survivor("):
+            row = f"{head} {verdict(head)}"
+            if out and out[-1] == row:
+                continue
+        out.append(row)
+    return out
+
+
+def test_a_catalog_without_bp_loses_only_the_bp_row(filtered, catalog_copy):
+    (catalog_copy / "BP.json").unlink()
+    golden = read_golden("resolved_ge10.txt")
+    rows = [format_entry(e) for e in classify.derive_survivors(filtered)]
+    assert len(rows) == len(golden) - 1
+    assert rows == [r for r in golden if not r.endswith(" Survivor(BP)")]
+
+
+def test_survivors_need_a_surface_claiming_their_triangle(
+        filtered, catalog_copy):
+    for name in ("A7t.json", "BP.json", "E7p2.json"):
+        (catalog_copy / name).unlink()
+    obstructions = {
+        "(E8,A1,A1) variant 0: n=10 rank=10 disc=16":
+            "no simple component in S_1",
+        "(E7,D8,A1) variant 0: n=10 rank=10 disc=16":
+            "every simple component of S_1 has multiplicity >= 2 in another S",
+    }
+    rows = [format_entry(e) for e in classify.derive_survivors(filtered)]
+    assert rows == resolved_golden_with(
+        lambda head: "Excluded(non-extendable but no completion known: "
+                     f"NonExtendable({obstructions[head]}))")
+
+
+def test_complete_listings_complete_a_survivor_first(filtered, catalog_copy):
+    path = catalog_copy / "E7p2.json"
+    path.write_text(path.read_text().replace('"complete": true',
+                                             '"complete": false'))
+    assert not catalog.load_surface("E7(2)").complete
+    surfaces = [e.verdict.surface for e in classify.derive_survivors(filtered)
+                if isinstance(e.verdict, Survivor)]
+    assert surfaces == ["BP", "E7(2)", "A7~"]
+
+
+def test_an_inconclusive_obstruction_excludes_its_entry(filtered,
+                                                        monkeypatch):
+    reached = []
+    monkeypatch.setattr(classify, "extension_obstruction",
+                        lambda e: reached.append(format_entry(e)))
+    rows = [format_entry(e) for e in classify.derive_survivors(filtered)]
+    want = "Excluded(no extender found but obstruction inconclusive)"
+    assert rows == resolved_golden_with(lambda head: want)
+    assert reached == [row.removesuffix(f" {want}") for row in rows
+                       if row.endswith(want)]
+
+
+def claimed_triangle(s):
+    """The triangle of a surface's claimed triple, built from its
+    fibration records' half-fibers and its specialness witnesses, as a
+    raw gluing with the roles in type_sort_key order."""
+    classes = {label: r.cls for r in catalog.fibration_records(s)
+               for label in r.labels}
+    F = [classes[label] for label in s.claims["triple"]]
+    found = specialness_witness(F, s.config)
+    tri = build_triangle(F=F, witnesses=[found[k] for k in range(3)],
+                         ambient=s.config)
+    roles = sorted(range(3), key=lambda k: type_sort_key(tri.types[k]))
+    return (tuple(tri.types[k] for k in roles), tri.glued.inter,
+            tuple(tri.S[k].vec for k in roles))
+
+
+def test_each_claimed_triangle_is_in_the_class_of_its_survivor(
+        census, survivors):
+    named = {e.verdict.surface: (e.types, e.variant) for e in survivors}
+    assert {name: (",".join(str(t) for t in types), variant)
+            for name, (types, variant) in named.items()} == {
+        "A7~": ("E7,D8,A1", 0), "BP": ("E8,A1,A1", 0),
+        "E7(2)": ("E8,A1,A1", 0)}
+    claimed = [s for s in catalog.surfaces()
+               if s.claims.get("non_extendable")]
+    assert sorted(s.name for s in claimed) == sorted(named)
+    for s in claimed:
+        tri = claimed_triangle(s)
+        same = [(e.types, e.variant) for e in census
+                if len(_first_of_each_class([tri, raw_gluing(e)])) == 1]
+        assert same == [named[s.name]], s.name
 
 
 def role_perms(types):

@@ -429,6 +429,20 @@ def test_annotation_against_the_forced_scale_fails_cleanly(capsys, tmp_path):
             "(0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0)\n") in out
 
 
+@pytest.mark.parametrize("command", ["verify-surface", "nd"])
+def test_a_surface_name_two_files_share_fails(capsys, tmp_path, command):
+    # b.json would fail its nd claim, were it read
+    data = _surface_data("E7p2.json")
+    (tmp_path / "a.json").write_text(json.dumps(data))
+    data["claims"]["nd"] = [1, 1]
+    (tmp_path / "b.json").write_text(json.dumps(data))
+    code, out, err = run_main(
+        capsys, [command, "E7(2)", "--catalog-dir", str(tmp_path)])
+    assert (code, err) == (1, "")
+    assert ("[fail] catalog data: a.json and b.json both name 'E7(2)'\n"
+            in out)
+
+
 # the keys a surface file must hold, by path with list indices dropped
 REQUIRED = {
     "name", "curves", "edges", "fibrations", "fibrations[].label",
