@@ -11,6 +11,7 @@ load; past it a set of curves is an ascending tuple of vertex indices.
 import json
 import reprlib
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import gcd
 from pathlib import Path
 from typing import NamedTuple
@@ -52,6 +53,8 @@ NUM_RANK = 10
 # 12); the load checks the count before it builds the Gram matrix, whose
 # Smith normal form is cubic in it
 MAX_CURVES = 60
+# the most distinct file contents whose parse and model a process keeps
+CACHED_FILES = 64
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,8 @@ class FiberAnnotation:
 
 @dataclass(frozen=True)
 class SurfaceModel:
+    """One surface, shared by every load of the same file content: no
+    code changes a model, its claims or the parsed data they come from."""
     name: str
     config: CurveConfig
     fibrations: tuple  # of FiberAnnotation
@@ -71,6 +76,11 @@ class SurfaceModel:
     complete: bool
     additive_default: str  # "simple" or "" (no default)
     claims: dict
+
+    @cached_property
+    def records(self):
+        """The fibration records (fibration_records), worked out once."""
+        return _enumerate_fibrations(self)
 
 
 def _data_dir():
@@ -161,46 +171,63 @@ def _check_shape(value, shape, path=""):
                          f"{path}[{i}]")
 
 
+@lru_cache(maxsize=CACHED_FILES)
+def _parse(raw):
+    """The parsed bytes of a surface file, an object with a string name."""
+    data = json.loads(raw)
+    _check_shape(data, SURFACE_FILE._replace(items=None, required=()))
+    _check_shape(data.get("name", _MISSING), _STR, "name")
+    return data
+
+
+@lru_cache(maxsize=CACHED_FILES)
+def _model(raw):
+    """The validated model of a surface file's bytes."""
+    return _model_from_json(_parse(raw))
+
+
 def _surfaces(catalog_dir=None):
-    """(path, surface name, parsed JSON) for every surface file, in file
-    order; a file that cannot be read, is not an object with a string
-    name, or names the surface of an earlier file raises CatalogDataError."""
+    """(path, surface name, file bytes) for every surface file, in file
+    order.  Every call reads the directory afresh; a missing directory, a
+    file that cannot be read, is not an object with a string name, or
+    names the surface of an earlier file raises CatalogDataError."""
     base = Path(catalog_dir) if catalog_dir is not None else _data_dir()
+    if not base.is_dir():
+        raise CatalogDataError(f"{base} is not a directory")
     out, paths = [], {}
     for path in sorted(base.glob("*.json")):
         try:
-            data = json.loads(path.read_bytes())
-            _check_shape(data, SURFACE_FILE._replace(items=None, required=()))
-            _check_shape(data.get("name", _MISSING), _STR, "name")
+            raw = path.read_bytes()
+            name = _parse(raw)["name"]
         except (OSError, RecursionError, ValueError) as exc:
             raise CatalogDataError(f"{path.name}: {exc}") from None
-        name = data["name"]
         if name in paths:
             raise CatalogDataError(
                 f"{paths[name].name} and {path.name} both name {name!r}")
         paths[name] = path
-        out.append((path, name, data))
+        out.append((path, name, raw))
     return out
 
 
-def _load(path, data):
+def _load(path, raw):
     try:
-        return _model_from_json(data)
+        return _model(raw)
     except ValueError as exc:
         raise CatalogDataError(f"{path.name}: {exc}") from None
 
 
 def load_surface(name, catalog_dir=None):
-    """The named surface; malformed data raises CatalogDataError."""
-    for path, surface, data in _surfaces(catalog_dir):
+    """The named surface; malformed data raises CatalogDataError.  Loads
+    of the same file content return the same model."""
+    for path, surface, raw in _surfaces(catalog_dir):
         if surface == name:
-            return _load(path, data)
+            return _load(path, raw)
     raise UnknownSurface(f"{name!r} is not in the catalog")
 
 
 def surfaces():
     """Every surface of the catalog data directory, loaded, in file order."""
-    return [_load(path, data) for path, _, data in _surfaces()]
+    return [_load(path, raw) for path, _, raw in _surfaces()]
 
 
 def _model_from_json(data):
@@ -293,7 +320,8 @@ class FibrationClass:
 
 
 def fibration_records(s):
-    """All genus one fibration classes visible in the curve graph.
+    """All genus one fibration classes visible in the curve graph, as a
+    tuple of FibrationClass, worked out once per model.
 
     Connected affine subconfigurations are grouped into fibrations by
     the primitive ray of their pairing vector.  The half-fiber scale of
@@ -303,6 +331,10 @@ def fibration_records(s):
     Cossec-Dolgachev).  An annotated member always fixes it; a ray that
     no member fixes has cls None.
     """
+    return s.records
+
+
+def _enumerate_fibrations(s):
     config = s.config
     annotated = {f.divisor.support(): f for f in s.fibrations}
     rays = {}
@@ -341,7 +373,7 @@ def fibration_records(s):
         labels = tuple(ann.label for _, _, _, ann in members if ann)
         kinds = tuple(sorted({str(kind) for _, _, kind, _ in members}))
         records.append(FibrationClass(labels, cls, kinds, ray))
-    return records
+    return tuple(records)
 
 
 def _clique_sizes(adj):
@@ -373,16 +405,15 @@ def _clique_matrix(classes):
     return adj
 
 
-def nd_bounds(s, records=None):
+def nd_bounds(s):
     """(min, max) length of maximal half-fiber sequences on the surface:
     the sizes of the maximal cliques of its half-fiber classes, two joined
-    when they meet once, from its fibration records when already known."""
+    when they meet once."""
     if not s.complete:
         raise IncompleteCatalog(
             f"{s.name} does not list all of its fibrations"
         )
-    if records is None:
-        records = fibration_records(s)
+    records = fibration_records(s)
     undetermined = [r.ray for r in records if r.cls is None]
     if undetermined:
         raise CatalogDataError(
@@ -451,7 +482,7 @@ def verify_surface(s):
 
     if "nd" in claims:
         try:
-            got = list(nd_bounds(s, records))
+            got = list(nd_bounds(s))
         except IncompleteCatalog as exc:
             checks.append(("nd bounds", "inconclusive", str(exc)))
         else:

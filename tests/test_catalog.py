@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from enriques import catalog
+from enriques import catalog, cli
 from enriques.catalog import (
     CatalogDataError,
     IncompleteCatalog,
@@ -138,23 +138,49 @@ def test_determined_classes_are_isotropic_nef_and_integral(name):
         assert all(x.denominator == 1 for x in pv)
 
 
+def _file_bytes(name):
+    return next(raw for _, n, raw in catalog._surfaces() if n == name)
+
+
 def test_verify_surface_computes_fibration_records_once(monkeypatch):
-    s = load_surface("2D4~")
+    # verify_surface, nd_bounds and the fibrations command read the
+    # records of one freshly built model, which enumerates them once
+    s = catalog._model_from_json(json.loads(_file_bytes("2D4~")))
     calls = []
 
-    def counting(surface):
-        calls.append(surface.name)
-        return fibration_records(surface)
+    def counting(config, family, max_size):
+        calls.append(config)
+        return root_subsets(config, family, max_size)
 
-    monkeypatch.setattr(catalog, "fibration_records", counting)
+    root_subsets = catalog.root_subsets
+    monkeypatch.setattr(catalog, "root_subsets", counting)
+    monkeypatch.setattr(catalog, "load_surface", lambda *_, **__: s)
     verify_surface(s)
-    assert calls == ["2D4~"]
+    nd_bounds(s)
+    for command in ("verify-surface", "nd", "fibrations"):
+        cli.run([command, "2D4~"])
+    assert calls == [s.config]
+
+
+@pytest.mark.parametrize("name", SURFACES)
+def test_a_load_of_unchanged_bytes_shares_one_unchanged_model(name):
+    s = load_surface(name)
+    assert load_surface(name) is s
+    assert any(m is s for m in catalog.surfaces())
+    for command in ("verify-surface", "nd", "fibrations"):
+        cli.run([command, name])
+    raw = _file_bytes(name)
+    # nothing the commands ran changed the model or the data it came from
+    assert catalog._parse(raw) == json.loads(raw)
+    fresh = catalog._model_from_json(json.loads(raw))
+    assert s == fresh
+    assert fibration_records(s) == fibration_records(fresh)
 
 
 @pytest.mark.parametrize("name", SURFACES)
 def test_annotated_fiber_divisors_are_computed_at_load_only(monkeypatch, name):
     s = load_surface(name)
-    data = next(d for _, n, d in catalog._surfaces() if n == name)
+    data = json.loads(_file_bytes(name))
     for f, entry in zip(s.fibrations, data["fibrations"], strict=True):
         assert {c for c, _ in f.divisor.coeffs} == set(entry["support"])
     # fibration_records recognises every connected subset; apart from it,

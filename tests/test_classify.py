@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enriques import catalog, classify
+from enriques import catalog, classify, divisors
 from enriques.classify import (
     FIBER_KINDS,
     Excluded,
@@ -213,6 +213,26 @@ def test_orbit_cut_matches_the_full_loop_at_every_bound(
     fast = enumerate_triangles(max_components)
     monkeypatch.setattr(classify, "_raw_triangles", lambda _: firsts)
     assert enumerate_triangles(max_components) == fast
+
+
+def test_the_component_bound_drops_only_classes_over_capacity(
+        census, monkeypatch):
+    # with no bound the orbit cut also keeps gluings of 12 and 13 curves;
+    # each of their classes fails the capacity check, so the census's
+    # entries do not depend on MAX_COMPONENTS
+    unbounded = 10 ** 6
+    monkeypatch.setattr(divisors, "MAX_COMPONENTS", unbounded)
+    funnel = Counter()
+    raw = _raw_triangles(unbounded, funnel=funnel)
+    assert funnel == {"attempts": 1291, "consistent": 756, "bounded": 756}
+    assert len(raw) == 254
+    firsts = _first_of_each_class(raw)
+    assert len(firsts) == 135
+    over = [g for g in firsts if len(g[1]) > MAX_COMPONENTS]
+    assert Counter(len(inter) for _, inter, _ in over) == {12: 8, 13: 3}
+    assert all(_make_entry(inter, coeffs) is None
+               for _, inter, coeffs in over)
+    assert enumerate_triangles(unbounded) == census
 
 
 def read_golden(name):

@@ -443,6 +443,46 @@ def test_a_surface_name_two_files_share_fails(capsys, tmp_path, command):
             in out)
 
 
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_a_catalog_dir_that_is_no_directory_fails_cleanly(
+        capsys, tmp_path, kind):
+    where = tmp_path / "catalog"
+    if kind == "file":
+        where.write_text("{}")
+    code, out, err = run_main(
+        capsys, ["nd", "BP", "--catalog-dir", str(where)])
+    assert (code, err) == (1, "")
+    assert out == ("command: nd\n"
+                   f"[fail] catalog data: {where} is not a directory\n")
+
+
+def test_a_file_rewritten_in_place_is_read_again(capsys, tmp_path):
+    data = _surface_data("E8t.json")
+    argv = ["verify-surface", "E8~", "--catalog-dir", str(tmp_path)]
+    outs = []
+    for tag, nd in (("first", [1, 1]), ("second", [2, 2])):
+        data["char_tag"], data["claims"]["nd"] = tag, nd
+        (tmp_path / "E8t.json").write_text(json.dumps(data))
+        outs.append(run_main(capsys, argv))
+    assert outs[0][0] == 0 and "char: first\n" in outs[0][1]
+    assert outs[1][0] == 1 and "char: second\n" in outs[1][1]
+    assert "[fail] nd bounds: min 1, max 1\n" in outs[1][1]
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("{", "E8t.json: Expecting property name enclosed in double quotes"),
+    (_without_edges(), "E8t.json: edges must be a list of edges, not missing"),
+    (json.dumps({**_three_cycle(), "name": "E8~"}),
+     "E8~: fiber a+b+c has no horizontal curve"),
+], ids=("parse", "model", "records"))
+def test_a_malformed_file_fails_on_every_load(capsys, tmp_path, text, reason):
+    (tmp_path / "E8t.json").write_text(text)
+    argv = ["fibrations", "E8~", "--catalog-dir", str(tmp_path)]
+    first, second = (run_main(capsys, argv) for _ in range(2))
+    assert first == second
+    assert first[0] == 1 and f"[fail] catalog data: {reason}" in first[1]
+
+
 # the keys a surface file must hold, by path with list indices dropped
 REQUIRED = {
     "name", "curves", "edges", "fibrations", "fibrations[].label",
