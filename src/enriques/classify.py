@@ -16,6 +16,7 @@ from .config import CurveConfig, Divisor
 from .divisors import (
     MAX_COMPONENTS,
     MAX_FIBER_COMPONENTS,
+    OTHER_TWO,
     TriangleGraph,
     build_triangle,
     extension_obstruction,
@@ -105,11 +106,11 @@ def decompose_fiber(kind):
         for d in _decompositions(kind))
 
 
-def _glue_indexed(decomps, chosen):
+def _glue_indexed(decomps, maps):
     """Glue three fibers; returns (intersection matrix, coeffs) or None.
 
-    decomps are the splittings of fibers 1..3 (fiber i omits S_i);
-    chosen[k] = ((fiber, order), (fiber, order)) for S_k's two copies.
+    decomps splits G_1, G_2, G_3, and G_i omits S_i; maps[k] holds the two
+    diagram maps of S_(k+1), into the fibers that OTHER_TWO[k] indexes.
     Classes of identified vertices are numbered by first appearance.
     """
     mats = [fiber_graph(d.kind).inter for d in decomps]
@@ -124,9 +125,9 @@ def _glue_indexed(decomps, chosen):
             x = parent[x]
         return x
 
-    for (ia, oa), (ib, ob) in chosen.values():
+    for (ia, ib), (oa, ob) in zip(OTHER_TWO, maps):
         for va, vb in zip(oa, ob):
-            ra, rb = find(offsets[ia - 1] + va), find(offsets[ib - 1] + vb)
+            ra, rb = find(offsets[ia] + va), find(offsets[ib] + vb)
             if ra != rb:
                 if fibers[ra] & fibers[rb]:
                     return None  # two vertices of one fiber would collapse
@@ -188,14 +189,14 @@ class Survivor:
         return f"Survivor({self.surface})"
 
 
-def _raw_triangles(max_components, splittings=_orbit_first, funnel=None):
+def _raw_triangles(splittings=_orbit_first, funnel=None):
     """Consistent gluings as (types, intersection matrix, coeff rows),
     with the role types already in canonical sorted order.  Each fiber
     takes splittings(kind), by default its orbit-first splittings: a
     gluing from any other splitting has an isomorphic twin from the
     orbit-first one, earlier in this order (_decompositions gives the
-    uncut loop).  funnel, a Counter, counts the attempts, consistent ones
-    and those in bound."""
+    uncut loop).  funnel, a Counter, counts the attempts and the
+    consistent ones."""
     if funnel is None:
         funnel = Counter()
     by_first = {}
@@ -229,21 +230,14 @@ def _raw_triangles(max_components, splittings=_orbit_first, funnel=None):
                 for o1 in first2:
                     for o2 in first1:
                         for o3 in second1:
-                            chosen = {
-                                1: ((2, o1), (3, first3[0])),
-                                2: ((1, o2), (3, second3[0])),
-                                3: ((1, o3), (2, second2[0])),
-                            }
-                            glued = _glue_indexed(decomps, chosen)
+                            glued = _glue_indexed(decomps, (
+                                (o1, first3[0]), (o2, second3[0]),
+                                (o3, second2[0])))
                             funnel["attempts"] += 1
                             if glued is None:
                                 continue
                             funnel["consistent"] += 1
-                            inter, coeffs = glued
-                            if len(inter) > max_components:
-                                continue
-                            funnel["bounded"] += 1
-                            found[(t1, t2, t3), inter, coeffs] = None
+                            found[((t1, t2, t3), *glued)] = None
     return list(found)
 
 
@@ -350,8 +344,9 @@ def enumerate_triangles(max_components=MAX_COMPONENTS):
     entry is built for that gluing only.
     """
     kept = []
-    for _, inter, coeffs in _first_of_each_class(
-            _raw_triangles(max_components)):
+    # n is an isomorphism invariant, so the bound drops whole classes
+    raw = [g for g in _raw_triangles() if len(g[1]) <= max_components]
+    for _, inter, coeffs in _first_of_each_class(raw):
         entry = _make_entry(inter, coeffs)
         if entry is not None:
             kept.append(entry)

@@ -83,6 +83,50 @@ def test_extra_special_max_cliques():
     assert cliques == {"E8~": 1, "D8~": 2, "E7~": 2}
 
 
+# visible c-sequences of each length 3, 4 over the determined half-fibers
+C_SEQUENCE_COUNTS = {
+    "E8~": (0, 0),
+    "D8~": (0, 0),
+    "E7~": (0, 0),
+    "A7~": (11, 2),
+    "typeI": (11, 2),
+    "BP": (28, 6),
+    "E7(2)": (1, 0),
+    "2D4~": (10, 1),
+}
+
+
+def c_sequences(classes, length):
+    return [set(c) for c in combinations(range(len(classes)), length)
+            if is_c_sequence([classes[i] for i in c])]
+
+
+def test_four_sequences_are_derived_from_the_half_fibers():
+    # the paper's headline: a surface in characteristic other than 2
+    # admits a 4-sequence; no surface shows a 5-sequence
+    counts = {}
+    for name in SURFACES:
+        s = load_surface(name)
+        determined = [r for r in fibration_records(s) if r.cls is not None]
+        classes = [r.cls for r in determined]
+        index = {label: i for i, r in enumerate(determined)
+                 for label in r.labels}
+        fours = c_sequences(classes, 4)
+        counts[name] = (len(c_sequences(classes, 3)), len(fours))
+        assert c_sequences(classes, 5) == []
+        if "four_sequence" in s.claims:
+            assert {index[lab] for lab in s.claims["four_sequence"]} in fours
+        if name == "BP":
+            # its non-extendable special 3-sequence next to 4-sequences
+            triple = {index[lab] for lab in s.claims["triple"]}
+            assert triple in c_sequences(classes, 3)
+            assert fours and not any(triple < q for q in fours)
+            checks = {n: st for n, st, _ in verify_surface(s)}
+            assert checks["special witness"] == "pass"
+            assert checks["non-extendable"] == "pass"
+    assert counts == C_SEQUENCE_COUNTS
+
+
 def maximal_clique_sizes(adj):
     """Sizes of the maximal cliques, by testing every vertex subset."""
     n = len(adj)

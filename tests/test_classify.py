@@ -26,6 +26,7 @@ from enriques.divisors import (
     build_triangle,
     specialness_witness,
 )
+from enriques.lattice import GramForm, rank_and_discriminant
 from enriques.rootfibers import (
     DynkinType,
     KodairaType,
@@ -152,36 +153,37 @@ def test_glue_rejects_two_curves_of_one_fiber_in_one_class():
     kind = KodairaType("I2")
     split = _decompositions(kind)[0]
     decomps = (split,) * 3
-    s1 = ((2, (0,)), (3, (0,)))
-    s2 = ((1, (0,)), (3, (0,)))
-    glued = _glue_indexed(decomps, {1: s1, 2: s2, 3: ((1, (1,)), (2, (1,)))})
+    s1 = s2 = ((0,), (0,))
+    glued = _glue_indexed(decomps, (s1, s2, ((1,), (1,))))
     assert glued is not None and len(glued[0]) == 3
     # S_3 now joins curve 1 of fiber 1 to curve 0 of fiber 2, which S_1
     # and S_2 already join to curve 0 of fiber 1; every weight is still
     # consistent, but fiber 1 would collapse onto one class
-    assert _glue_indexed(decomps, {1: s1, 2: s2,
-                                   3: ((1, (1,)), (2, (0,)))}) is None
+    assert _glue_indexed(decomps, (s1, s2, ((1,), (0,)))) is None
 
 
 @pytest.fixture(scope="module")
 def full_loop_firsts():
     funnel = Counter()
-    raw = _raw_triangles(MAX_COMPONENTS, _decompositions, funnel)
+    raw = _raw_triangles(_decompositions, funnel)
     # the funnel counts do not depend on how the fiber graphs are labelled
-    assert funnel == {"attempts": 125262, "consistent": 111270,
-                      "bounded": 93878}
+    assert funnel == {"attempts": 125262, "consistent": 111270}
     # the distinct labelled gluings depend on the fiber graphs' vertex order
-    assert len(raw) == 3134
-    return _first_of_each_class(raw)
+    assert len(raw) == 3718
+    assert sum(len(g[1]) <= MAX_COMPONENTS for g in raw) == 3134
+    firsts = _first_of_each_class(raw)
+    assert len(firsts) == 135
+    assert sum(len(g[1]) <= MAX_COMPONENTS for g in firsts) == 124
+    return firsts
 
 
 def test_orbit_cut_keeps_the_full_loop_representatives(full_loop_firsts):
     funnel = Counter()
-    fast = _raw_triangles(MAX_COMPONENTS, funnel=funnel)
-    assert funnel == {"attempts": 1291, "consistent": 756, "bounded": 700}
-    assert len(fast) == 235
+    fast = _raw_triangles(funnel=funnel)
+    assert funnel == {"attempts": 1291, "consistent": 756}
+    assert len(fast) == 254
+    assert sum(len(g[1]) <= MAX_COMPONENTS for g in fast) == 235
     assert _first_of_each_class(fast) == full_loop_firsts
-    assert len(full_loop_firsts) == 124
 
 
 def test_the_census_maps_only_the_splittings_it_glues(monkeypatch):
@@ -198,8 +200,8 @@ def test_the_census_maps_only_the_splittings_it_glues(monkeypatch):
     _orbit_first.cache_clear()
     monkeypatch.setattr(classify, "diagram_maps", counting)
     funnel = Counter()
-    assert len(_raw_triangles(MAX_COMPONENTS, funnel=funnel)) == 235
-    assert funnel == {"attempts": 1291, "consistent": 756, "bounded": 700}
+    assert len(_raw_triangles(funnel=funnel)) == 254
+    assert funnel == {"attempts": 1291, "consistent": 756}
     assert sum(len(_orbit_first(kind)) for kind in FIBER_KINDS) == 78
     assert len(calls) == 156
 
@@ -209,30 +211,31 @@ def test_orbit_cut_matches_the_full_loop_at_every_bound(
         full_loop_firsts, monkeypatch, max_components):
     # n is an isomorphism invariant, so the bound drops whole classes
     firsts = [g for g in full_loop_firsts if len(g[1]) <= max_components]
-    assert _first_of_each_class(_raw_triangles(max_components)) == firsts
+    raw = [g for g in _raw_triangles() if len(g[1]) <= max_components]
+    assert _first_of_each_class(raw) == firsts
     fast = enumerate_triangles(max_components)
-    monkeypatch.setattr(classify, "_raw_triangles", lambda _: firsts)
+    monkeypatch.setattr(classify, "_raw_triangles", lambda: firsts)
     assert enumerate_triangles(max_components) == fast
 
 
 def test_the_component_bound_drops_only_classes_over_capacity(
-        census, monkeypatch):
-    # with no bound the orbit cut also keeps gluings of 12 and 13 curves;
-    # each of their classes fails the capacity check, so the census's
-    # entries do not depend on MAX_COMPONENTS
+        census, full_loop_firsts, monkeypatch):
+    # the gluings also give classes of 12 and 13 curves; each fails the
+    # capacity check, so the census's entries do not depend on
+    # MAX_COMPONENTS
     unbounded = 10 ** 6
     monkeypatch.setattr(divisors, "MAX_COMPONENTS", unbounded)
-    funnel = Counter()
-    raw = _raw_triangles(unbounded, funnel=funnel)
-    assert funnel == {"attempts": 1291, "consistent": 756, "bounded": 756}
-    assert len(raw) == 254
-    firsts = _first_of_each_class(raw)
-    assert len(firsts) == 135
-    over = [g for g in firsts if len(g[1]) > MAX_COMPONENTS]
+    over = [g for g in full_loop_firsts if len(g[1]) > MAX_COMPONENTS]
     assert Counter(len(inter) for _, inter, _ in over) == {12: 8, 13: 3}
     assert all(_make_entry(inter, coeffs) is None
                for _, inter, coeffs in over)
     assert enumerate_triangles(unbounded) == census
+    # and no surface holds one: their curves span a lattice of rank above
+    # that of Num(Y), which the catalog loader rejects
+    ranks = Counter(rank_and_discriminant(GramForm.from_rows(inter))[0]
+                    for _, inter, _ in over)
+    assert ranks == {12: 8, 13: 3}
+    assert min(ranks) > catalog.NUM_RANK
 
 
 def read_golden(name):
@@ -430,7 +433,8 @@ def test_census_keys_are_distinct(census):
 
 def test_census_entries_are_their_representative_gluings(census):
     # _make_entry keeps the gluing's matrix and coefficient rows unchanged
-    firsts = _first_of_each_class(_raw_triangles(MAX_COMPONENTS))
+    firsts = [g for g in _first_of_each_class(_raw_triangles())
+              if len(g[1]) <= MAX_COMPONENTS]
     gluings = {raw_gluing(e) for e in census}
     assert gluings <= set(firsts)
     # the rest are exactly the capacity failures

@@ -301,6 +301,33 @@ def _surface_data(name):
     return json.loads((catalog._data_dir() / name).read_text())
 
 
+def test_an_undetermined_scale_fails_the_nd_check_alone(capsys, tmp_path):
+    # without its simple fiber G2, the ray of D8~'s second II* fiber has
+    # no member that fixes its half-fiber scale
+    data = _surface_data("D8t.json")
+    data["fibrations"] = [f for f in data["fibrations"] if f["label"] != "G2"]
+    (tmp_path / "D8t.json").write_text(json.dumps(data))
+    undetermined = ("undetermined fibration scale on rays "
+                    "[(0, 0, 0, 0, 0, 0, 0, 1, 0, 0)]")
+    code, out, err = run_main(
+        capsys, ["verify-surface", "D8~", "--catalog-dir", str(tmp_path)])
+    assert (code, err) == (1, "")
+    assert out == (
+        "command: verify-surface\n"
+        "[pass] fiber F1 half-fiber: I4*\n"
+        "[pass] fiber F3 half-fiber: II*\n"
+        "[fail] fibration scales determined: 3 fibration classes\n"
+        "[pass] fibration count: found 3, expected 3\n"
+        f"[fail] nd bounds: {undetermined}\n"
+        "[fail] max sequence length: 1\n"
+        "char: p = 2, classical or supersingular\n"
+        "surface: D8~\n")
+    code, out, err = run_main(
+        capsys, ["nd", "D8~", "--catalog-dir", str(tmp_path)])
+    assert (code, err) == (1, "")
+    assert out == f"command: nd\n[fail] catalog data: {undetermined}\n"
+
+
 def _unknown_triple_label():
     data = _surface_data("A7t.json")
     data["claims"]["triple"][1] = "F99"
