@@ -23,7 +23,7 @@ from .divisors import (
     fibration_capacity_ok,
     internal_extender,
 )
-from .lattice import GramForm, rank_and_discriminant
+from .lattice import rank_and_discriminant
 from .rootfibers import (
     DynkinType,
     KodairaType,
@@ -249,7 +249,7 @@ def _make_entry(inter, coeffs):
     tri = build_triangle(witnesses=divisors, ambient=glued)
     if not fibration_capacity_ok(tri):
         return None
-    r, disc = rank_and_discriminant(GramForm.from_rows(glued.inter))
+    r, disc = rank_and_discriminant(glued.inter)
     return CensusEntry(**vars(tri), rank=r, disc=disc)
 
 

@@ -6,7 +6,6 @@ hyperbolic pair with e.f = 1 and c1..c7 is the E8 chain with the branch
 vertex b attached at c3 (negative definite, diagonal -2, adjacent +1).
 """
 
-from dataclasses import dataclass
 from math import prod
 from operator import mul
 
@@ -18,32 +17,12 @@ class DimensionMismatch(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GramForm:
-    entries: tuple
-    dim: int
-
-    def __post_init__(self):
-        if len(self.entries) != self.dim:
-            raise DimensionMismatch("entry count does not match dim")
-        for i, row in enumerate(self.entries):
-            if len(row) != self.dim:
-                raise DimensionMismatch("non-square Gram matrix")
-            for j in range(self.dim):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
-
-    @staticmethod
-    def from_rows(rows):
-        return GramForm(tuple(tuple(r) for r in rows), len(rows))
-
-
 def gram_product(a, b, g):
-    """The bilinear pairing a.b with respect to the Gram form g."""
-    if len(a) != g.dim or len(b) != g.dim:
+    """The bilinear pairing a.b with respect to the Gram matrix g."""
+    n = len(g)
+    if len(a) != n or len(b) != n:
         raise DimensionMismatch("vector length does not match form dimension")
-    return sum(a[i] * g.entries[i][j] * b[j]
-               for i in range(g.dim) for j in range(g.dim))
+    return sum(a[i] * g[i][j] * b[j] for i in range(n) for j in range(n))
 
 
 def rank_and_discriminant(g):
@@ -55,9 +34,9 @@ def rank_and_discriminant(g):
     zeros; the rank is the number of nonzero invariant factors and the
     discriminant is their product.
     """
-    d, _, _ = smith_normal_form([list(row) for row in g.entries])
+    d, _, _ = smith_normal_form(g)
     rank, disc = 0, 1
-    for i in range(g.dim):
+    for i in range(len(g)):
         if d[i][i]:
             rank += 1
             disc *= d[i][i]
@@ -72,18 +51,19 @@ def sublattice_index(sub, g):
     rank falls short.  A vector of the wrong length raises
     DimensionMismatch.
     """
-    if any(len(v) != g.dim for v in sub):
+    n = len(g)
+    if any(len(v) != n for v in sub):
         raise DimensionMismatch("vector length does not match form dimension")
-    if len(sub) < g.dim:
+    if len(sub) < n:
         return "infinite"
-    d, _, _ = smith_normal_form([list(v) for v in sub])
-    return prod(d[i][i] for i in range(g.dim)) or "infinite"
+    d, _, _ = smith_normal_form(sub)
+    return prod(d[i][i] for i in range(n)) or "infinite"
 
 
 def e10_gram():
-    hyperbolic = [[0, 1] + [0] * 8, [1, 0] + [0] * 8]
+    hyperbolic = [(0, 1) + (0,) * 8, (1, 0) + (0,) * 8]
     e8 = [(0, 0) + row for row in diagram(DynkinType("E", 8)).inter]
-    return GramForm.from_rows(hyperbolic + e8)
+    return tuple(hyperbolic + e8)
 
 
 def e10_isotropic_basis():
@@ -129,7 +109,7 @@ def solve_cossec_vector(tup, i, j):
     if len(tup) != 10:
         raise ValueError("need a full 10-tuple")
     g = e10_gram()
-    a = [mat_vec(g.entries, f) for f in tup]
+    a = [mat_vec(g, f) for f in tup]
     d, u, vmat = smith_normal_form(a)
     ub = mat_vec(u, [2 if k in (i, j) else 1 for k in range(10)])
     diag = [d[k][k] for k in range(10)]
@@ -153,34 +133,37 @@ def _span_data(tup, g):
 
     v.Sf is the dot product of v with the first.  A unit factor divides
     every integer, so only the listed columns can keep a vector out of the
-    span.  Both are kept for the last tuple and form and reused while the
-    rows and the form are equal; rows that are the same tuples as last
-    time compare by identity, so reuse costs no arithmetic.
+    span.  Both are kept for the last tuple and form, with a tuple copy of
+    each, and reused while the rows and the form are equal in value, so a
+    list edited in place is never read stale (a form given as lists never
+    equals the copy, and is worked out again).  Rows that are the same
+    tuples as last time compare by identity, so reuse costs no arithmetic.
     """
     global _span_entry
     rows = tuple(map(tuple, tup))
     entry = _span_entry
-    if entry is None or entry[0] != rows or not (
-            entry[1] is g or entry[1] == g):
+    if entry is None or entry[0] != rows or entry[1] != g:
         if any(len(f) != len(rows) for f in rows):
             raise DimensionMismatch("span test needs a square generating set")
-        d, _, v = smith_normal_form([list(f) for f in rows])
-        paired = tuple(mat_vec(g.entries, [sum(col) for col in zip(*rows)]))
+        d, _, v = smith_normal_form(rows)
+        paired = tuple(mat_vec(g, [sum(col) for col in zip(*rows)]))
         cols = tuple((d[i][i], col) for i, col in enumerate(zip(*v))
                      if abs(d[i][i]) != 1)
-        entry = _span_entry = rows, g, paired, cols
+        entry = _span_entry = rows, tuple(map(tuple, g)), paired, cols
     return entry[2], entry[3]
 
 
-def _span_test(v, tup, g):
-    """(v.Sf, whether v lies in the Z-span of the tuple).
+def divisibility_check(v, tup, g=None):
+    """(3 | v.Sf, v in Z-span(f), 9 | v.Sf) for the isotropic tuple f.
 
     v = x*T has an integral solution x exactly when v*V = y*D does, that
     is, when each (v*V)_i is divisible by d_i, and is 0 where d_i = 0.
     """
-    if len(tup) != g.dim:
+    if g is None:
+        g = e10_gram()
+    if len(tup) != len(g):
         raise DimensionMismatch("span test needs a square generating set")
-    if len(v) != g.dim:
+    if len(v) != len(g):
         raise DimensionMismatch("vector length does not match form dimension")
     paired, cols = _span_data(tup, g)
     span = True
@@ -189,10 +172,5 @@ def _span_test(v, tup, g):
         if (x % d if d else x) != 0:
             span = False
             break
-    return sum(map(mul, v, paired)), span
-
-
-def divisibility_check(v, tup, g=None):
-    """(3 | v.Sf, v in Z-span(f), 9 | v.Sf) for the isotropic tuple f."""
-    pairing, span = _span_test(v, tup, e10_gram() if g is None else g)
+    pairing = sum(map(mul, v, paired))
     return pairing % 3 == 0, span, pairing % 9 == 0

@@ -26,7 +26,7 @@ from enriques.divisors import (
     build_triangle,
     specialness_witness,
 )
-from enriques.lattice import GramForm, rank_and_discriminant
+from enriques.lattice import rank_and_discriminant
 from enriques.rootfibers import (
     DynkinType,
     KodairaType,
@@ -232,7 +232,7 @@ def test_the_component_bound_drops_only_classes_over_capacity(
     assert enumerate_triangles(unbounded) == census
     # and no surface holds one: their curves span a lattice of rank above
     # that of Num(Y), which the catalog loader rejects
-    ranks = Counter(rank_and_discriminant(GramForm.from_rows(inter))[0]
+    ranks = Counter(rank_and_discriminant(inter)[0]
                     for _, inter, _ in over)
     assert ranks == {12: 8, 13: 3}
     assert min(ranks) > catalog.NUM_RANK

@@ -5,11 +5,15 @@ import re
 import subprocess
 import sys
 import time
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 from enriques import catalog, cli
+from enriques.config import pairings
+from enriques.divisors import MAX_FIBER_COMPONENTS, connected_subsets
+from enriques.rootfibers import NotAffine, fiber_divisor
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -319,7 +323,7 @@ def test_an_undetermined_scale_fails_the_nd_check_alone(capsys, tmp_path):
         "[fail] fibration scales determined: 3 fibration classes\n"
         "[pass] fibration count: found 3, expected 3\n"
         f"[fail] nd bounds: {undetermined}\n"
-        "[fail] max sequence length: 1\n"
+        f"[fail] max sequence length: {undetermined}\n"
         "char: p = 2, classical or supersingular\n"
         "surface: D8~\n")
     code, out, err = run_main(
@@ -589,6 +593,162 @@ def test_mutated_catalog_files_fail_cleanly(capsys, tmp_path, surface_file):
                 assert (f"[fail] catalog data: {surface_file}: {where} "
                         "must be ") in out, (where, value, out)
     assert time.perf_counter() - t0 < 5
+
+
+def _add_edge(m, rng):
+    a, b = rng.sample(m["curves"], 2)
+    m["edges"].append([a, b, rng.choice((1, 2))])
+
+
+def _delete_edge(m, rng):
+    if m["edges"]:
+        m["edges"].pop(rng.randrange(len(m["edges"])))
+
+
+def _reweigh_edge(m, rng):
+    if m["edges"]:
+        rng.choice(m["edges"])[2:] = [rng.randint(0, 4)]
+
+
+def _add_tangent_edge(m, rng):
+    if m["edges"]:
+        m.setdefault("tangent_edges", []).append(rng.choice(m["edges"])[:2])
+
+
+def _repeat_edge(m, rng):
+    if m["edges"]:
+        m["edges"].append(list(rng.choice(m["edges"])))
+
+
+def _drop_support_curve(m, rng):
+    support = rng.choice(m["fibrations"])["support"]
+    if len(support) > 1:
+        support.remove(rng.choice(support))
+
+
+def _add_support_curve(m, rng):
+    support = rng.choice(m["fibrations"])["support"]
+    others = [c for c in m["curves"] if c not in support]
+    if others:
+        support.append(rng.choice(others))
+
+
+def _flip_multiplicity(m, rng):
+    f = rng.choice(m["fibrations"])
+    f["multiplicity"] = {"half": "simple", "simple": "half"}[f["multiplicity"]]
+
+
+def _change_kind(m, rng):
+    rng.choice(m["fibrations"])["kind"] = rng.choice(
+        ("I2", "I3", "I4", "I8", "I9", "III", "IV", "I0*", "I1*", "I4*",
+         "II*", "III*", "IV*"))
+
+
+def _swap_labels(m, rng):
+    if len(m["fibrations"]) > 1:
+        f, g = rng.sample(m["fibrations"], 2)
+        f["label"], g["label"] = g["label"], f["label"]
+
+
+def _delete_curve(m, rng):
+    c = rng.choice(m["curves"])
+    m["curves"].remove(c)
+    for key in ("edges", "tangent_edges"):
+        if key in m:
+            m[key] = [e for e in m[key] if c not in e[:2]]
+    for f in m["fibrations"]:
+        if c in f["support"] and len(f["support"]) > 1:
+            f["support"].remove(c)
+
+
+def _change_witness(m, rng):
+    witness = m.get("claims", {}).get("witness")
+    if witness:
+        witness["divisor"][rng.choice(m["curves"])] = rng.randint(-1, 3)
+
+
+# edits that keep a surface file's JSON shape and change what it says
+MEANING_EDITS = (
+    _add_edge, _delete_edge, _reweigh_edge, _add_tangent_edge, _repeat_edge,
+    _drop_support_curve, _add_support_curve, _flip_multiplicity,
+    _change_kind, _swap_labels, _delete_curve, _change_witness,
+)
+
+
+def _brute_force_rays(config):
+    """Sorted (ray, kinds) of the fibrations visible in config, from every
+    connected set of at most MAX_FIBER_COMPONENTS curves that fiber_divisor
+    reads as affine, the ray being its pairing vector over their gcd; None
+    when one of them pairs to 0 with every curve."""
+    rays = {}
+    for subset in connected_subsets(config, max_size=MAX_FIBER_COMPONENTS):
+        try:
+            kind, d = fiber_divisor(config, subset)
+        except NotAffine:
+            continue
+        pv = pairings(d.vec, config)
+        g = gcd(*pv)
+        if g == 0:
+            return None
+        rays.setdefault(tuple(x // g for x in pv), set()).add(str(kind))
+    return sorted((ray, tuple(sorted(kinds))) for ray, kinds in rays.items())
+
+
+def _records_match_the_brute_force(s):
+    """Whether fibration_records(s) finds the rays and kinds of
+    _brute_force_rays, or fails as the brute force says it must: on a fiber
+    with no horizontal curve, or on a ray whose half-fiber scale two
+    members fix differently."""
+    want = _brute_force_rays(s.config)
+    try:
+        got = sorted((r.ray, r.kinds) for r in catalog.fibration_records(s))
+    except catalog.CatalogDataError as exc:
+        return ("has no horizontal curve" if want is None
+                else "inconsistent half-fiber scale") in str(exc)
+    return got == want
+
+
+def test_meaning_mutants_of_catalog_files_fail_cleanly(capsys, tmp_path):
+    """Seeded mutants of every surface file, 1 to 3 meaning-level edits
+    each: every command exits 0 or 1 without a traceback.  The fibration
+    records of each mutant that loads match a brute force over connected
+    subsets; when the mutant does not load, its curve graph alone, with
+    no fibers annotated, is compared."""
+    files = sorted(p.name for p in catalog._data_dir().glob("*.json"))
+    compared = 0
+    t0 = time.perf_counter()
+    for surface_file in files:
+        data = _surface_data(surface_file)
+        path = tmp_path / surface_file
+        rng = random.Random(f"meaning {surface_file}")
+        for _ in range(40):
+            mutant = json.loads(json.dumps(data))
+            for _ in range(rng.randint(1, 3)):
+                rng.choice(MEANING_EDITS)(mutant, rng)
+            path.write_text(json.dumps(mutant))
+            for command in ("verify-surface", "nd", "fibrations"):
+                argv = [command, data["name"], "--catalog-dir", str(tmp_path)]
+                try:
+                    code, out, err = run_main(capsys, argv)
+                except Exception as exc:
+                    pytest.fail(f"{mutant}: {command} raised {exc!r}")
+                assert code in (0, 1) and err == "", (mutant, command, out)
+            graph = {key: mutant[key] for key in
+                     ("name", "curves", "edges", "tangent_edges")
+                     if key in mutant}
+            for candidate in (mutant, {**graph, "fibrations": []}):
+                path.write_text(json.dumps(candidate))
+                try:
+                    s = catalog.load_surface(data["name"], tmp_path)
+                except catalog.CatalogDataError:
+                    continue
+                assert _records_match_the_brute_force(s), candidate
+                compared += 1
+                break
+        path.unlink()
+    assert time.perf_counter() - t0 < 5
+    # the differential check is not vacuous: most graphs stay loadable
+    assert compared >= len(files) * 15, compared
 
 
 @pytest.mark.parametrize("value", ["12", "0"])

@@ -9,7 +9,6 @@ from enriques.exactmat import smith_normal_form
 from enriques.lattice import (
     CossecSolveError,
     DimensionMismatch,
-    GramForm,
     divisibility_check,
     e10_gram,
     e10_isotropic_basis,
@@ -25,9 +24,9 @@ BASIS = e10_isotropic_basis()
 
 
 def test_e10_gram_is_even_unimodular_of_signature_one_nine():
-    assert G.dim == 10
+    assert len(G) == 10
     for i in range(10):
-        assert G.entries[i][i] % 2 == 0
+        assert G[i][i] % 2 == 0
     rank, disc = rank_and_discriminant(G)
     assert (rank, disc) == (10, 1)
 
@@ -120,27 +119,31 @@ def test_gram_product_dimension_check():
 
 def test_rank_and_discriminant_on_degenerate_form():
     # A1 + radical: rank 1, induced discriminant 2
-    g = GramForm.from_rows([[-2, 0], [0, 0]])
+    g = ((-2, 0), (0, 0))
     assert rank_and_discriminant(g) == (1, 2)
+    # list rows read like tuple rows
+    assert rank_and_discriminant([list(row) for row in g]) == (1, 2)
+    assert rank_and_discriminant([list(row) for row in G]) == (10, 1)
 
 
 def complement_rank_and_discriminant(g):
     """Reference: a nonzero determinant, or else the determinant of the form
     restricted to a complement of the kernel, read off the first columns of
     the Smith column transform."""
-    m = [list(row) for row in g.entries]
+    m = [list(row) for row in g]
     if not m:
         return 0, 1
     full = det_bareiss(m)
     if full != 0:
-        return g.dim, abs(full)
+        return len(g), abs(full)
     d, _, v = smith_normal_form(m)
-    r = sum(1 for i in range(g.dim) if d[i][i] != 0)
+    n = len(g)
+    r = sum(1 for i in range(n) if d[i][i] != 0)
     if r == 0:
         return 0, 1
-    p = [[v[row][col] for col in range(r)] for row in range(g.dim)]
+    p = [[v[row][col] for col in range(r)] for row in range(n)]
     q = [[sum(p[a][i] * m[a][b] * p[b][j]
-              for a in range(g.dim) for b in range(g.dim))
+              for a in range(n) for b in range(n))
           for j in range(r)] for i in range(r)]
     return r, abs(det_bareiss(q))
 
@@ -157,9 +160,10 @@ def gram_forms(draw):
         for j in range(i, k):
             a[i][j] = a[j][i] = draw(small)
     p = [[draw(small) for _ in range(n)] for _ in range(k)]
-    return GramForm.from_rows([
-        [sum(p[x][i] * a[x][y] * p[y][j] for x in range(k) for y in range(k))
-         for j in range(n)] for i in range(n)])
+    return tuple(
+        tuple(sum(p[x][i] * a[x][y] * p[y][j]
+                  for x in range(k) for y in range(k)) for j in range(n))
+        for i in range(n))
 
 
 @given(gram_forms())
@@ -208,11 +212,11 @@ def span_cases(draw):
     for i in range(n):
         for j in range(i, n):
             a[i][j] = a[j][i] = draw(small)
-    return v, tup, GramForm.from_rows(a)
+    return v, tup, tuple(map(tuple, a))
 
 
-_SINGULAR = ([2, 4], ((1, 2), (2, 4)), GramForm.from_rows([[0, 1], [1, 0]]))
-_FACTOR_TWO = ([1, 1], ((2, 0), (0, 1)), GramForm.from_rows([[1, 1], [1, 1]]))
+_SINGULAR = ([2, 4], ((1, 2), (2, 4)), ((0, 1), (1, 0)))
+_FACTOR_TWO = ([1, 1], ((2, 0), (0, 1)), ((1, 1), (1, 1)))
 
 
 @given(span_cases())
@@ -222,7 +226,8 @@ _FACTOR_TWO = ([1, 1], ((2, 0), (0, 1)), GramForm.from_rows([[1, 1], [1, 1]]))
 def test_span_and_divisibility_match_the_all_columns_formula(case):
     v, tup, g = case
     span = all_columns_in_span(v, tup)
-    prod = gram_product(v, [sum(f[k] for f in tup) for k in range(g.dim)], g)
+    sf = [sum(f[k] for f in tup) for k in range(len(g))]
+    prod = gram_product(v, sf, g)
     assert divisibility_check(v, tup, g) == (prod % 3 == 0, span,
                                              prod % 9 == 0)
 
@@ -246,12 +251,19 @@ def test_span_tests_see_a_basis_edited_in_place_and_a_new_form():
     units[9] = list(v)
     assert divisibility_check(v, units, G)[1]
     # the same basis under two forms: v.Sf follows the form
-    identity = GramForm.from_rows(units)
+    identity = tuple(map(tuple, units))
     w = [1, 0, 2] + [0] * 7
     assert gram_product(w, [1] * 10, identity) == 3
     assert divisibility_check(w, units, identity) == (True, True, False)
     assert gram_product(w, [1] * 10, G) == -1
     assert divisibility_check(w, units, G) == (False, True, False)
+    # a form given as lists and edited in place between two checks: v.Sf
+    # follows the edit, so the cache compares forms by value
+    form = [list(row) for row in identity]
+    assert divisibility_check(w, units, form) == (True, True, False)
+    form[2][2] = 4
+    assert gram_product(w, [1] * 10, form) == 9
+    assert divisibility_check(w, units, form) == (True, True, True)
 
 
 def test_divisibility_check_rejects_a_vector_of_the_wrong_length():
