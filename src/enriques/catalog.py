@@ -509,6 +509,19 @@ def verify_surface(s):
     return checks
 
 
+def _witness_text(k, d):
+    """S_(k+1) as the `special witness` line writes it."""
+    return f"S{k + 1} = " + "+".join(
+        f"{c}{name}" if c != 1 else name for name, c in sorted(d.coeffs))
+
+
+def _check_nonspecial(checks, name, found):
+    """Record that no witness was found, or name each one that was."""
+    _check(checks, name, not found,
+           ", ".join(_witness_text(k, found[k]) for k in sorted(found))
+           or "no effective F_i + F_j - F_k")
+
+
 def _verify_triple(s, classes, checks):
     claims = s.claims
     F = [classes[lab] for lab in claims["triple"]]
@@ -518,14 +531,12 @@ def _verify_triple(s, classes, checks):
     found = specialness_witness(F, s.config)
     expected = claims.get("witness")
     if expected is None:
-        _check(checks, "non-special", not found,
-               "no effective F_i + F_j - F_k")
+        _check_nonspecial(checks, "non-special", found)
         return
     want = Divisor.from_map(expected["divisor"], s.config)
     ok = len(found) == 3 and found.get(expected["k"] - 1) == want
-    desc = "+".join((f"{c}{name}" if c != 1 else name)
-                    for name, c in sorted(want.coeffs))
-    _check(checks, "special witness", ok, f"S{expected['k']} = {desc}")
+    _check(checks, "special witness", ok,
+           _witness_text(expected["k"] - 1, want))
     if not ok:
         return
     tri = build_triangle(F=F, witnesses=[found[k] for k in range(3)],
@@ -552,7 +563,5 @@ def _verify_unique_nonspecial(s, classes, found, checks):
               == sorted(q.pairing_vector() for q in want))
         _check(checks, f"unique sequence through {label}", ok,
                f"partners {', '.join(claims[label])}")
-        triple = want + [f]
-        witness = specialness_witness(triple, s.config)
-        _check(checks, f"non-special through {label}", not witness,
-               "no effective F_i + F_j - F_k")
+        _check_nonspecial(checks, f"non-special through {label}",
+                          specialness_witness(want + [f], s.config))

@@ -112,12 +112,13 @@ def _glue_indexed(decomps, maps):
     decomps splits G_1, G_2, G_3, and G_i omits S_i; maps[k] holds the two
     diagram maps of S_(k+1), into the fibers that OTHER_TWO[k] indexes.
     Classes of identified vertices are numbered by first appearance.
+    None means two fibers disagree on an entry of the glued matrix; a
+    fiber with two curves in one class disagrees with itself, writing -2
+    and then their weight (>= 0) on that class's diagonal cell.
     """
     mats = [fiber_graph(d.kind).inter for d in decomps]
     offsets = [0, len(mats[0]), len(mats[0]) + len(mats[1])]
     parent = list(range(offsets[2] + len(mats[2])))
-    # the fibers each class holds a vertex of, as a bitmask per root
-    fibers = [1 << f for f, m in enumerate(mats) for _ in m]
 
     def find(x):
         while parent[x] != x:
@@ -127,19 +128,13 @@ def _glue_indexed(decomps, maps):
 
     for (ia, ib), (oa, ob) in zip(OTHER_TWO, maps):
         for va, vb in zip(oa, ob):
-            ra, rb = find(offsets[ia] + va), find(offsets[ib] + vb)
-            if ra != rb:
-                if fibers[ra] & fibers[rb]:
-                    return None  # two vertices of one fiber would collapse
-                parent[ra] = rb
-                fibers[rb] |= fibers[ra]
+            parent[find(offsets[ia] + va)] = find(offsets[ib] + vb)
     number = {}
     cls_of = [number.setdefault(find(x), len(number))
               for x in range(len(parent))]
     n = len(number)
-    # every entry must be consistent across the fibers seeing both
-    # classes (None: unseen); each class is one curve, so a fiber writes
-    # its -2 on the diagonal
+    # every entry must agree across the fibers seeing both classes
+    # (None: unseen); each fiber writes its -2 on the diagonal first
     inter = [[None] * n for _ in range(n)]
     for m, off in zip(mats, offsets):
         local = cls_of[off:off + len(m)]

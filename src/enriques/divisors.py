@@ -126,7 +126,6 @@ class TriangleGraph:
     S: tuple  # three Divisors on the glued configuration
     types: tuple  # three DynkinType
     G: tuple  # the three fibers G_i = S_j + S_k = 2F_i
-    G_types: tuple  # three KodairaType, of the G_i
     glued: CurveConfig
 
 
@@ -163,10 +162,9 @@ def build_triangle(witnesses, ambient, F=None):
             if intersect(S[a], S[b]) != 2:
                 raise InvariantViolation(f"S_{a+1}.S_{b+1} != 2")
     G = tuple(S[j] + S[k] for j, k in OTHER_TWO)
-    g_types = []
     for (j, k), g in zip(OTHER_TWO, G):
         try:
-            kind, null = fiber_divisor(glued, g.support())
+            _, null = fiber_divisor(glued, g.support())
         except NotAffine as exc:
             raise InvariantViolation(
                 f"S_{j+1} + S_{k+1} is not a fiber: {exc}")
@@ -174,11 +172,10 @@ def build_triangle(witnesses, ambient, F=None):
             raise InvariantViolation(
                 f"S_{j+1} + S_{k+1} does not carry fiber multiplicities"
             )
-        g_types.append(kind)
     if glued.size() > MAX_COMPONENTS:
         raise InvariantViolation(
             f"triangle graph has more than {MAX_COMPONENTS} components")
-    return TriangleGraph(S, tuple(types), G, tuple(g_types), glued)
+    return TriangleGraph(S, tuple(types), G, glued)
 
 
 def fibration_capacity_ok(t):

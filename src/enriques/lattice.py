@@ -143,7 +143,7 @@ def _span_data(tup, g):
     rows = tuple(map(tuple, tup))
     entry = _span_entry
     if entry is None or entry[0] != rows or entry[1] != g:
-        if any(len(f) != len(rows) for f in rows):
+        if len(rows) != len(g) or any(len(f) != len(g) for f in rows):
             raise DimensionMismatch("span test needs a square generating set")
         d, _, v = smith_normal_form(rows)
         paired = tuple(mat_vec(g, [sum(col) for col in zip(*rows)]))
@@ -161,8 +161,6 @@ def divisibility_check(v, tup, g=None):
     """
     if g is None:
         g = e10_gram()
-    if len(tup) != len(g):
-        raise DimensionMismatch("span test needs a square generating set")
     if len(v) != len(g):
         raise DimensionMismatch("vector length does not match form dimension")
     paired, cols = _span_data(tup, g)

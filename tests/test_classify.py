@@ -157,9 +157,23 @@ def test_glue_rejects_two_curves_of_one_fiber_in_one_class():
     glued = _glue_indexed(decomps, (s1, s2, ((1,), (1,))))
     assert glued is not None and len(glued[0]) == 3
     # S_3 now joins curve 1 of fiber 1 to curve 0 of fiber 2, which S_1
-    # and S_2 already join to curve 0 of fiber 1; every weight is still
-    # consistent, but fiber 1 would collapse onto one class
+    # and S_2 already join to curve 0 of fiber 1; fiber 1's two curves
+    # fall in one class, whose diagonal cell gets fiber 1's -2 and then
+    # its weight 2, and that disagreement rejects the gluing
     assert _glue_indexed(decomps, (s1, s2, ((1,), (0,)))) is None
+
+
+def test_glue_rejects_fibers_disagreeing_off_the_diagonal():
+    # S_3 = A1 + A1 maps onto curves 0 and 1 of an I2 fiber and of an I3
+    # fiber, so no fiber has two curves in one class; the two classes get
+    # weight 2 from the I2 and 1 from the I3
+    i2, i3 = (_decompositions(KodairaType(k))[0] for k in ("I2", "I3"))
+    empty = ((), ())
+    shared = ((0, 1), (0, 1))
+    glued = _glue_indexed((i2, i2, i2), (empty, empty, shared))
+    assert glued is not None and len(glued[0]) == 4
+    assert glued[0][0][1] == 2
+    assert _glue_indexed((i2, i3, i2), (empty, empty, shared)) is None
 
 
 @pytest.fixture(scope="module")

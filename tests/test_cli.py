@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import GOLDEN
 from enriques import catalog, cli
 from enriques.config import pairings
 from enriques.divisors import MAX_FIBER_COMPONENTS, connected_subsets
@@ -62,6 +63,27 @@ def test_unknown_surface_fails(capsys):
     code, out, _ = run_main(capsys, ["nd", "K3"])
     assert code == 1
     assert "[fail] catalog lookup: K3 not in catalog" in out
+    for command in ("verify-surface", "fibrations"):
+        code, out, err = run_main(capsys, [command, "nope"])
+        assert (code, err) == (1, "")
+        assert out == (f"command: {command}\n"
+                       "[fail] catalog lookup: nope not in catalog\n")
+
+
+def test_classify_discriminant_filter_lists_the_filtered_census(capsys):
+    golden = (GOLDEN / "census_ge10.txt").read_text().splitlines()
+    code, out, err = run_main(capsys, ["classify", "--filter", "discriminant"])
+    assert (code, err) == (0, "")
+    assert out == ("command: classify\n"
+                   "[pass] entries with >= 10 components: 53\n"
+                   "entries:\n" + "".join(f"  {row}\n" for row in golden))
+    code, out, err = run_main(
+        capsys, ["classify", "--filter", "discriminant", "--json"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["checks"] == [{"name": "entries with >= 10 components",
+                                 "status": "pass", "detail": "53"}]
+    assert report["artifacts"] == {"entries": golden}
 
 
 def _e8t_data():
@@ -445,6 +467,40 @@ def test_witness_claim_is_compared_as_a_coefficient_vector(capsys, tmp_path):
         capsys, ["verify-surface", "BP", "--catalog-dir", str(tmp_path)])
     assert (code, err) == (0, "")
     assert "[pass] special witness: S3 = R11\n" in out
+
+
+def _verify_claims(capsys, tmp_path, surface_file, **changes):
+    data = _claims(surface_file, **changes)
+    (tmp_path / surface_file).write_text(json.dumps(data))
+    return run_main(capsys, ["verify-surface", data["name"],
+                             "--catalog-dir", str(tmp_path)])
+
+
+def test_a_special_triple_claimed_non_special_names_its_witnesses(
+        capsys, tmp_path):
+    code, out, err = _verify_claims(capsys, tmp_path, "BP.json", witness=None,
+                                    types=None, non_extendable=None)
+    assert (code, err) == (1, "")
+    assert ("[fail] non-special: S1 = 6R1+5R2+4R3+3R4+2R5+2R7+4R8+3R9, "
+            "S2 = R10, S3 = R11\n") in out
+
+
+def test_a_non_special_claimed_triple_passes(capsys, tmp_path):
+    code, out, err = _verify_claims(capsys, tmp_path, "2D4t.json",
+                                    triple=["G1", "G2", "F4"])
+    assert (code, err) == (0, "")
+    assert ("[pass] three-sequence: G1 G2 F4\n"
+            "[pass] non-special: no effective F_i + F_j - F_k\n") in out
+
+
+def test_a_special_triple_claimed_unique_non_special_names_its_witnesses(
+        capsys, tmp_path):
+    # (G1, G2, G3) is special: each S_k is a fundamental cycle of 2D4~
+    code, out, err = _verify_claims(capsys, tmp_path, "2D4t.json",
+                                    unique_nonspecial={"G3": ["G1", "G2"]})
+    assert (code, err) == (1, "")
+    assert ("[fail] non-special through G3: S1 = R0+R1+R10+R4+R5+R6+R7, "
+            "S2 = R0+R10+R3+R4+R5+R6+R8, S3 = R0+R10+R2+R4+R5+R6+R9\n") in out
 
 
 def test_annotation_against_the_forced_scale_fails_cleanly(capsys, tmp_path):

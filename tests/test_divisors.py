@@ -43,12 +43,11 @@ def test_connected_subsets_ordering_and_count():
 def test_small_triangle_assembles():
     t = small_triangle()
     assert t.types == (DynkinType("A", 1),) * 3
-    assert t.G_types == (KodairaType("I2"),) * 3
     assert t.glued.size() == 3
     for i, (j, k) in enumerate(((1, 2), (0, 2), (0, 1))):
         assert t.G[i] == t.S[j] + t.S[k]
         assert fiber_divisor(t.glued, t.G[i].support()) == (
-            t.G_types[i], t.G[i])
+            KodairaType("I2"), t.G[i])
 
 
 def test_half_fiber_classes_form_c_sequence():

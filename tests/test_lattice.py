@@ -276,6 +276,12 @@ def test_span_tests_reject_a_tuple_of_short_vectors():
         divisibility_check([0] * 10, [f[:9] for f in BASIS], G)
 
 
+def test_nine_vectors_span_no_full_rank_lattice():
+    with pytest.raises(DimensionMismatch):
+        divisibility_check([0] * 10, BASIS[:9], G)
+    assert sublattice_index(BASIS[:9], G) == "infinite"
+
+
 _coords = st.lists(st.integers(min_value=-30, max_value=30),
                    min_size=10, max_size=10)
 

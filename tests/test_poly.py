@@ -56,6 +56,11 @@ def test_parse_expansion():
     assert str(parse_poly("(x0 + x1)^2")) == "x0^2 + 2*x0*x1 + x1^2"
     assert str(parse_poly("x0 - x0")) == "0"
     assert str(parse_poly("3*x2^2 - x1*x3")) == "-x1*x3 + 3*x2^2"
+    # products with a factor that is a sum, on either side of a single term
+    assert str(parse_poly("(x0+1)*x1")) == "x0*x1 + x1"
+    assert str(parse_poly("2*(x0+x1)")) == "2*x0 + 2*x1"
+    assert str(parse_poly("(x0+x1)*(x0-x1)")) == "x0^2 - x1^2"
+    assert str(parse_poly("x0*(x1+x2)*x3")) == "x0*x1*x3 + x0*x2*x3"
 
 
 # parse_poly's message for each kind of bad input
@@ -76,6 +81,8 @@ PARSE_ERRORS = [
     ("x0^3*x1^3*x2^3", "degree 9 exceeds 8"),
     ("x0*x1*x2*x3*x0*x1*x2*x3*x0", "degree 9 exceeds 8"),
     ("(x0^4 + 1)*x0^5", "degree 9 exceeds 8"),
+    ("x0^8*(x0+x1)", "degree 9 exceeds 8"),
+    ("(x0+x1)*x0^8", "degree 9 exceeds 8"),
     ("10^60", "exponent 60 exceeds 8"),
     ("1" * 60 + "*" + "1" * 60 + "*x0^9", "coefficient exceeds 100 digits"),
 ]
