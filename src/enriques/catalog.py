@@ -475,7 +475,7 @@ def verify_surface(s):
                " ".join(claims["four_sequence"]))
 
     if "unique_nonspecial" in claims:
-        _verify_unique_nonspecial(s, classes, found, checks)
+        _verify_unique_nonspecial(s, classes, records, checks)
 
     if "minus_two" in claims:
         claim = claims["minus_two"]
@@ -512,7 +512,7 @@ def verify_surface(s):
 def _witness_text(k, d):
     """S_(k+1) as the `special witness` line writes it."""
     return f"S{k + 1} = " + "+".join(
-        f"{c}{name}" if c != 1 else name for name, c in sorted(d.coeffs))
+        f"{c}{name}" if c != 1 else name for name, c in d.coeffs)
 
 
 def _check_nonspecial(checks, name, found):
@@ -553,15 +553,19 @@ def _verify_triple(s, classes, checks):
                str(obstruction) if ok else "criterion inconclusive")
 
 
-def _verify_unique_nonspecial(s, classes, found, checks):
+def _verify_unique_nonspecial(s, classes, records, checks):
     claims = s.claims["unique_nonspecial"]
     for label in sorted(claims):
         f = classes[label]
-        partners = [g for g in found if intersect(f, g) == 1]
+        partners = [r for r in records
+                    if r.cls is not None and intersect(f, r.cls) == 1]
         want = [classes[p] for p in claims[label]]
-        ok = (sorted(p.pairing_vector() for p in partners)
+        ok = (sorted(r.cls.pairing_vector() for r in partners)
               == sorted(q.pairing_vector() for q in want))
-        _check(checks, f"unique sequence through {label}", ok,
-               f"partners {', '.join(claims[label])}")
+        detail = f"partners {', '.join(claims[label])}"
+        if not ok:
+            detail += "; found " + ", ".join(
+                "/".join(r.labels) or f"ray {r.ray}" for r in partners)
+        _check(checks, f"unique sequence through {label}", ok, detail)
         _check_nonspecial(checks, f"non-special through {label}",
                           specialness_witness(want + [f], s.config))

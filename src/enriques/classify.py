@@ -29,8 +29,8 @@ from .rootfibers import (
     KodairaType,
     _affine_kind,
     diagram_maps,
+    fiber_divisor,
     fiber_graph,
-    null_vector,
     root_subsets,
 )
 
@@ -71,14 +71,14 @@ def _decompositions(kind):
     cfg = fiber_graph(kind)
     if cfg.size() < 2:
         return ()  # irreducible fiber: nothing to split
-    null = null_vector(cfg)
+    _, null = fiber_divisor(cfg, tuple(range(cfg.size())))
     # the proper ADE subsets and their fundamental cycles; the whole
     # fiber is affine, so no second part covers it
     cycles = {support: Part(dtype, support, z.vec) for support, dtype, z
               in root_subsets(cfg, DynkinType, cfg.size() - 1)}
     out = []
     for part in cycles.values():
-        rest = tuple(g - c for g, c in zip(null, part.coeffs))
+        rest = tuple(g - c for g, c in zip(null.vec, part.coeffs))
         other = tuple(i for i, c in enumerate(rest) if c)
         if other in cycles and cycles[other].coeffs == rest:
             out.append(Decomposition(kind, part, cycles[other]))

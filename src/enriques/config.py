@@ -102,9 +102,6 @@ class CurveConfig:
             frozenset((new[a], new[b]) for a, b in self.tangent_edges
                       if a in new and b in new))
 
-    def is_connected(self):
-        return connected(dict(enumerate(self.adj)))
-
 
 def connected(nbrs):
     """Whether the graph with the neighbour lists nbrs, a dict from each

@@ -16,7 +16,6 @@ the sets that grow from ADE ones.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 
 from .config import CurveConfig, Divisor, connected, pairings
 
@@ -246,12 +245,8 @@ def _kodaira_type(config, nbrs):
     return _tree_kodaira(nbrs)
 
 
-def _whole(config):
-    return _nbrs(config, range(config.size()))
-
-
 # bound on Artin steps per component; no ADE or affine graph reaches it
-# (see dynkin_divisor and null_vector)
+# (see dynkin_divisor and fiber_divisor)
 ARTIN_STEPS_PER_COMPONENT = 30
 
 
@@ -317,32 +312,17 @@ def fundamental_cycle(config):
     return dynkin_divisor(config, range(config.size()))[1]
 
 
-def null_vector(config):
-    """Primitive positive kernel vector of an affine configuration's Gram,
-    one coefficient per curve in config order.
-
-    On an affine graph with null vector d, Artin's iteration never passes
-    a z' with z'.C <= 0 for every C (Laufer), and by Zariski's lemma
-    every such z' is a multiple of d, so it stops at d itself (d sums to
-    at most 30, for II*).  The stop is certified: z.C == 0 for every C
-    and gcd(z) == 1.  A connected graph with a strictly positive kernel
-    vector is affine (Kac, Thm 4.3), so any other input fails the
-    certificate or the step bound.
-    """
-    if not config.is_connected():
-        raise NotAffine("configuration is not connected")
-    z = _artin(config, _whole(config))
-    if z is None:
-        raise NotAffine("Artin iteration exceeded its step bound")
-    if any(pairings(z.vec, config)) or gcd(*z.vec) != 1:
-        raise NotAffine("Gram matrix has no primitive positive kernel vector")
-    return z.vec
-
-
 def fiber_divisor(config, support):
     """(Kodaira type, null vector as a Divisor on config) of the curves at
-    the ascending indices support, or NotAffine.  Their shape is affine,
-    so Artin's iteration stops at the null vector (see null_vector)."""
+    the ascending indices support, or NotAffine.
+
+    The null vector d is the primitive positive kernel vector of the
+    set's Gram matrix, and a connected graph has one exactly when it is
+    affine (Kac, Thm 4.3), which the shape decides.  On an affine set,
+    Artin's iteration never passes a z' with z'.C <= 0 for every C
+    (Laufer), and by Zariski's lemma every such z' is a multiple of d, so
+    it stops at d itself (d sums to at most 30, for II*).
+    """
     nbrs = _nbrs(config, support)
     return _kodaira_type(config, nbrs), _artin(config, nbrs)
 

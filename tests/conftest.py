@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from enriques import catalog, classify
+from enriques.rootfibers import fiber_divisor
 
 GOLDEN = Path(__file__).parent / "golden"
 # the names of the catalog's surfaces, one per data file, in file order
@@ -31,6 +32,12 @@ def highest_root_by_vertex(dtype):
     return {6: [1, 2, 3, 2, 1, 2],
             7: [2, 3, 4, 3, 2, 1, 2],
             8: [2, 4, 6, 5, 4, 3, 2, 3]}[n]
+
+
+def whole_null_vector(config):
+    """The null vector of all of config read as one fiber, one coefficient
+    per curve in config order, or NotAffine."""
+    return fiber_divisor(config, tuple(range(config.size())))[1].vec
 
 
 @pytest.fixture(scope="session")

@@ -499,8 +499,26 @@ def test_a_special_triple_claimed_unique_non_special_names_its_witnesses(
     code, out, err = _verify_claims(capsys, tmp_path, "2D4t.json",
                                     unique_nonspecial={"G3": ["G1", "G2"]})
     assert (code, err) == (1, "")
-    assert ("[fail] non-special through G3: S1 = R0+R1+R10+R4+R5+R6+R7, "
-            "S2 = R0+R10+R3+R4+R5+R6+R8, S3 = R0+R10+R2+R4+R5+R6+R9\n") in out
+    assert ("[fail] non-special through G3: S1 = R0+R1+R4+R5+R6+R7+R10, "
+            "S2 = R0+R3+R4+R5+R6+R8+R10, S3 = R0+R2+R4+R5+R6+R9+R10\n") in out
+
+
+@pytest.mark.parametrize("surface_file, claim, found", [
+    # G3 meets seven half-fibers with product 1, not the claimed two
+    ("2D4t.json", {"G3": ["G1", "G2"]}, "G1, G2; found F0, F8, G2, F6, "
+     "F7, F9, G1"),
+    # a partner that no fiber annotates is named by its ray
+    ("A7t.json", {"F0": ["G2", "G3"]}, "G2, G3; found G2, G1, G4, "
+     "ray (1, 0, 0, 0, 0, 0, 0, 0, 0, 0)"),
+], ids=("2D4~", "A7~"))
+def test_a_failed_unique_sequence_check_names_the_partners_it_found(
+        capsys, tmp_path, surface_file, claim, found):
+    code, out, err = _verify_claims(capsys, tmp_path, surface_file,
+                                    unique_nonspecial=claim)
+    assert (code, err) == (1, "")
+    label, = claim
+    assert (f"[fail] unique sequence through {label}: partners {found}\n"
+            in out)
 
 
 def test_annotation_against_the_forced_scale_fails_cleanly(capsys, tmp_path):

@@ -1,8 +1,8 @@
 """Every name a module of the package imports is used in that module,
 every private top-level name of the package is read somewhere in it, a
-public one too unless it is listed with its reason, the core modules
-never read a curve name, no module makes an instance around its
-constructor, and no line is over 79 characters."""
+public one and a method of a class too unless it is listed with its
+reason, the core modules never read a curve name, no module makes an
+instance around its constructor, and no line is over 79 characters."""
 
 import ast
 from pathlib import Path
@@ -138,6 +138,45 @@ UNREAD_PUBLIC = {
 def test_package_reads_every_public_name_not_listed():
     assert orphans((path.read_text() for path in MODULES),
                    private=False) == sorted(UNREAD_PUBLIC)
+
+
+def unread_methods(sources):
+    """Class.method for each non-dunder method of a top-level class of
+    the modules whose sources are given that no module reads as an
+    attribute (x.method); sorted."""
+    defined, read = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        defined |= {(stmt.name, node.name) for stmt in tree.body
+                    if isinstance(stmt, ast.ClassDef) for node in stmt.body
+                    if isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("__")}
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)}
+    return sorted(f"{cls}.{name}" for cls, name in defined
+                  if name not in read)
+
+
+def test_unread_methods_are_found():
+    first = ("class A:\n    def __init__(self):\n        self.kept()\n"
+             "    def kept(self):\n        pass\n"
+             "    def lost(self):\n        pass\n"
+             "    @property\n    def shown(self):\n        pass\n")
+    second = "class B:\n    def lost(self):\n        pass\nprint(A().shown)\n"
+    assert unread_methods([first, second]) == ["A.lost", "B.lost"]
+    assert unread_methods([first, second, "f(x.lost)\n"]) == []
+
+
+# methods that no module of the package reads, each with its reason
+UNREAD_METHODS = {
+    "_Parser.error": "argparse calls it on a usage error",
+    "MultiPoly.degree": "read by the polynomial tests",
+}
+
+
+def test_package_reads_every_method_not_listed():
+    assert unread_methods(path.read_text() for path in MODULES) == sorted(
+        UNREAD_METHODS)
 
 
 # the core modules, which take sets of curves as vertex indices, and the

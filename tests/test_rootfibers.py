@@ -14,10 +14,9 @@ from enriques.rootfibers import (
     fiber_divisor,
     fiber_graph,
     fundamental_cycle,
-    null_vector,
 )
 
-from conftest import highest_root_by_vertex
+from conftest import highest_root_by_vertex, whole_null_vector
 
 ADE_UP_TO_RANK_9 = (
     [DynkinType("A", n) for n in range(1, 10)]
@@ -52,7 +51,7 @@ def test_fiber_graph_is_the_diagram_plus_one_last_curve(kind):
     rt = kind.root_type()
     base = cfg.subconfig(range(cfg.size() - 1))
     assert (base.names, base.inter) == (diagram(rt).names, diagram(rt).inter)
-    assert list(null_vector(cfg)) == highest_root_by_vertex(rt) + [1]
+    assert list(whole_null_vector(cfg)) == highest_root_by_vertex(rt) + [1]
     tangent = kind.symbol in ("III", "IV")
     assert cfg.tangent_edges == ({(0, 1)} if tangent else set())
     assert fiber_divisor(cfg, range(cfg.size()))[0] == kind
@@ -152,7 +151,7 @@ def test_fiber_divisor_cycle_and_star():
         [("c", "a"), ("c", "b"), ("c", "d"), ("c", "e")],
     )
     assert fiber_divisor(star, range(star.size()))[0] == KodairaType("I0*")
-    mult = null_vector(star)
+    mult = whole_null_vector(star)
     assert mult == (2, 1, 1, 1, 1)
 
 
@@ -192,7 +191,7 @@ def test_tree_with_two_branch_vertices_off_the_d_shape_is_not_affine():
 def test_dynkin_config_is_not_affine():
     chain = CurveConfig.from_edges(("a", "b"), [("a", "b")])
     with pytest.raises(NotAffine):
-        null_vector(chain)
+        whole_null_vector(chain)
 
 
 def test_kodaira_root_types_and_component_counts():
